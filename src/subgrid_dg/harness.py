@@ -6,7 +6,10 @@ from __future__ import annotations
 import csv
 import json
 import os
+import tempfile
 import time
+import zipfile
+import zlib
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
@@ -364,7 +367,11 @@ def default_dt(disc: Discretization, U0: np.ndarray, cfl: float) -> float:
 
 
 def run_case(config: RunConfig) -> RunResult:
-    """Execute one configured experiment; write outputs if output_dir is set."""
+    """Execute one configured experiment; write outputs if output_dir is set.
+
+    The summary's `setup_time_s` covers building the problem and choosing
+    dt; `wall_time_s` covers the march alone."""
+    setup_start = time.perf_counter()
     config, disc, state0 = build_problem(config)
     dt = config.dt if config.dt is not None else default_dt(disc, state0.U, config.cfl)
     wall_start = time.perf_counter()
@@ -397,6 +404,7 @@ def run_case(config: RunConfig) -> RunResult:
         "dt": dt,
         "t_final": traj.final.time,
         "n_steps": traj.n_steps,
+        "setup_time_s": wall_start - setup_start,
         "wall_time_s": wall,
         "mass_initial": mass0.tolist(),
         "mass_final": mass1.tolist(),
@@ -518,6 +526,16 @@ def projection_convergence(p: int, n: int, refinements, profile=None,
 # -- finite volume reference ---------------------------------------------------
 
 
+# Part of the reference cache key: raise it whenever a change to the FV march
+# or to the fluxes it calls can change the stored solution, so that a cache
+# written by older code is not reused.
+FV_SCHEME_VERSION = 2
+
+# What np.load and reading a member raise on a truncated or corrupt .npz.
+_CACHE_READ_ERRORS = (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile,
+                      zlib.error)
+
+
 def _fv_cache_dir() -> Path:
     root = os.environ.get("XDG_CACHE_HOME", os.path.expanduser("~/.cache"))
     d = Path(root) / "subgrid_dg"
@@ -602,19 +620,19 @@ def fv_reference(case: str, cells: int, t_final: float | None = None,
     """
     if t_final is None:
         t_final = _CASE_DEFAULTS.get(case, {}).get("t_final", 1.0)
-    key = f"fvref_{case}_{cells}_{t_final:.6g}.npz"
+    key = f"fvref_v{FV_SCHEME_VERSION}_{case}_{cells}_{t_final:.6g}.npz"
     path = _fv_cache_dir() / key
     x = U = None
     if cache and path.exists():
         try:
-            data = np.load(path)
-            x, U = data["x"], data["U"]
-        except Exception:
-            x = U = None  # corrupted cache: recompute
+            with np.load(path) as data:
+                x, U = data["x"], data["U"]
+        except _CACHE_READ_ERRORS:
+            x = U = None  # truncated or corrupt cache: recompute
     if x is None:
         x, U = _fv_march(case, cells, t_final)
         if cache:
-            np.savez_compressed(path, x=x, U=U)
+            _write_atomic(path, x=x, U=U)
 
     def sampler(xs, component: int = 0):
         idx = np.clip(np.searchsorted(x, np.asarray(xs), side="right") - 1,
@@ -622,6 +640,19 @@ def fv_reference(case: str, cells: int, t_final: float | None = None,
         return U[component][idx]
 
     return sampler, x, U
+
+
+def _write_atomic(path: Path, **arrays) -> None:
+    """Write an .npz next to `path` and rename it into place, so that an
+    interrupted write never leaves a partial file under the cache key."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez_compressed(fh, **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # -- output ---------------------------------------------------------------------

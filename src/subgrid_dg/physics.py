@@ -139,37 +139,45 @@ class Euler1D(ConservationLaw):
         return np.stack([u[1], u[1] * vel + p, (u[2] + p) * vel])
 
     def roe_flux(self, uL, uR, x=None, entropy_fix: bool = False):
+        """Roe flux from one set of primitives per side.  Products are
+        grouped as in 0.5 (F(uL) + F(uR)) - 0.5 |A| (uR - uL) written out,
+        so the result is the same bit for bit."""
         uL, uR = _as_state(uL), _as_state(uR)
         g = self.gamma_a
         rhoL, vL, pL = _euler_primitives(uL, g)
         rhoR, vR, pR = _euler_primitives(uR, g)
-        HL = (uL[2] + pL) / rhoL
-        HR = (uR[2] + pR) / rhoR
+        EpL = uL[2] + pL
+        EpR = uR[2] + pR
         sL, sR = np.sqrt(rhoL), np.sqrt(rhoR)
         w = sL / (sL + sR)
         vt = w * vL + (1.0 - w) * vR
-        Ht = w * HL + (1.0 - w) * HR
+        Ht = w * (EpL / rhoL) + (1.0 - w) * (EpR / rhoR)
+        vt2 = vt * vt
         c2 = (g - 1.0) * (Ht - 0.5 * vt * vt)
         if np.any(c2 <= 0):
             raise AdmissibilityError("negative Roe-averaged sound speed")
         ct = np.sqrt(c2)
+        lam1, lam3, vct = vt - ct, vt + ct, vt * ct
 
-        d = uR - uL
-        a2 = (g - 1.0) / c2 * (d[0] * (Ht - vt * vt) + vt * d[1] - d[2])
-        a1 = (d[0] * (vt + ct) - d[1] - ct * a2) / (2.0 * ct)
-        a3 = d[0] - a1 - a2
+        d0 = uR[0] - uL[0]
+        d1 = uR[1] - uL[1]
+        a2 = (g - 1.0) / c2 * (d0 * (Ht - vt2) + vt * d1 - (uR[2] - uL[2]))
+        a1 = (d0 * lam3 - d1 - ct * a2) / (2.0 * ct)
+        a3 = d0 - a1 - a2
 
         eps = 0.05 * (np.abs(vt) + ct)
-        l1 = _fix_abs(vt - ct, eps, entropy_fix)
-        l2 = _fix_abs(vt, eps, entropy_fix)
-        l3 = _fix_abs(vt + ct, eps, entropy_fix)
+        w1 = a1 * _fix_abs(lam1, eps, entropy_fix)
+        w2 = a2 * _fix_abs(vt, eps, entropy_fix)
+        w3 = a3 * _fix_abs(lam3, eps, entropy_fix)
 
-        diss = np.stack([
-            a1 * l1 + a2 * l2 + a3 * l3,
-            a1 * l1 * (vt - ct) + a2 * l2 * vt + a3 * l3 * (vt + ct),
-            a1 * l1 * (Ht - vt * ct) + a2 * l2 * 0.5 * vt * vt + a3 * l3 * (Ht + vt * ct),
-        ])
-        return 0.5 * (self.flux(uL) + self.flux(uR)) - 0.5 * diss
+        # central part from the primitives above: F = (m, m v + p, (E + p) v)
+        out = np.empty((3,) + d0.shape)
+        out[0] = 0.5 * (uL[1] + uR[1]) - 0.5 * (w1 + w2 + w3)
+        out[1] = (0.5 * ((uL[1] * vL + pL) + (uR[1] * vR + pR))
+                  - 0.5 * (w1 * lam1 + w2 * vt + w3 * lam3))
+        out[2] = (0.5 * (EpL * vL + EpR * vR)
+                  - 0.5 * (w1 * (Ht - vct) + w2 * 0.5 * vt * vt + w3 * (Ht + vct)))
+        return out
 
     def max_wave_speed(self, u, x=None):
         rho, vel, p = _euler_primitives(_as_state(u), self.gamma_a)
@@ -273,10 +281,11 @@ def _characteristic_farfield(u_int: np.ndarray, u_far: np.ndarray, side: int,
     taken from the farfield data.  For subsonic outflow this pins the boundary
     pressure to the farfield pressure, which is what selects the choked,
     shock-carrying branch of a transonic duct flow.  ``side`` is the outward
-    normal direction (-1 left boundary, +1 right).
+    normal direction (-1 left boundary, +1 right).  A non-physical interior
+    or farfield state raises AdmissibilityError.
     """
-    rho_d, u_d, p_d = _primitives(u_int, gamma_a)
-    rho_a, u_a, p_a = _primitives(u_far, gamma_a)
+    rho_d, u_d, p_d = _euler_primitives(u_int, gamma_a)
+    rho_a, u_a, p_a = _euler_primitives(u_far, gamma_a)
     c_d = np.sqrt(gamma_a * p_d / rho_d)
     rc = rho_d * c_d
     qn_d = side * u_d
@@ -293,13 +302,6 @@ def _characteristic_farfield(u_int: np.ndarray, u_far: np.ndarray, side: int,
         rho_b = rho_a + (p_b - p_a) / (c_d * c_d)
         u_b = u_a - side * (p_a - p_b) / rc
     return euler_state_from_primitives(rho_b, u_b, p_b, gamma_a)
-
-
-def _primitives(state: np.ndarray, gamma_a: float):
-    rho = state[0]
-    vel = state[1] / rho
-    p = (gamma_a - 1.0) * (state[2] - 0.5 * rho * vel * vel)
-    return rho, vel, p
 
 
 def boundary_ghost(bc: BoundaryCondition, u_interior, law: ConservationLaw,

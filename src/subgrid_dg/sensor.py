@@ -39,15 +39,19 @@ class SensorReport:
 
 
 @lru_cache(maxsize=None)
-def _sensor_residual_matrix(p: int, n: int) -> np.ndarray:
-    """Matrix mapping sub-cell averages to the residual of the best
-    average-preserving polynomial fit: res = (G pinv(G) - I) avg."""
+def _sensor_operator(p: int, n: int) -> np.ndarray:
+    """(2n, dof) matrix mapping coefficients to the sub-cell averages (first
+    n rows) and to the residual of the best average-preserving polynomial
+    fit of those averages (last n): res = (G pinv(G) - I) avg."""
     if n < p + 1:
         raise NonInjectiveError(
             f"sensor undefined: averaging not injective for (p={p}, n={n})"
         )
-    G = reference_element(p, n).leg_sub_avg.T  # (n, p+1)
-    return G @ np.linalg.pinv(G) - np.eye(n)
+    leg_sub_avg = reference_element(p, n).leg_sub_avg
+    G = leg_sub_avg.T  # (n, p+1)
+    fit_residual = G @ np.linalg.pinv(G) - np.eye(n)
+    averages = np.hstack([leg_sub_avg[1:].T, np.eye(n)])   # (n, dof)
+    return np.vstack([averages, fit_residual @ averages])
 
 
 def sensor_value(c: np.ndarray, space: ElementSpace) -> float:
@@ -93,18 +97,22 @@ def evaluate_field_sensor(
         zero = np.zeros(n_el)
         return SensorReport(s=zero, s0=np.full(n_el, eps), gamma=zero.copy())
 
-    ref = space.ref
-    # sub-cell averages, all components and elements at once
-    avg = U[..., : space.p] @ ref.leg_sub_avg[1:] + U[..., space.p:]
-    R = _sensor_residual_matrix(space.p, space.n)
-    res = avg @ R.T
-    s_all = np.max(np.abs(res), axis=-1)            # (m, n_el)
-    s0_all = np.max(np.abs(avg), axis=-1) + eps     # (m, n_el)
-    ratio = s_all / s0_all
-    comp = np.argmax(ratio, axis=0)                 # driving component per element
-    idx = np.arange(n_el)
-    s = s_all[comp, idx]
-    s0 = s0_all[comp, idx]
+    # |sub-cell averages| and |fit residuals| of all components and elements
+    # at once, sub-cells leading so that the maxima over them run along
+    # contiguous rows: peaks is (2, m, n_el)
+    both = np.abs(_sensor_operator(space.p, space.n) @ U.reshape(-1, dof).T)
+    peaks = both.reshape(2, space.n, m, n_el).max(axis=1)
     tau = config.tau_for(space.p)
-    gamma = config.c_pen * np.maximum(0.0, ratio[comp, idx] - tau)
+    if m == 1:
+        s = peaks[1, 0]
+        s0 = peaks[0, 0] + eps
+        ratio = s / s0
+    else:
+        s_all = peaks[1]
+        s0_all = peaks[0] + eps
+        ratio_all = s_all / s0_all
+        comp = np.argmax(ratio_all, axis=0)          # driving component per element
+        idx = np.arange(n_el)
+        s, s0, ratio = s_all[comp, idx], s0_all[comp, idx], ratio_all[comp, idx]
+    gamma = config.c_pen * np.maximum(0.0, ratio - tau)
     return SensorReport(s=s, s0=s0, gamma=gamma)

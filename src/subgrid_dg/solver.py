@@ -2,10 +2,20 @@
 
 The state is a dense array U of shape (m, n_elements, dof) with the basis
 ordering of `basis` (p Legendre modes, then n indicator coefficients).
-Volume terms only touch the polynomial modes (indicators have zero
-derivative); every sub-cell face flux is computed once and shared.  Surface
-contributions of the continuous polynomial test modes telescope across
-interior sub-cell faces, so they only see the element-boundary fluxes.
+
+The reference operators of a step are built once per Discretization, as the
+volume and LIFT matrices of nodal DG codes are (Hesthaven & Warburton,
+2008), so each stage is a few small matmuls over all components and
+elements at once: basis values at the quadrature nodes, sub-cell face
+traces, the volume term (indicators have zero derivative, so only the
+polynomial modes see it), one lift matrix each for the flux at the left and
+right face of every sub-cell, the source moment and M_ref^{-1}.  Every
+sub-cell face flux is computed once and shared.  Surface contributions of
+the continuous polynomial test modes telescope across interior sub-cell
+faces, so they only see the element-boundary fluxes.
+
+`imex_step` keeps the implicit stage rates on the penalized elements only
+and does no implicit work when no element is penalized.
 """
 
 from __future__ import annotations
@@ -108,47 +118,67 @@ class Discretization:
         # all sub-cell face positions, shape (E*n + 1,)
         sub_edges_phys = xl[:, None] + 0.5 * (self.ref.sub_edges[None, :-1] + 1.0) * h[:, None]
         self.xfaces = np.append(sub_edges_phys.ravel(), mesh.b)
-        # volume kernel: w_ref * d(phi)/d(xi); the h factors of weight and
-        # derivative cancel, so this is element independent
-        self.vol_kernel = self.ref.dphi_ref * self.ref.quad_w[None]
-        self.mass_inv = np.linalg.inv(self.ref.mass)
-        self.leg_face = self.ref.leg_face
+        self._build_operators()
+
+    def _build_operators(self) -> None:
+        """Operators applied as `X @ op` to (m, E, .) arrays.  Only the mass
+        solve and the source carry the element width: the h factors of
+        weight and derivative in the volume term cancel."""
+        ref, p, n, dof = self.ref, self.p, self.n, self.dof
+        nq = ref.phi[0].size
+        # basis values at the quadrature nodes, (dof, n*q)
+        self._phi = ref.phi.reshape(dof, nq)
+        # traces at the left / right face of each sub-cell, (dof, n)
+        self._trace_left = np.vstack([ref.leg_face[1:, :-1], np.eye(n)])
+        self._trace_right = np.vstack([ref.leg_face[1:, 1:], np.eye(n)])
+        # volume term: w_ref * d(phi)/d(xi) at the quadrature nodes, (n*q, dof)
+        self._volume = (ref.dphi_ref * ref.quad_w[None]).reshape(dof, nq).T.copy()
+        # lift of the flux at each sub-cell's left / right face, (n, dof):
+        # an indicator sees its own sub-cell's faces; the polynomial modes,
+        # continuous across sub-cell faces, see only the element boundaries
+        self._lift_left = np.zeros((n, dof))
+        self._lift_left[:, p:] = np.eye(n)
+        self._lift_left[0, :p] = ref.leg_face[1:, 0]
+        self._lift_right = np.zeros((n, dof))
+        self._lift_right[:, p:] = -np.eye(n)
+        self._lift_right[-1, :p] = -ref.leg_face[1:, n]
+        # source: w_ref * phi at the quadrature nodes, times h/2 per element
+        self._source = (ref.phi * ref.quad_w[None]).reshape(dof, nq).T.copy()
+        self._half_h = (self.h / 2.0)[:, None]
+        # physical mass is (h/2) M_ref
+        self._mass_inv_t = np.linalg.inv(ref.mass).T.copy()
+        self._inv_half_h = (2.0 / self.h)[:, None]
 
     # -- spatial operator ---------------------------------------------------
 
     def eval_at_quad(self, U: np.ndarray) -> np.ndarray:
         """Field values at all quadrature nodes, shape (m, E, n, q)."""
-        return np.einsum("med,dsq->mesq", U, self.ref.phi)
+        return (U @ self._phi).reshape(U.shape[0], self.n_elements, self.n, -1)
 
     def face_traces(self, U: np.ndarray, t: float):
         """Left/right states at every sub-cell face, shape (m, E*n + 1)."""
-        m = U.shape[0]
-        E, n, p = self.n_elements, self.n, self.p
-        poly_face = np.einsum("mei,ik->mek", U[:, :, :p], self.leg_face[1:])
-        ind = U[:, :, p:]
-        trace_l = (poly_face[:, :, :-1] + ind).reshape(m, E * n)  # from inside, at left face
-        trace_r = (poly_face[:, :, 1:] + ind).reshape(m, E * n)   # from inside, at right face
-
+        m, E, n = U.shape[0], self.n_elements, self.n
         uL = np.empty((m, E * n + 1))
         uR = np.empty((m, E * n + 1))
-        uL[:, 1:] = trace_r
-        uR[:, :-1] = trace_l
+        # traces from inside each sub-cell, written straight into the face
+        # arrays (splitting the unit-stride last axis reshapes to a view)
+        np.matmul(U, self._trace_left, out=uR[:, :-1].reshape(m, E, n))
+        np.matmul(U, self._trace_right, out=uL[:, 1:].reshape(m, E, n))
         if self.periodic:
-            uL[:, 0] = trace_r[:, -1]
-            uR[:, -1] = trace_l[:, 0]
+            uL[:, 0] = uL[:, -1]
+            uR[:, -1] = uR[:, 0]
         else:
             uL[:, 0] = boundary_ghost(
-                self.bc_left, trace_l[:, :1], self.law, t, x=self.xfaces[0], side=-1
+                self.bc_left, uR[:, :1], self.law, t, x=self.xfaces[0], side=-1
             )[:, 0]
             uR[:, -1] = boundary_ghost(
-                self.bc_right, trace_r[:, -1:], self.law, t, x=self.xfaces[-1], side=1
+                self.bc_right, uL[:, -1:], self.law, t, x=self.xfaces[-1], side=1
             )[:, 0]
         return uL, uR
 
     def residual(self, U: np.ndarray, t: float) -> np.ndarray:
         """R(U) of the semi-discrete system M dU/dt = R(U) - penalty."""
-        m = U.shape[0]
-        E, n, p = self.n_elements, self.n, self.p
+        m, E, n = U.shape[0], self.n_elements, self.n
         try:
             u_q = self.eval_at_quad(U)
             F_q = self.law.flux(u_q, x=self.xq)
@@ -157,26 +187,17 @@ class Discretization:
         except AdmissibilityError as exc:
             raise SolverAbort(f"inadmissible state at t={t:.6g}: {exc}") from exc
 
-        R = np.einsum("mesq,dsq->med", F_q, self.vol_kernel)
-        # indicator modes: flux difference across their own sub-cell
-        R[:, :, p:] += F_hat[:, :-1].reshape(m, E, n) - F_hat[:, 1:].reshape(m, E, n)
-        # polynomial modes: interior faces telescope, element boundaries remain
-        if p > 0:
-            F_left = F_hat[:, 0: E * n: n]
-            F_right = F_hat[:, n:: n]
-            R[:, :, :p] += (
-                F_left[:, :, None] * self.leg_face[1:, 0][None, None, :]
-                - F_right[:, :, None] * self.leg_face[1:, n][None, None, :]
-            )
+        R = F_q.reshape(m, E, -1) @ self._volume
+        R += F_hat[:, :-1].reshape(m, E, n) @ self._lift_left
+        R += F_hat[:, 1:].reshape(m, E, n) @ self._lift_right
         if self.law.has_source():
             S_q = self.law.source(u_q, self.xq)
-            R += np.einsum("mesq,esq,dsq->med", S_q, self.wq, self.ref.phi)
+            R += (S_q.reshape(m, E, -1) @ self._source) * self._half_h
         return R
 
     def solve_mass(self, R: np.ndarray) -> np.ndarray:
         """Apply M^{-1} elementwise: the physical mass is (h/2) * M_ref."""
-        out = np.einsum("med,cd->mec", R, self.mass_inv)
-        return out * (2.0 / self.h)[None, :, None]
+        return (R @ self._mass_inv_t) * self._inv_half_h
 
     def apply_penalty(self, U: np.ndarray, gammas: np.ndarray) -> np.ndarray:
         """Gamma M_pp U, elementwise."""
@@ -230,37 +251,43 @@ def imex_step(
     tab = tableau if tableau is not None else ars222()
     U0 = state.U
     s = tab.stages
-    r = [np.zeros_like(U0) for _ in range(s)]
-    r_hat = [np.zeros_like(U0) for _ in range(s)]
     active = np.flatnonzero(gammas > 0.0)
+    # implicit stage rates are zero outside the penalized elements, so they
+    # are kept, solved and added on those elements only: (m, E_act, dof)
+    r: list[np.ndarray | None] = [None] * s
+    r_hat: list[np.ndarray] = []
 
     for i in range(s):
         Ui = U0.copy()
         for j in range(i):
-            if tab.A[i, j] != 0.0:
-                Ui += dt * tab.A[i, j] * r[j]
+            if tab.A[i, j] != 0.0 and r[j] is not None:
+                Ui[:, active] += dt * tab.A[i, j] * r[j]
             if tab.A_hat[i, j] != 0.0:
                 Ui += dt * tab.A_hat[i, j] * r_hat[j]
         aii = tab.A[i, i]
-        used = tab.b[i] != 0.0 or np.any(tab.A[i + 1:, i] != 0.0)
-        if active.size and (used or aii != 0.0):
+        if active.size and (
+            aii != 0.0 or tab.b[i] != 0.0 or np.any(tab.A[i + 1:, i] != 0.0)
+        ):
             # (M_ref + dt a_ii gamma Mpp_ref) r = -gamma Mpp_ref U ; h cancels
             g = gammas[active]
             A_stage = (
                 disc.ref.mass[None]
                 + (dt * aii * g)[:, None, None] * disc.ref.mass_pp[None]
             )
-            rhs = -np.einsum("med,cd->ecm", Ui[:, active], disc.ref.mass_pp)
+            rhs = -(Ui[:, active] @ disc.ref.mass_pp.T).transpose(1, 2, 0)
             rhs *= g[:, None, None]
             sol = np.linalg.solve(A_stage, rhs)          # (E_act, dof, m)
-            r[i][:, active] = sol.transpose(2, 0, 1)
-        R = disc.residual(Ui + dt * aii * r[i], state.time)
-        r_hat[i] = disc.solve_mass(R)
+            r[i] = sol.transpose(2, 0, 1)
+        Ui_eval = Ui
+        if r[i] is not None and aii != 0.0:
+            Ui_eval = Ui.copy()
+            Ui_eval[:, active] += dt * aii * r[i]
+        r_hat.append(disc.solve_mass(disc.residual(Ui_eval, state.time)))
 
     U1 = U0.copy()
     for j in range(s):
-        if tab.b[j] != 0.0:
-            U1 += dt * tab.b[j] * r[j]
+        if tab.b[j] != 0.0 and r[j] is not None:
+            U1[:, active] += dt * tab.b[j] * r[j]
         if tab.b_hat[j] != 0.0:
             U1 += dt * tab.b_hat[j] * r_hat[j]
     return FieldState(U=U1, time=state.time + dt)

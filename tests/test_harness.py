@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from subgrid_dg import harness
 from subgrid_dg.harness import (
     NOZZLE_INLET,
     NOZZLE_OUTLET,
@@ -161,6 +162,33 @@ def test_fv_reference_cache_and_sampler(tmp_path, monkeypatch):
     assert len(list((tmp_path / "subgrid_dg").glob("fvref_*.npz"))) == 1
 
 
+@pytest.mark.parametrize("keep", [0.0, 0.5])
+def test_fv_reference_truncated_cache_is_recomputed(tmp_path, monkeypatch, keep):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    _, _, U = fv_reference("convection-gaussian", 64, t_final=0.25)
+    (path,) = (tmp_path / "subgrid_dg").glob("fvref_*.npz")
+    data = path.read_bytes()
+    path.write_bytes(data[: int(keep * len(data))])   # an interrupted write
+    _, _, U2 = fv_reference("convection-gaussian", 64, t_final=0.25)
+    np.testing.assert_array_equal(U2, U)
+    with np.load(path) as stored:                       # rewritten in full
+        np.testing.assert_array_equal(stored["U"], U)
+    assert sorted(p.name for p in path.parent.iterdir()) == [path.name]
+
+
+def test_fv_reference_cache_key_carries_scheme_version(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    fv_reference("convection-gaussian", 64, t_final=0.25)
+    (old,) = (tmp_path / "subgrid_dg").glob("fvref_*.npz")
+    assert f"_v{harness.FV_SCHEME_VERSION}_" in old.name
+    # code with another scheme version neither reuses nor overwrites it
+    monkeypatch.setattr(harness, "FV_SCHEME_VERSION", harness.FV_SCHEME_VERSION + 1)
+    stamp = old.stat().st_mtime_ns
+    fv_reference("convection-gaussian", 64, t_final=0.25)
+    assert len(list((tmp_path / "subgrid_dg").glob("fvref_*.npz"))) == 2
+    assert old.stat().st_mtime_ns == stamp
+
+
 def test_fv_reference_transports_profile(tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     # after a quarter period the (smeared) bump peak sits near x = 0.75
@@ -211,5 +239,8 @@ def test_run_case_summary_fields():
                                 n_elements=4, t_final=0.02))
     s = result.summary
     assert s["t_final"] == pytest.approx(0.02)
+    # set-up (problem build and dt choice) is timed apart from the march
+    assert isinstance(s["setup_time_s"], float) and s["setup_time_s"] > 0.0
+    assert isinstance(s["wall_time_s"], float) and s["wall_time_s"] > 0.0
     assert s["mass_drift_rel"] < 1e-12
     assert isinstance(s["steady"], bool)

@@ -109,6 +109,21 @@ def test_euler_admissibility_errors():
     assert law.admissible(good)
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("bad,message", [
+    (np.array([[-1.0], [0.0], [1.0]]), "density"),
+    (np.array([[1.0], [10.0], [1.0]]), "pressure"),
+])
+def test_euler_roe_flux_rejects_inadmissible_side(side, bad, message):
+    law = Euler1D()
+    good = euler_state_from_primitives(1.0, 0.5, 2.0, GAMMA)[:, None]
+    uL, uR = (bad, good) if side == "left" else (good, bad)
+    with pytest.raises(AdmissibilityError, match=message):
+        law.roe_flux(uL, uR)
+    with pytest.raises(AdmissibilityError, match=message):
+        NozzleEuler().roe_flux(uL, uR, x=np.array([0.5]))
+
+
 def test_euler_max_wave_speed():
     law = Euler1D()
     u = euler_state_from_primitives(1.0, 2.0, 1.4, GAMMA)[:, None]
@@ -241,6 +256,20 @@ def test_nozzle_farfield_ghost_is_area_weighted():
     x = 0.0  # A = 1 at the inlet plane
     ghost = boundary_ghost(bc, far[:, None], law, x=x, side=-1)
     np.testing.assert_allclose(ghost[:, 0], far, atol=1e-12)
+
+
+@pytest.mark.parametrize("law", [Euler1D(), NozzleEuler()])
+@pytest.mark.parametrize("interior,message", [
+    (np.array([[-0.1], [0.0], [2.0]]), "density"),
+    (np.array([[1.0], [10.0], [1.0]]), "pressure"),
+])
+def test_farfield_ghost_rejects_nonphysical_interior(law, interior, message):
+    # the characteristic ghost needs the interior sound speed: a non-physical
+    # trace must stop the march instead of producing a NaN ghost state
+    bc = BoundaryCondition("farfield", farfield=(1.0, 1.0, 0.40))
+    for side in (-1, 1):
+        with pytest.raises(AdmissibilityError, match=message):
+            boundary_ghost(bc, interior, law, x=0.0, side=side)
 
 
 def test_boundary_condition_validation():

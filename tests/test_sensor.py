@@ -109,6 +109,33 @@ def test_field_sensor_takes_worst_component():
     assert rep.gamma[0] > 0.0
 
 
+@pytest.mark.parametrize("p,n", [(1, 2), (2, 3), (3, 5), (4, 8), (4, 9)])
+@pytest.mark.parametrize("m", [1, 3])
+def test_field_sensor_matches_scalar_sensor(p, n, m):
+    # the fused all-element sensor against the scalar per-element definitions;
+    # some elements are pure polynomials, so both branches of gamma show up
+    space = ElementSpace(p, n)
+    config = SensorConfig(c_pen=1e3, s_eps=1e-10)
+    rng = np.random.default_rng(10 * p + n + m)
+    U = rng.standard_normal((m, 12, space.dof))
+    U[:, ::3] = polynomial_states(rng, 4 * m, space)[0].reshape(m, 4, space.dof)
+    rep = evaluate_field_sensor(U, space, config)
+    tau = config.tau_for(p)
+    for e in range(U.shape[1]):
+        s = np.array([sensor_value(U[c, e], space) for c in range(m)])
+        s0 = np.array([sensor_scale(U[c, e], space, config.s_eps) for c in range(m)])
+        if np.max(s / s0) < 1e-10:
+            # a pure polynomial in every component: which component drives
+            # is decided by round-off, and nothing is penalized
+            assert rep.s[e] < 1e-10 * rep.s0[e] and rep.gamma[e] == 0.0
+            continue
+        c = int(np.argmax(s / s0))
+        assert rep.s[e] == pytest.approx(s[c], rel=1e-9)
+        assert rep.s0[e] == pytest.approx(s0[c], rel=1e-12)
+        expected = penalty(s[c], s0[c], config.c_pen, tau)
+        assert rep.gamma[e] == pytest.approx(expected, rel=1e-9)
+
+
 def test_field_sensor_rejects_mismatched_dof():
     space = ElementSpace(2, 3)
     with pytest.raises(ValueError):

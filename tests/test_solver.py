@@ -2,14 +2,23 @@ import numpy as np
 import pytest
 
 from subgrid_dg.harness import (
+    NOZZLE_INLET,
+    NOZZLE_OUTLET,
     RunConfig,
     build_problem,
     gaussian_profile,
     project_initial,
 )
-from subgrid_dg.mesh import build_uniform_mesh
-from subgrid_dg.physics import BoundaryCondition, Burgers, Convection, Euler1D
-from subgrid_dg.physics import euler_state_from_primitives
+from subgrid_dg.mesh import Mesh, build_uniform_mesh
+from subgrid_dg.physics import (
+    BoundaryCondition,
+    Burgers,
+    Convection,
+    Euler1D,
+    NozzleEuler,
+    boundary_ghost,
+    euler_state_from_primitives,
+)
 from subgrid_dg.sensor import SensorConfig
 from subgrid_dg.solver import (
     Discretization,
@@ -139,6 +148,111 @@ def test_polynomial_modes_see_only_element_boundary_fluxes():
     assert np.max(np.abs(R[0, 3])) == 0.0
 
 
+# -- precomputed operators against the term-by-term residual -------------------
+
+
+def einsum_residual(disc, U, t):
+    """The residual assembled term by term with einsum from the reference
+    element, as a reference for the precomputed operators: volume term,
+    indicator flux differences, telescoped element-boundary terms, source."""
+    ref, law = disc.ref, disc.law
+    m, E, _ = U.shape
+    n, p = disc.n, disc.p
+    u_q = np.einsum("med,dsq->mesq", U, ref.phi)
+    poly_face = np.einsum("mei,ik->mek", U[:, :, :p], ref.leg_face[1:])
+    ind = U[:, :, p:]
+    trace_l = (poly_face[:, :, :-1] + ind).reshape(m, E * n)
+    trace_r = (poly_face[:, :, 1:] + ind).reshape(m, E * n)
+    if disc.periodic:
+        ghost_l, ghost_r = trace_r[:, -1:], trace_l[:, :1]
+    else:
+        ghost_l = boundary_ghost(disc.bc_left, trace_l[:, :1], law, t,
+                                 x=disc.xfaces[0], side=-1)
+        ghost_r = boundary_ghost(disc.bc_right, trace_r[:, -1:], law, t,
+                                 x=disc.xfaces[-1], side=1)
+    uL = np.concatenate([ghost_l, trace_r], axis=1)
+    uR = np.concatenate([trace_l, ghost_r], axis=1)
+    F_q = law.flux(u_q, x=disc.xq)
+    F_hat = law.roe_flux(uL, uR, x=disc.xfaces, entropy_fix=disc.entropy_fix)
+
+    R = np.einsum("mesq,dsq->med", F_q, ref.dphi_ref * ref.quad_w[None])
+    R[:, :, p:] += F_hat[:, :-1].reshape(m, E, n) - F_hat[:, 1:].reshape(m, E, n)
+    if p > 0:
+        R[:, :, :p] += (F_hat[:, 0:E * n:n, None] * ref.leg_face[1:, 0]
+                        - F_hat[:, n::n, None] * ref.leg_face[1:, n])
+    if law.has_source():
+        S_q = law.source(u_q, disc.xq)
+        R += np.einsum("mesq,esq,dsq->med", S_q, disc.wq, ref.phi)
+    return R
+
+
+def einsum_solve_mass(disc, R):
+    out = np.einsum("med,cd->mec", R, np.linalg.inv(disc.ref.mass))
+    return out * (2.0 / disc.h)[None, :, None]
+
+
+def operator_case(law_name, periodic, p, n, rng):
+    """A Discretization on an uneven mesh and a random admissible state."""
+    edges = np.cumsum(np.r_[0.0, rng.uniform(0.5, 1.5, 6)])
+    mesh = Mesh(element_boundaries=edges / edges[-1], n_sub=n)
+    pbc = BoundaryCondition("periodic")
+    if law_name in ("convection", "burgers"):
+        law = Convection(beta=-0.7) if law_name == "convection" else Burgers()
+        bcs = (pbc, pbc) if periodic else (
+            BoundaryCondition("prescribed", state=(0.3,)),
+            BoundaryCondition("prescribed", state=(-0.2,)))
+        base = np.array([0.4])
+    elif law_name == "euler":
+        law = Euler1D()
+        inlet = tuple(euler_state_from_primitives(1.2, 0.5, 1.5, 1.4))
+        bcs = (pbc, pbc) if periodic else (
+            BoundaryCondition("prescribed", state=inlet), BoundaryCondition("wall"))
+        base = euler_state_from_primitives(1.0, 0.3, 1.0, 1.4)
+    else:
+        law = NozzleEuler()
+        bcs = (pbc, pbc) if periodic else (
+            BoundaryCondition("farfield", farfield=NOZZLE_INLET),
+            BoundaryCondition("farfield", farfield=NOZZLE_OUTLET))
+        base = euler_state_from_primitives(1.0, 1.0, 4.0, 1.4)
+    disc = Discretization(mesh, p, law, *bcs)
+    U = np.empty((law.m, disc.n_elements, disc.dof))
+    U[:, :, :p] = 0.02 * base[:, None, None] * rng.standard_normal(U[:, :, :p].shape)
+    U[:, :, p:] = base[:, None, None] * (1.0 + 0.05 * rng.standard_normal(U[:, :, p:].shape))
+    return disc, U
+
+
+@pytest.mark.parametrize("periodic", [True, False])
+@pytest.mark.parametrize("p,n", [(0, 5), (1, 1), (3, 5), (4, 8)])
+@pytest.mark.parametrize("law_name", ["convection", "burgers", "euler", "nozzle"])
+def test_operators_match_einsum_residual(law_name, periodic, p, n):
+    rng = np.random.default_rng(7 * p + n)
+    disc, U = operator_case(law_name, periodic, p, n, rng)
+    R_ref = einsum_residual(disc, U, 0.1)
+    R = disc.residual(U, 0.1)
+    np.testing.assert_allclose(R, R_ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(R_ref)))
+    rate_ref = einsum_solve_mass(disc, R_ref)
+    np.testing.assert_allclose(disc.solve_mass(R_ref), rate_ref, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(rate_ref)))
+    u_q = disc.eval_at_quad(U)
+    np.testing.assert_allclose(u_q, np.einsum("med,dsq->mesq", U, disc.ref.phi),
+                               rtol=1e-12, atol=1e-12 * np.max(np.abs(U)))
+
+
+def test_farfield_ghost_admissibility_loss_aborts():
+    # admissible at every quadrature node, but the linear mode drives the
+    # density at the left domain face negative: the farfield ghost refuses it
+    mesh = build_uniform_mesh(0.0, 1.0, 3, 1)
+    disc = Discretization(mesh, 1, NozzleEuler(),
+                          BoundaryCondition("farfield", farfield=NOZZLE_INLET),
+                          BoundaryCondition("farfield", farfield=NOZZLE_OUTLET))
+    U = np.zeros((3, 3, disc.dof))
+    U[:, :, 1] = euler_state_from_primitives(1.0, 0.0, 1.0, 1.4)[:, None]
+    U[0, 0, 0] = 1.1
+    assert np.all(disc.law.admissible(disc.eval_at_quad(U)))
+    with pytest.raises(SolverAbort, match="density"):
+        disc.residual(U, 0.0)
+
+
 def test_subcell_averages_and_total_mass():
     disc = make_convection_disc(n_elements=4, p=3, n=4)
     state = project_initial(disc, lambda x: gaussian_profile(x)[None])
@@ -236,6 +350,38 @@ def test_large_penalty_contracts_polynomial_modes():
     np.testing.assert_allclose(
         disc.total_mass(stepped.U), disc.total_mass(state.U), atol=1e-12
     )
+
+
+@pytest.mark.parametrize("penalized", [False, True])
+def test_imex_step_returns_fresh_arrays(penalized):
+    disc = make_convection_disc()
+    state = project_initial(disc, lambda x: gaussian_profile(x)[None])
+    gammas = np.zeros(disc.n_elements)
+    if penalized:
+        gammas[[2, 5]] = 1e3
+    U0 = state.U.copy()
+    first = imex_step(disc, state, 1e-3, gammas)
+    U1 = first.U.copy()
+    second = imex_step(disc, first, 1e-3, gammas)
+    assert not np.shares_memory(first.U, state.U)
+    assert not np.shares_memory(second.U, state.U)
+    assert not np.shares_memory(second.U, first.U)
+    assert np.array_equal(state.U, U0)
+    assert np.array_equal(first.U, U1)
+
+
+def test_advance_recorded_states_unchanged_by_later_steps():
+    disc = make_convection_disc(n_elements=6, p=2, n=4)
+    state = project_initial(disc, lambda x: gaussian_profile(x)[None])
+    seen = []
+    traj = advance(disc, state, dt=2e-3, t_final=0.02, snapshot_times=(0.01,),
+                   force_gamma=(3, 1e3),
+                   on_step=lambda st, tr: seen.append((st, st.U.copy())))
+    assert len(seen) == traj.n_steps
+    for st, U in seen:
+        assert np.array_equal(st.U, U)
+    assert np.array_equal(traj.states[0].U, state.U)
+    assert traj.states[1] is seen[4][0] and traj.states[2] is seen[-1][0]
 
 
 def test_step_validation():
