@@ -28,7 +28,7 @@ EXIT_SOLVER = 3
 EXIT_NONINJECTIVE = 4
 
 _BOOL_KEYS = {"entropy_fix"}
-_INT_KEYS = {"p", "n", "n_elements", "force_gamma_element", "seed"}
+_INT_KEYS = {"p", "n", "n_elements", "force_gamma_element"}
 _FLOAT_KEYS = {"dt", "t_final", "c_pen", "tau", "s_eps", "cfl", "force_gamma_value"}
 
 
@@ -87,7 +87,6 @@ def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--snapshot-times", dest="snapshot_times",
                         help="comma-separated times")
     parser.add_argument("--output-dir", dest="output_dir")
-    parser.add_argument("--seed", type=int)
 
 
 def _build_run_config(args) -> RunConfig:

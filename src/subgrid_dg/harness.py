@@ -10,7 +10,8 @@ import tempfile
 import time
 import zipfile
 import zlib
-from dataclasses import dataclass, field, replace
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -24,28 +25,18 @@ from .physics import (
     Convection,
     Euler1D,
     NozzleEuler,
+    boundary_ghost,
     euler_state_from_primitives,
-    farfield_state,
-    make_law,
     nozzle_area,
 )
-from .projections import project_l2, project_lo
+from .projections import project_l2
 from .sensor import SensorConfig
 from .solver import Discretization, FieldState, SolverAbort, Trajectory, advance
-
-CASES = (
-    "convection-gaussian",
-    "convection-heaviside",
-    "convection-recovery",
-    "burgers",
-    "nozzle",
-    "shu-osher",
-    "fv-comparison",
-)
 
 GAUSSIAN_CENTER = 0.5
 GAUSSIAN_WIDTH2 = 0.01   # 2 sigma^2
 SHU_OSHER_LEFT = (3.857143, 2.629369, 10.3333)
+SHU_OSHER_JUMP = -4.0
 NOZZLE_INLET = (1.0, 1.0, 0.40)
 NOZZLE_OUTLET = (1.0, 1.0, 0.45)
 # steady flag: relative drift rate ||U_{n+1}-U_n|| / (dt ||U_n||) below this
@@ -71,7 +62,6 @@ class RunConfig:
     force_gamma_value: float | None = None
     snapshot_times: tuple = ()
     output_dir: str | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.case not in CASES:
@@ -129,30 +119,50 @@ def shu_osher_initial(x):
     right = euler_state_from_primitives(
         1.0 + 0.2 * np.sin(5.0 * x), np.zeros_like(x), np.ones_like(x), 1.4
     )
-    return np.where(x < -4.0, left, right)
+    return np.where(x < SHU_OSHER_JUMP, left, right)
 
 
-def _nozzle_density(area, mdot, sigma, enthalpy, branch, gamma_a=1.4):
-    """Density of steady duct flow at one station by bisection.
+def sod_like_initial(x):
+    """Shock tube: the Shu-Osher inflow state left of its jump, gas at rest
+    with unit density and pressure right of it."""
+    x = np.asarray(x, dtype=float)
+    rest = euler_state_from_primitives(np.ones_like(x), np.zeros_like(x), np.ones_like(x), 1.4)
+    return np.where(x < SHU_OSHER_JUMP, shu_osher_initial(x), rest)
+
+
+def _bisect(g, lo, hi):
+    """Root of g between lo and hi, across which g changes sign once, by 200
+    halvings; elementwise when the bracket or g holds arrays."""
+    lo_positive = g(lo) > 0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        up = (g(mid) > 0) == lo_positive
+        if isinstance(up, np.ndarray):
+            lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+        else:   # Python floats: several times faster than 0-d arrays
+            lo, hi = (mid, hi) if up else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def _nozzle_density(area, mdot, sigma, enthalpy, branch):
+    """Density of steady duct flow, elementwise over array arguments.
 
     Roots of  gamma*sigma*rho^(gamma-1)/(gamma-1) + mdot^2/(2 A^2 rho^2) = H;
     ``branch`` selects the subsonic (dense) or supersonic (light) solution.
     """
+    gamma_a = 1.4
+
     def f(rho):
         c2 = gamma_a * sigma * rho ** (gamma_a - 1.0)
         return c2 / (gamma_a - 1.0) + mdot ** 2 / (2.0 * area ** 2 * rho ** 2) - enthalpy
 
     rho_sonic = (mdot ** 2 / (gamma_a * sigma * area ** 2)) ** (1.0 / (gamma_a + 1.0))
     lo, hi = (rho_sonic, 10.0) if branch == "subsonic" else (1e-3, rho_sonic)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        same_side = (f(mid) > 0) == (f(lo) > 0)
-        lo, hi = (mid, hi) if same_side else (lo, mid)
-    return 0.5 * (lo + hi)
+    return _bisect(f, lo, hi)
 
 
 @lru_cache(maxsize=1)
-def _nozzle_steady_params(gamma_a=1.4):
+def _nozzle_steady_params():
     """Choked mass flow, entropies, and shock position of the transonic flow.
 
     The throat chokes the mass flow and the outlet back pressure places a
@@ -162,6 +172,7 @@ def _nozzle_steady_params(gamma_a=1.4):
     linearized sense used by the boundary ghost), which shifts entropy and
     stagnation enthalpy slightly from their farfield values.
     """
+    gamma_a = 1.4
     rho_a, u_a, m_a = NOZZLE_INLET
     c_a = u_a / m_a
     p_a = rho_a * c_a * c_a / gamma_a
@@ -175,11 +186,7 @@ def _nozzle_steady_params(gamma_a=1.4):
         t = (2.0 / (gamma_a + 1.0)) * (1.0 + 0.5 * (gamma_a - 1.0) * mach * mach)
         return t ** ((gamma_a + 1.0) / (2.0 * (gamma_a - 1.0))) / mach
 
-    lo, hi = 1e-3, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if area_ratio(mid) > 1.0 / a_throat else (lo, mid)
-    mach_in = 0.5 * (lo + hi)
+    mach_in = _bisect(lambda mach: area_ratio(mach) - 1.0 / a_throat, 1e-3, 1.0)
 
     # inlet state: farfield plus a jump along the outgoing acoustic wave
     rho_d, u_d, p_d = rho_a, u_a, p_a
@@ -203,7 +210,7 @@ def _nozzle_steady_params(gamma_a=1.4):
 
     def post_shock_entropy(x):
         area = float(nozzle_area(np.array([x]))[0][0])
-        rho1 = _nozzle_density(area, mdot, sigma1, enthalpy, "supersonic", gamma_a)
+        rho1 = _nozzle_density(area, mdot, sigma1, enthalpy, "supersonic")
         u1 = mdot / (rho1 * area)
         p1 = sigma1 * rho1 ** gamma_a
         msq = rho1 * u1 * u1 / (gamma_a * p1)
@@ -211,32 +218,24 @@ def _nozzle_steady_params(gamma_a=1.4):
         rho2 = rho1 * (gamma_a + 1.0) * msq / ((gamma_a - 1.0) * msq + 2.0)
         return p2 / rho2 ** gamma_a
 
-    lo, hi = 0.5 + 1e-9, 1.0 - 1e-9   # entropy jump grows with shock position
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if post_shock_entropy(mid) < sigma2 else (lo, mid)
-    x_shock = 0.5 * (lo + hi)
+    # the entropy jump grows with the shock position
+    x_shock = _bisect(lambda x: sigma2 - post_shock_entropy(x), 0.5 + 1e-9, 1.0 - 1e-9)
     return mdot, sigma1, sigma2, enthalpy, x_shock
 
 
 def nozzle_initial(x):
     """Analytic quasi-1D transonic profile (area-weighted conserved state)."""
     x = np.asarray(x, dtype=float)
-    gamma_a = 1.4
-    mdot, sigma1, sigma2, enthalpy, x_shock = _nozzle_steady_params(gamma_a)
+    mdot, sigma1, sigma2, enthalpy, x_shock = _nozzle_steady_params()
     A, _ = nozzle_area(x)
-    out = np.empty((3, x.size))
-    for i, (xi, area) in enumerate(zip(x.ravel(), A.ravel())):
-        if xi < x_shock:
-            branch = "subsonic" if xi < 0.5 else "supersonic"
-            sigma = sigma1
-        else:
-            branch, sigma = "subsonic", sigma2
-        rho = _nozzle_density(area, mdot, sigma, enthalpy, branch, gamma_a)
-        u = mdot / (rho * area)
-        p = sigma * rho ** gamma_a
-        out[:, i] = euler_state_from_primitives(rho, u, p, gamma_a) * area
-    return out.reshape((3,) + x.shape)
+    upstream = x < x_shock
+    sigma = np.where(upstream, sigma1, sigma2)
+    rho = np.where(upstream & (x >= 0.5),
+                   _nozzle_density(A, mdot, sigma, enthalpy, "supersonic"),
+                   _nozzle_density(A, mdot, sigma, enthalpy, "subsonic"))
+    u = mdot / (rho * A)
+    p = sigma * rho ** 1.4
+    return euler_state_from_primitives(rho, u, p, 1.4) * A
 
 
 def _relax_shock_element(disc, state, x_shock, sensor_cfg, entropy_fix) -> FieldState:
@@ -266,93 +265,114 @@ def _relax_shock_element(disc, state, x_shock, sensor_cfg, entropy_fix) -> Field
     return FieldState(U=U, time=state.time)
 
 
-def project_initial(disc: Discretization, f, breakpoints=None) -> FieldState:
-    """Project a vector-valued initial profile onto the global space."""
-    m = disc.law.m
-    U = np.zeros((m, disc.n_elements, disc.dof))
-    for e in range(disc.n_elements):
-        xl, xr = disc.mesh.element_bounds(e)
+def project_initial(disc: Discretization, f, breakpoints=()) -> FieldState:
+    """L2 projection of a vector-valued initial profile onto the global space.
+
+    One quadrature over the Discretization's nodes and weights gives the
+    moments, and its mass solve the coefficients.  An element with a jump of
+    f (a breakpoint) inside one of its sub-cells is projected again with
+    `project_l2`, which splits that sub-cell's quadrature at the jump.
+    """
+    m, E, dof = disc.law.m, disc.n_elements, disc.dof
+    f_w = np.asarray(f(disc.xq), dtype=float) * disc.wq
+    U = disc.solve_mass(f_w.reshape(m, E, -1) @ disc.ref.phi.reshape(dof, -1).T)
+    faces = disc.xfaces
+    inside = [b for b in breakpoints if faces[0] < b < faces[-1] and b not in faces]
+    for e in np.unique((np.searchsorted(faces, inside) - 1) // disc.n):
+        xl, xr = disc.mesh.element_bounds(int(e))
         space = ElementSpace(disc.p, disc.n, xl, xr)
-        local_breaks = None
-        if breakpoints is not None:
-            local_breaks = [b for b in breakpoints if xl < b < xr]
-        for comp in range(m):
-            fc = (lambda x, c=comp: np.atleast_2d(f(x))[c])
-            U[comp, e] = project_l2(fc, space, breakpoints=local_breaks)
-        # Gibbs undershoot in a jump-straddling element can leave the
-        # projected state unphysical; fall back to sub-cell averages there
-        # (the sensor would penalize the polynomial part away regardless).
-        vals = np.einsum("md,dsq->msq", U[:, e], space.ref.phi)
-        if not np.all(disc.law.admissible(vals)):
-            for comp in range(m):
-                U[comp, e, disc.p:] = project_lo(U[comp, e], space)
-                U[comp, e, : disc.p] = 0.0
+        local = [b for b in breakpoints if xl < b < xr]
+        for c in range(m):
+            U[c, e] = project_l2(lambda x, c=c: np.atleast_2d(f(x))[c], space,
+                                 breakpoints=local)
+    # Gibbs undershoot in a jump-straddling element can leave the projected
+    # state unphysical; fall back to sub-cell averages there (the sensor
+    # would penalize the polynomial part away regardless).
+    bad = ~np.all(disc.law.admissible(disc.eval_at_quad(U)), axis=(1, 2))
+    U[:, bad, disc.p:] = disc.subcell_averages(U)[:, bad]
+    U[:, bad, :disc.p] = 0.0
     return FieldState(U=U, time=0.0)
 
 
 # -- case assembly ----------------------------------------------------------
 
 
-_CASE_DEFAULTS = {
-    "convection-gaussian": dict(p=4, n=8, n_elements=16, t_final=1.0),
-    "convection-heaviside": dict(p=4, n=8, n_elements=16, t_final=1.0),
-    "convection-recovery": dict(p=4, n=8, n_elements=16, t_final=1.0),
-    "burgers": dict(p=4, n=8, n_elements=9, dt=1e-3, t_final=0.88),
-    "nozzle": dict(p=4, n=8, n_elements=9, dt=2e-4, t_final=0.4),
-    "shu-osher": dict(p=3, n=5, n_elements=64, t_final=1.78),
-    "fv-comparison": dict(p=0, n=5, n_elements=64, t_final=1.78),
+@dataclass(frozen=True)
+class Case:
+    """One preset.  `initial` maps x to the conserved state, shape
+    (m,) + x.shape, with jumps at `breakpoints`; `defaults` fill the unset
+    fields of a RunConfig.  RunConfig accepts the `dg` presets, and
+    `fv_reference` the `fv` ones."""
+
+    domain: tuple[float, float]
+    law: type
+    bc_left: BoundaryCondition
+    bc_right: BoundaryCondition
+    initial: Callable
+    breakpoints: tuple
+    defaults: dict
+    dg: bool = True
+    fv: bool = False
+
+
+_PERIODIC = BoundaryCondition("periodic")
+# the profiles are looked up at call time, so one swapped or wrapped on this
+# module is the one projected
+_GAUSSIAN = Case((0.0, 1.0), Convection, _PERIODIC, _PERIODIC,
+                 lambda x: gaussian_profile(x)[None], (),
+                 dict(p=4, n=8, n_elements=16, t_final=1.0), fv=True)
+_SHU_OSHER = Case(
+    (-5.0, 5.0), Euler1D,
+    BoundaryCondition("prescribed",
+                      state=tuple(euler_state_from_primitives(*SHU_OSHER_LEFT, 1.4))),
+    BoundaryCondition("wall"),
+    shu_osher_initial, (SHU_OSHER_JUMP,), dict(p=3, n=5, n_elements=64, t_final=1.78),
+    fv=True,
+)
+_CASES = {
+    "convection-gaussian": _GAUSSIAN,
+    "convection-heaviside": replace(_GAUSSIAN, initial=lambda x: heaviside_profile(x)[None],
+                                    breakpoints=(0.25, 0.75)),
+    "convection-recovery": _GAUSSIAN,
+    "burgers": Case((0.0, 1.0), Burgers, _PERIODIC, _PERIODIC,
+                    lambda x: burgers_profile(x)[None], (),
+                    dict(p=4, n=8, n_elements=9, dt=1e-3, t_final=0.88)),
+    # build_problem adds the shock position as a breakpoint and relaxes the
+    # shock element
+    "nozzle": Case((0.0, 1.0), NozzleEuler,
+                   BoundaryCondition("farfield", farfield=NOZZLE_INLET),
+                   BoundaryCondition("farfield", farfield=NOZZLE_OUTLET),
+                   lambda x: nozzle_initial(x), (),
+                   dict(p=4, n=8, n_elements=9, dt=2e-4, t_final=0.4)),
+    "shu-osher": _SHU_OSHER,
+    "fv-comparison": replace(_SHU_OSHER, defaults=dict(p=0, n=5, n_elements=64, t_final=1.78),
+                             fv=False),
+    "sod-like": replace(_SHU_OSHER, initial=sod_like_initial, defaults=dict(t_final=1.0),
+                        dg=False),
 }
+CASES = tuple(name for name, case in _CASES.items() if case.dg)
 
 
 def _filled(config: RunConfig) -> RunConfig:
-    defaults = _CASE_DEFAULTS[config.case]
+    defaults = _CASES[config.case].defaults
     updates = {k: v for k, v in defaults.items() if getattr(config, k) is None}
     return replace(config, **updates) if updates else config
 
 
 def build_problem(config: RunConfig):
-    """Discretization, initial state, and projection breakpoints for a case."""
+    """Discretization and projected initial state for a case."""
     config = _filled(config)
+    case = _CASES[config.case]
     sensor_cfg = SensorConfig(c_pen=config.c_pen, tau=config.tau, s_eps=config.s_eps)
-    case = config.case
-    if case.startswith("convection"):
-        mesh = build_uniform_mesh(0.0, 1.0, config.n_elements, config.n)
-        law = Convection(beta=1.0)
-        bc = BoundaryCondition("periodic")
-        disc = Discretization(mesh, config.p, law, bc, bc, sensor_cfg, config.entropy_fix)
-        if case == "convection-heaviside":
-            u0 = project_initial(disc, lambda x: heaviside_profile(x)[None], [0.25, 0.75])
-        else:
-            u0 = project_initial(disc, lambda x: gaussian_profile(x)[None])
-        return config, disc, u0
-    if case == "burgers":
-        mesh = build_uniform_mesh(0.0, 1.0, config.n_elements, config.n)
-        law = Burgers()
-        bc = BoundaryCondition("periodic")
-        disc = Discretization(mesh, config.p, law, bc, bc, sensor_cfg, config.entropy_fix)
-        u0 = project_initial(disc, lambda x: burgers_profile(x)[None])
-        return config, disc, u0
-    if case == "nozzle":
-        mesh = build_uniform_mesh(0.0, 1.0, config.n_elements, config.n)
-        law = NozzleEuler()
-        bcl = BoundaryCondition("farfield", farfield=NOZZLE_INLET)
-        bcr = BoundaryCondition("farfield", farfield=NOZZLE_OUTLET)
-        disc = Discretization(mesh, config.p, law, bcl, bcr, sensor_cfg, config.entropy_fix)
-        x_shock = _nozzle_steady_params()[-1]
-        u0 = project_initial(disc, nozzle_initial, breakpoints=[x_shock])
-        u0 = _relax_shock_element(disc, u0, x_shock, sensor_cfg, config.entropy_fix)
-        return config, disc, u0
-    if case in ("shu-osher", "fv-comparison"):
-        mesh = build_uniform_mesh(-5.0, 5.0, config.n_elements, config.n)
-        law = Euler1D()
-        rho, vel, p = SHU_OSHER_LEFT
-        inlet = euler_state_from_primitives(rho, vel, p, 1.4)
-        bcl = BoundaryCondition("prescribed", state=tuple(inlet))
-        bcr = BoundaryCondition("wall")
-        disc = Discretization(mesh, config.p, law, bcl, bcr, sensor_cfg, config.entropy_fix)
-        u0 = project_initial(disc, shu_osher_initial, breakpoints=[-4.0])
-        return config, disc, u0
-    raise ValueError(f"unhandled case {case!r}")
+    mesh = build_uniform_mesh(*case.domain, config.n_elements, config.n)
+    disc = Discretization(mesh, config.p, case.law(), case.bc_left, case.bc_right,
+                          sensor_cfg, config.entropy_fix)
+    if config.case != "nozzle":
+        return config, disc, project_initial(disc, case.initial, case.breakpoints)
+    x_shock = _nozzle_steady_params()[-1]
+    u0 = project_initial(disc, case.initial, [x_shock])
+    return config, disc, _relax_shock_element(disc, u0, x_shock, sensor_cfg,
+                                              config.entropy_fix)
 
 
 def default_dt(disc: Discretization, U0: np.ndarray, cfl: float) -> float:
@@ -529,7 +549,7 @@ def projection_convergence(p: int, n: int, refinements, profile=None,
 # Part of the reference cache key: raise it whenever a change to the FV march
 # or to the fluxes it calls can change the stored solution, so that a cache
 # written by older code is not reused.
-FV_SCHEME_VERSION = 2
+FV_SCHEME_VERSION = 3
 
 # What np.load and reading a member raise on a truncated or corrupt .npz.
 _CACHE_READ_ERRORS = (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile,
@@ -543,66 +563,33 @@ def _fv_cache_dir() -> Path:
     return d
 
 
-def _fv_march(case: str, cells: int, t_final: float):
-    """First-order FV (piecewise constant, Roe flux, forward Euler, CFL 0.4)."""
-    if case == "shu-osher":
-        a, b = -5.0, 5.0
-        law = Euler1D()
-        x = np.linspace(a, b, cells + 1)
-        xc = 0.5 * (x[:-1] + x[1:])
-        U = shu_osher_initial(xc)
-        # cell containing the jump: set to the exact cell average
-        jump_cells = np.flatnonzero((x[:-1] < -4.0) & (x[1:] > -4.0))
-        for c in jump_cells:
-            wl = (-4.0 - x[c]) / (x[c + 1] - x[c])
-            rho, vel, p = SHU_OSHER_LEFT
-            left = euler_state_from_primitives(rho, vel, p, 1.4)
-            # average the right branch with a fine midpoint rule
-            xs = np.linspace(-4.0, x[c + 1], 65)
-            xm = 0.5 * (xs[:-1] + xs[1:])
-            right_avg = shu_osher_initial(xm).mean(axis=1)
-            U[:, c] = wl * left + (1.0 - wl) * right_avg
-        inlet = euler_state_from_primitives(*SHU_OSHER_LEFT, 1.4)
-
-        def ghosts(U):
-            gl = inlet[:, None]
-            gr = U[:, -1:].copy()
-            gr[1] = -gr[1]
-            return gl, gr
-    elif case == "sod-like":
-        a, b = -5.0, 5.0
-        law = Euler1D()
-        x = np.linspace(a, b, cells + 1)
-        xc = 0.5 * (x[:-1] + x[1:])
-        left = euler_state_from_primitives(*SHU_OSHER_LEFT, 1.4)
-        right = euler_state_from_primitives(1.0, 0.0, 1.0, 1.4)
-        U = np.where(xc[None, :] < -4.0, left[:, None], right[:, None])
-        inlet = left
-
-        def ghosts(U):
-            gl = inlet[:, None]
-            gr = U[:, -1:].copy()
-            gr[1] = -gr[1]
-            return gl, gr
-    elif case.startswith("convection"):
-        a, b = 0.0, 1.0
-        law = Convection(beta=1.0)
-        x = np.linspace(a, b, cells + 1)
-        xc = 0.5 * (x[:-1] + x[1:])
-        profile = heaviside_profile if "heaviside" in case else gaussian_profile
-        U = profile(xc)[None]
-
-        def ghosts(U):
-            return U[:, -1:], U[:, :1]
-    else:
-        raise ValueError(f"no finite volume reference for case {case!r}")
+def _fv_march(name: str, cells: int, t_final: float):
+    """First-order FV (piecewise constant, Roe flux, forward Euler, CFL 0.4)
+    on a preset's domain, law, boundaries and initial state."""
+    case = _CASES[name]
+    a, b = case.domain
+    law = case.law()
+    x = np.linspace(a, b, cells + 1)
+    U = case.initial(0.5 * (x[:-1] + x[1:]))
+    # a cell that straddles a jump holds the average of each side, taken with
+    # a 64-point midpoint rule, weighted by the side's share of the cell
+    for jump in case.breakpoints:
+        for c in np.flatnonzero((x[:-1] < jump) & (x[1:] > jump)):
+            wl = (jump - x[c]) / (x[c + 1] - x[c])
+            xs = np.array([np.linspace(x[c], jump, 65), np.linspace(jump, x[c + 1], 65)])
+            avg = case.initial(0.5 * (xs[:, :-1] + xs[:, 1:])).mean(axis=-1)
+            U[:, c] = wl * avg[:, 0] + (1.0 - wl) * avg[:, 1]
 
     h = (b - a) / cells
     t = 0.0
     while t < t_final - 1e-14:
         lam = law.max_wave_speed(U)
         dt = min(0.4 * h / lam, t_final - t)
-        gl, gr = ghosts(U)
+        if case.bc_left.kind == "periodic":
+            gl, gr = U[:, -1:], U[:, :1]
+        else:
+            gl = boundary_ghost(case.bc_left, U[:, :1], law, side=-1)
+            gr = boundary_ghost(case.bc_right, U[:, -1:], law, side=1)
         ul = np.concatenate([gl, U], axis=1)
         ur = np.concatenate([U, gr], axis=1)
         F = law.roe_flux(ul, ur)
@@ -618,8 +605,11 @@ def fv_reference(case: str, cells: int, t_final: float | None = None,
     Returns (sampler, edges, states) where sampler(x) evaluates component 0
     unless called as sampler(x, component).
     """
+    if case not in _CASES or not _CASES[case].fv:
+        names = tuple(name for name, c in _CASES.items() if c.fv)
+        raise ValueError(f"no finite volume reference for case {case!r}; choose from {names}")
     if t_final is None:
-        t_final = _CASE_DEFAULTS.get(case, {}).get("t_final", 1.0)
+        t_final = _CASES[case].defaults["t_final"]
     key = f"fvref_v{FV_SCHEME_VERSION}_{case}_{cells}_{t_final:.6g}.npz"
     path = _fv_cache_dir() / key
     x = U = None

@@ -3,7 +3,7 @@ that preserves the sub-cell averages."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np

@@ -45,6 +45,9 @@ def test_load_config_rejects_unknown_key(tmp_path):
     path.write_text("case = burgers\nwavelet = 3\n")
     with pytest.raises(ValueError, match="unknown config key"):
         load_config(str(path))
+    path.write_text("case = burgers\nseed = 3\n")       # nothing is random
+    with pytest.raises(ValueError, match="unknown config key 'seed'"):
+        load_config(str(path))
     path.write_text("case burgers\n")
     with pytest.raises(ValueError, match="expected key = value"):
         load_config(str(path))

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from subgrid_dg import harness
+from subgrid_dg.basis import ElementSpace
 from subgrid_dg.harness import (
     NOZZLE_INLET,
     NOZZLE_OUTLET,
+    SHU_OSHER_LEFT,
     RunConfig,
     build_problem,
     burgers_profile,
@@ -23,12 +25,39 @@ from subgrid_dg.harness import (
     spatial_accuracy_dt_rule,
     state_error_norm,
 )
-from subgrid_dg.physics import nozzle_area
+from subgrid_dg.mesh import build_uniform_mesh
+from subgrid_dg.physics import euler_state_from_primitives, nozzle_area
+from subgrid_dg.projections import project_l2, project_lo
+from subgrid_dg.solver import Discretization
+
+# The presets and defaults the README's case table lists:
+# case: (domain, p, n, n_elements, dt, t_final)
+README_PRESETS = {
+    "convection-gaussian": ((0.0, 1.0), 4, 8, 16, None, 1.0),
+    "convection-heaviside": ((0.0, 1.0), 4, 8, 16, None, 1.0),
+    "convection-recovery": ((0.0, 1.0), 4, 8, 16, None, 1.0),
+    "burgers": ((0.0, 1.0), 4, 8, 9, 1e-3, 0.88),
+    "nozzle": ((0.0, 1.0), 4, 8, 9, 2e-4, 0.4),
+    "shu-osher": ((-5.0, 5.0), 3, 5, 64, None, 1.78),
+    "fv-comparison": ((-5.0, 5.0), 0, 5, 64, None, 1.78),
+}
+
+
+def one_step_relaxation(monkeypatch):
+    """Cut the nozzle's shock relaxation to one step, for tests that build it."""
+    real = harness.advance
+    monkeypatch.setattr(harness, "advance",
+                        lambda disc, state, dt, t_final, **kw: real(disc, state, dt, dt, **kw))
 
 
 def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(case="kelvin-helmholtz")
+    # exactly the README's presets; the FV-only one is not a DG run, and the
+    # message names every DG preset
+    assert harness.CASES == tuple(README_PRESETS)
+    with pytest.raises(ValueError, match="'fv-comparison'"):
+        RunConfig(case="sod-like")
     cfg = RunConfig(case="burgers")
     assert cfg.force_gamma is None
     cfg = RunConfig(case="burgers", force_gamma_element=3)
@@ -43,6 +72,64 @@ def test_case_defaults_applied():
     assert config.t_final == 0.88
     config, disc, _ = build_problem(RunConfig(case="shu-osher", p=1, n=3))
     assert (disc.p, disc.n, disc.n_elements) == (1, 3, 64)
+
+
+@pytest.mark.parametrize("case", harness.CASES)
+def test_every_preset_builds_with_its_defaults(case, monkeypatch):
+    one_step_relaxation(monkeypatch)
+    config, disc, state = build_problem(RunConfig(case=case))
+    domain, p, n, n_elements, dt, t_final = README_PRESETS[case]
+    assert (disc.mesh.a, disc.mesh.b) == domain
+    assert (disc.p, disc.n, disc.n_elements) == (p, n, n_elements)
+    assert (config.dt, config.t_final) == (dt, t_final)
+    assert state.U.shape == (disc.law.m, n_elements, p + n)
+    assert np.all(disc.law.admissible(disc.eval_at_quad(state.U)))
+
+
+def test_nozzle_steady_params_computed_once_per_build(monkeypatch):
+    one_step_relaxation(monkeypatch)
+    harness._nozzle_steady_params.cache_clear()
+    build_problem(RunConfig(case="nozzle", p=1, n=2, n_elements=3))
+    assert harness._nozzle_steady_params.cache_info().misses == 1
+
+
+def project_initial_per_element(disc, f, breakpoints):
+    """Reference: project_l2 on every element and component, sub-cells split
+    at the breakpoints, and sub-cell averages where the result is
+    inadmissible at a quadrature node."""
+    m = disc.law.m
+    U = np.zeros((m, disc.n_elements, disc.dof))
+    for e in range(disc.n_elements):
+        xl, xr = disc.mesh.element_bounds(e)
+        space = ElementSpace(disc.p, disc.n, xl, xr)
+        local = [b for b in breakpoints if xl < b < xr]
+        for c in range(m):
+            U[c, e] = project_l2(lambda x, c=c: np.atleast_2d(f(x))[c], space,
+                                 breakpoints=local)
+        vals = np.einsum("md,dsq->msq", U[:, e], space.ref.phi)
+        if not np.all(disc.law.admissible(vals)):
+            for c in range(m):
+                U[c, e, disc.p:] = project_lo(U[c, e], space)
+                U[c, e, :disc.p] = 0.0
+    return U
+
+
+@pytest.mark.parametrize("case, overrides", [(c, {}) for c in harness.CASES] + [
+    ("shu-osher", dict(p=1, n=3)),                # Gibbs fallback in the jump element
+    ("shu-osher", dict(n_elements=47)),           # jump inside a sub-cell
+    ("convection-heaviside", dict(n_elements=10, n=3)),   # both jumps inside sub-cells
+])
+def test_project_initial_matches_per_element_projection(case, overrides):
+    config = harness._filled(RunConfig(case=case, **overrides))
+    row = harness._CASES[case]
+    mesh = build_uniform_mesh(*row.domain, config.n_elements, config.n)
+    disc = Discretization(mesh, config.p, row.law(), row.bc_left, row.bc_right)
+    breakpoints = row.breakpoints
+    if case == "nozzle":                          # the steady shock, inside a sub-cell
+        breakpoints = (harness._nozzle_steady_params()[-1],)
+    U = project_initial(disc, row.initial, breakpoints).U
+    U_ref = project_initial_per_element(disc, row.initial, breakpoints)
+    assert np.max(np.abs(U - U_ref)) <= 1e-12 * np.max(np.abs(U_ref))
 
 
 def test_profiles():
@@ -210,9 +297,33 @@ def test_fv_reference_euler_shock_speed(tmp_path, monkeypatch):
     assert x_shock == pytest.approx(-4.0 + s * 0.5, abs=0.05)
 
 
-def test_fv_reference_unknown_case():
-    with pytest.raises(ValueError):
-        fv_reference("burgers", 16, t_final=0.1, cache=False)
+@pytest.mark.parametrize("case", ["burgers", "fv-comparison", "convection-typo"])
+def test_fv_reference_unknown_case(tmp_path, monkeypatch, case):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    with pytest.raises(ValueError, match="no finite volume reference"):
+        fv_reference(case, 16, t_final=0.1)
+    assert not (tmp_path / "subgrid_dg").exists()
+
+
+def test_fv_reference_initial_cell_averages():
+    # a cell that straddles a jump holds the average of its two sides
+    _, x, U = fv_reference("shu-osher", 4096, t_final=0.0, cache=False)
+    centers = 0.5 * (x[:-1] + x[1:])
+    (c,) = np.flatnonzero((x[:-1] < -4.0) & (x[1:] > -4.0))
+    wl = (-4.0 - x[c]) / (x[c + 1] - x[c])
+    xs = np.linspace(-4.0, x[c + 1], 65)
+    right = shu_osher_initial(0.5 * (xs[:-1] + xs[1:])).mean(axis=1)
+    left = euler_state_from_primitives(*SHU_OSHER_LEFT, 1.4)
+    np.testing.assert_array_equal(U[:, c], wl * left + (1.0 - wl) * right)
+    others = np.arange(x.size - 1) != c
+    np.testing.assert_array_equal(U[:, others], shu_osher_initial(centers[others]))
+    # 0.25 and 0.75 lie in the middle of cells 7 and 22 of 30 (to round-off)
+    _, x, U = fv_reference("convection-heaviside", 30, t_final=0.0, cache=False)
+    straddled = [7, 22]
+    assert U[0, 7] == 0.5
+    assert U[0, 22] == (0.75 - x[22]) / (x[23] - x[22]) == pytest.approx(0.5, rel=1e-14)
+    others = np.delete(np.arange(30), straddled)
+    np.testing.assert_array_equal(U[0, others], heaviside_profile(0.5 * (x[:-1] + x[1:]))[others])
 
 
 def test_run_case_writes_outputs(tmp_path):
