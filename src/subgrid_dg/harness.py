@@ -282,9 +282,7 @@ def project_initial(disc: Discretization, f, breakpoints=()) -> FieldState:
         xl, xr = disc.mesh.element_bounds(int(e))
         space = ElementSpace(disc.p, disc.n, xl, xr)
         local = [b for b in breakpoints if xl < b < xr]
-        for c in range(m):
-            U[c, e] = project_l2(lambda x, c=c: np.atleast_2d(f(x))[c], space,
-                                 breakpoints=local)
+        U[:, e] = project_l2(lambda x: np.atleast_2d(f(x)), space, breakpoints=local)
     # Gibbs undershoot in a jump-straddling element can leave the projected
     # state unphysical; fall back to sub-cell averages there (the sensor
     # would penalize the polynomial part away regardless).
@@ -611,9 +609,9 @@ def fv_reference(case: str, cells: int, t_final: float | None = None,
     if t_final is None:
         t_final = _CASES[case].defaults["t_final"]
     key = f"fvref_v{FV_SCHEME_VERSION}_{case}_{cells}_{t_final:.6g}.npz"
-    path = _fv_cache_dir() / key
+    path = _fv_cache_dir() / key if cache else None
     x = U = None
-    if cache and path.exists():
+    if path is not None and path.exists():
         try:
             with np.load(path) as data:
                 x, U = data["x"], data["U"]
@@ -621,7 +619,7 @@ def fv_reference(case: str, cells: int, t_final: float | None = None,
             x = U = None  # truncated or corrupt cache: recompute
     if x is None:
         x, U = _fv_march(case, cells, t_final)
-        if cache:
+        if path is not None:
             _write_atomic(path, x=x, U=U)
 
     def sampler(xs, component: int = 0):

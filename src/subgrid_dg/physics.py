@@ -6,7 +6,9 @@ point evaluations and whole-face batches.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,21 +23,33 @@ def _as_state(u) -> np.ndarray:
 
 
 class ConservationLaw:
-    """Base interface: flux, Roe flux, wave speeds, optional source."""
+    """Base interface: flux, Roe flux, wave speeds, optional source.
+
+    A law whose terms depend on position builds its fixed per-point data
+    with `geometry(x)`; its flux, Roe flux and source take that data as
+    `geom` in place of the coordinates `x`, so a caller with fixed points
+    computes it once.
+    """
 
     m: int = 1
     name: str = "law"
 
-    def flux(self, u, x=None) -> np.ndarray:
+    def geometry(self, x):
+        """Per-point data at x that the law's calls take as `geom`: for a
+        law posed in a duct its first entry is the area A(x); None for a
+        law that does not depend on position."""
+        return None
+
+    def flux(self, u, x=None, geom=None) -> np.ndarray:
         raise NotImplementedError
 
-    def roe_flux(self, uL, uR, x=None, entropy_fix: bool = False) -> np.ndarray:
+    def roe_flux(self, uL, uR, x=None, entropy_fix: bool = False, geom=None) -> np.ndarray:
         raise NotImplementedError
 
     def max_wave_speed(self, u, x=None) -> float:
         raise NotImplementedError
 
-    def source(self, u, x) -> np.ndarray:
+    def source(self, u, x=None, geom=None) -> np.ndarray:
         return np.zeros_like(_as_state(u))
 
     def has_source(self) -> bool:
@@ -55,10 +69,10 @@ class Convection(ConservationLaw):
     m: int = 1
     name: str = "convection"
 
-    def flux(self, u, x=None):
+    def flux(self, u, x=None, geom=None):
         return self.beta * _as_state(u)
 
-    def roe_flux(self, uL, uR, x=None, entropy_fix: bool = False):
+    def roe_flux(self, uL, uR, x=None, entropy_fix: bool = False, geom=None):
         uL, uR = _as_state(uL), _as_state(uR)
         return 0.5 * self.beta * (uL + uR) - 0.5 * abs(self.beta) * (uR - uL)
 
@@ -73,11 +87,11 @@ class Burgers(ConservationLaw):
     m: int = 1
     name: str = "burgers"
 
-    def flux(self, u, x=None):
+    def flux(self, u, x=None, geom=None):
         u = _as_state(u)
         return 0.5 * u * u
 
-    def roe_flux(self, uL, uR, x=None, entropy_fix: bool = False):
+    def roe_flux(self, uL, uR, x=None, entropy_fix: bool = False, geom=None):
         uL, uR = _as_state(uL), _as_state(uR)
         a = 0.5 * (uL + uR)  # Roe speed
         return 0.5 * (self.flux(uL) + self.flux(uR)) - 0.5 * np.abs(a) * (uR - uL)
@@ -88,11 +102,11 @@ class Burgers(ConservationLaw):
 
 def _euler_primitives(u, gamma_a):
     rho = u[0]
-    if np.any(rho <= 0):
+    if (rho <= 0).any():
         raise AdmissibilityError("non-positive density")
     vel = u[1] / rho
     p = (gamma_a - 1.0) * (u[2] - 0.5 * rho * vel * vel)
-    if np.any(p <= 0):
+    if (p <= 0).any():
         raise AdmissibilityError("non-positive pressure")
     return rho, vel, p
 
@@ -133,12 +147,16 @@ class Euler1D(ConservationLaw):
             p = (self.gamma_a - 1.0) * (u[2] - 0.5 * u[1] * u[1] / rho)
         return (rho > 0.0) & (p > 0.0)
 
-    def flux(self, u, x=None):
+    def flux(self, u, x=None, geom=None):
         u = _as_state(u)
         rho, vel, p = _euler_primitives(u, self.gamma_a)
-        return np.stack([u[1], u[1] * vel + p, (u[2] + p) * vel])
+        out = np.empty(u.shape)
+        out[0] = u[1]
+        out[1] = u[1] * vel + p
+        out[2] = (u[2] + p) * vel
+        return out
 
-    def roe_flux(self, uL, uR, x=None, entropy_fix: bool = False):
+    def roe_flux(self, uL, uR, x=None, entropy_fix: bool = False, geom=None):
         """Roe flux from one set of primitives per side.  Products are
         grouped as in 0.5 (F(uL) + F(uR)) - 0.5 |A| (uR - uL) written out,
         so the result is the same bit for bit."""
@@ -154,7 +172,7 @@ class Euler1D(ConservationLaw):
         Ht = w * (EpL / rhoL) + (1.0 - w) * (EpR / rhoR)
         vt2 = vt * vt
         c2 = (g - 1.0) * (Ht - 0.5 * vt * vt)
-        if np.any(c2 <= 0):
+        if (c2 <= 0).any():
             raise AdmissibilityError("negative Roe-averaged sound speed")
         ct = np.sqrt(c2)
         lam1, lam3, vct = vt - ct, vt + ct, vt * ct
@@ -211,19 +229,23 @@ class NozzleEuler(ConservationLaw):
     def __post_init__(self):
         self.euler = Euler1D(gamma_a=self.gamma_a)
 
-    def flux(self, u, x=None):
+    def geometry(self, x):
+        """(A, dA/dx) at x."""
+        return nozzle_area(x)
+
+    def flux(self, u, x=None, geom=None):
         u = _as_state(u)
-        A, _ = nozzle_area(x)
+        A, _ = nozzle_area(x) if geom is None else geom
         return A * self.euler.flux(u / A)
 
-    def roe_flux(self, uL, uR, x=None, entropy_fix: bool = False):
+    def roe_flux(self, uL, uR, x=None, entropy_fix: bool = False, geom=None):
         uL, uR = _as_state(uL), _as_state(uR)
-        A, _ = nozzle_area(x)
+        A, _ = nozzle_area(x) if geom is None else geom
         return A * self.euler.roe_flux(uL / A, uR / A, entropy_fix=entropy_fix)
 
-    def source(self, u, x):
+    def source(self, u, x=None, geom=None):
         u = _as_state(u)
-        A, dA = nozzle_area(x)
+        A, dA = nozzle_area(x) if geom is None else geom
         _, _, p = _euler_primitives(u / A, self.gamma_a)
         out = np.zeros_like(u)
         out[1] = p * dA
@@ -273,20 +295,39 @@ def farfield_state(rho: float, vel: float, mach: float, gamma_a: float) -> np.nd
     return euler_state_from_primitives(rho, vel, p, gamma_a)
 
 
-def _characteristic_farfield(u_int: np.ndarray, u_far: np.ndarray, side: int,
-                             gamma_a: float) -> np.ndarray:
+@lru_cache(maxsize=8)
+def _farfield_primitives(farfield: tuple, gamma_a: float) -> tuple[float, float, float]:
+    """(rho, u, p) of a farfield boundary, as the checked primitives of its
+    conserved state, once per farfield data and gamma."""
+    rho, vel, p = _euler_primitives(farfield_state(*farfield, gamma_a), gamma_a)
+    return float(rho), float(vel), float(p)
+
+
+def _characteristic_farfield(u_int, far, side: int, gamma_a: float,
+                             x: float | None = None) -> list[float]:
     """Boundary state from linearized characteristic relations.
 
     Outgoing invariants are extrapolated from the interior; incoming ones are
     taken from the farfield data.  For subsonic outflow this pins the boundary
     pressure to the farfield pressure, which is what selects the choked,
     shock-carrying branch of a transonic duct flow.  ``side`` is the outward
-    normal direction (-1 left boundary, +1 right).  A non-physical interior
-    or farfield state raises AdmissibilityError.
+    normal direction (-1 left boundary, +1 right).  ``u_int`` is the interior
+    conserved state and ``far`` the farfield primitives (rho, u, p), as
+    Python floats: one face costs less in float arithmetic than in numpy
+    calls.  Squares are written ``v * v``, never ``v ** 2``, so that every
+    operation rounds as in the numpy form of the same formulas
+    (`euler_state_from_primitives`).  A non-physical interior state raises
+    AdmissibilityError naming the boundary and x.
     """
-    rho_d, u_d, p_d = _euler_primitives(u_int, gamma_a)
-    rho_a, u_a, p_a = _euler_primitives(u_far, gamma_a)
-    c_d = np.sqrt(gamma_a * p_d / rho_d)
+    rho_d, mom_d, ene_d = u_int
+    if rho_d <= 0.0:
+        raise _farfield_abort("density", side, x)
+    u_d = mom_d / rho_d
+    p_d = (gamma_a - 1.0) * (ene_d - 0.5 * rho_d * u_d * u_d)
+    if p_d <= 0.0:
+        raise _farfield_abort("pressure", side, x)
+    rho_a, u_a, p_a = far
+    c_d = math.sqrt(gamma_a * p_d / rho_d)
     rc = rho_d * c_d
     qn_d = side * u_d
     if qn_d >= c_d:                      # supersonic outflow: pure extrapolation
@@ -301,13 +342,31 @@ def _characteristic_farfield(u_int: np.ndarray, u_far: np.ndarray, side: int,
         p_b = 0.5 * (p_a + p_d - rc * side * (u_a - u_d))
         rho_b = rho_a + (p_b - p_a) / (c_d * c_d)
         u_b = u_a - side * (p_a - p_b) / rc
-    return euler_state_from_primitives(rho_b, u_b, p_b, gamma_a)
+    return [rho_b, rho_b * u_b, p_b / (gamma_a - 1.0) + 0.5 * rho_b * (u_b * u_b)]
+
+
+def _farfield_abort(what: str, side: int, x) -> AdmissibilityError:
+    where = "left" if side < 0 else "right"
+    at = "" if x is None else f" at x={float(x):.6g}"
+    return AdmissibilityError(
+        f"non-positive {what} of the interior trace at the {where} farfield boundary{at}")
+
+
+def boundary_area(law: ConservationLaw, x) -> float:
+    """Area of the law's duct at the point x (1 without x or duct)."""
+    geom = None if x is None else law.geometry(x)
+    return 1.0 if geom is None else float(geom[0])
 
 
 def boundary_ghost(bc: BoundaryCondition, u_interior, law: ConservationLaw,
                    t: float = 0.0, x: float | None = None,
-                   side: int = 1) -> np.ndarray:
-    """Ghost state seen across a domain boundary face."""
+                   side: int = 1, area: float | None = None) -> np.ndarray:
+    """Ghost state seen across a domain boundary face.
+
+    A farfield ghost of a law posed in a duct is built from the state per
+    unit area: ``area`` is the duct's area at the face, from
+    `boundary_area(law, x)` when not given.
+    """
     u_interior = _as_state(u_interior)
     if bc.kind == "periodic":
         raise ValueError("periodic boundaries are handled by wrap-around, not ghosts")
@@ -315,19 +374,16 @@ def boundary_ghost(bc: BoundaryCondition, u_interior, law: ConservationLaw,
         ghost = u_interior.copy()
         ghost[1] = -ghost[1]
         return ghost
-    gamma_a = getattr(law, "gamma_a", 1.4)
+    shape = (u_interior.shape[0],) + (1,) * (u_interior.ndim - 1)
     if bc.kind == "prescribed":
-        ghost = np.asarray(bc.state, dtype=float)
-        return ghost.reshape(u_interior.shape[0], *([1] * (u_interior.ndim - 1)))
-    far = farfield_state(*bc.farfield, gamma_a)
-    area = 1.0
-    u_euler = u_interior.reshape(u_interior.shape[0])
-    if isinstance(law, NozzleEuler) and x is not None:
-        area, _ = nozzle_area(x)
-        area = float(area)
-        u_euler = u_euler / area
-    ghost = _characteristic_farfield(u_euler, far, side, gamma_a) * area
-    return ghost.reshape(u_interior.shape[0], *([1] * (u_interior.ndim - 1)))
+        return np.asarray(bc.state, dtype=float).reshape(shape)
+    gamma_a = getattr(law, "gamma_a", 1.4)
+    if area is None:
+        area = boundary_area(law, x)
+    u_int = [v / area for v in u_interior.ravel().tolist()]
+    ghost = _characteristic_farfield(u_int, _farfield_primitives(tuple(bc.farfield), gamma_a),
+                                     side, gamma_a, x)
+    return np.array([v * area for v in ghost]).reshape(shape)
 
 
 def make_law(name: str, **kwargs) -> ConservationLaw:

@@ -31,10 +31,12 @@ def _quad_rhs(f, space: ElementSpace, breakpoints=None) -> np.ndarray:
 
     `breakpoints` lists known discontinuity locations of f; sub-cells that
     straddle one are integrated piecewise so the rule never crosses a jump.
+    f may be vector-valued, returning shape (m, q) at q points; the result
+    then has shape (m, dof).
     """
     ref = space.ref
     g, w = gauss_rule(ref.n_quad)
-    b = np.zeros(space.dof)
+    b = None
     edges = space.to_physical(ref.sub_edges)
     for s in range(space.n):
         xl, xr = edges[s], edges[s + 1]
@@ -46,18 +48,21 @@ def _quad_rhs(f, space: ElementSpace, breakpoints=None) -> np.ndarray:
             xq = 0.5 * (a + c) + 0.5 * (c - a) * g
             wq = 0.5 * (c - a) * w
             fv = np.asarray(f(xq), dtype=float)
+            if b is None:
+                b = np.zeros(fv.shape[:-1] + (space.dof,))
             xi = space.to_reference(xq)
             for i in range(space.p):
-                b[i] += np.sum(wq * fv * legendre_eval(i + 1, xi))
-            b[space.p + s] += np.sum(wq * fv)
+                b[..., i] += np.sum(wq * fv * legendre_eval(i + 1, xi), axis=-1)
+            b[..., space.p + s] += np.sum(wq * fv, axis=-1)
     return b
 
 
 def project_l2(f, space: ElementSpace, breakpoints=None) -> np.ndarray:
-    """L2 projection of f onto the combined local space; solves M c = b."""
+    """L2 projection of f onto the combined local space; solves M c = b.
+    A vector-valued f (shape (m, q) at q points) gives shape (m, dof)."""
     M = assemble_mass(space)
     b = _quad_rhs(f, space, breakpoints)
-    return np.linalg.solve(M, b)
+    return np.linalg.solve(M, b[..., None])[..., 0]
 
 
 def project_ho(c: np.ndarray, space: ElementSpace) -> np.ndarray:

@@ -14,6 +14,11 @@ sub-cell face flux is computed once and shared.  Surface contributions of
 the continuous polynomial test modes telescope across interior sub-cell
 faces, so they only see the element-boundary fluxes.
 
+The Discretization also holds the law's geometry (`law.geometry`, e.g. the
+nozzle's A and dA/dx) at the quadrature nodes, the sub-cell faces and the two
+domain ends, built once with the nodes and passed to every flux, source and
+boundary ghost call, so a step evaluates no geometry.
+
 `imex_step` keeps the implicit stage rates on the penalized elements only
 and does no implicit work when no element is penalized.
 """
@@ -26,7 +31,13 @@ import numpy as np
 
 from .basis import ElementSpace, reference_element
 from .mesh import Mesh
-from .physics import AdmissibilityError, BoundaryCondition, ConservationLaw, boundary_ghost
+from .physics import (
+    AdmissibilityError,
+    BoundaryCondition,
+    ConservationLaw,
+    boundary_area,
+    boundary_ghost,
+)
 from .sensor import SensorConfig, SensorReport, evaluate_field_sensor
 
 SQRT2 = np.sqrt(2.0)
@@ -118,6 +129,12 @@ class Discretization:
         # all sub-cell face positions, shape (E*n + 1,)
         sub_edges_phys = xl[:, None] + 0.5 * (self.ref.sub_edges[None, :-1] + 1.0) * h[:, None]
         self.xfaces = np.append(sub_edges_phys.ravel(), mesh.b)
+        # the law's geometry at the nodes and faces (None for a law without
+        # one), and its duct area at the two boundary faces
+        self.geom_q = law.geometry(self.xq)
+        self.geom_faces = law.geometry(self.xfaces)
+        self._ghost_area = (boundary_area(law, self.xfaces[0]),
+                            boundary_area(law, self.xfaces[-1]))
         self._build_operators()
 
     def _build_operators(self) -> None:
@@ -168,11 +185,12 @@ class Discretization:
             uL[:, 0] = uL[:, -1]
             uR[:, -1] = uR[:, 0]
         else:
+            area_l, area_r = self._ghost_area
             uL[:, 0] = boundary_ghost(
-                self.bc_left, uR[:, :1], self.law, t, x=self.xfaces[0], side=-1
+                self.bc_left, uR[:, :1], self.law, t, x=self.xfaces[0], side=-1, area=area_l
             )[:, 0]
             uR[:, -1] = boundary_ghost(
-                self.bc_right, uL[:, -1:], self.law, t, x=self.xfaces[-1], side=1
+                self.bc_right, uL[:, -1:], self.law, t, x=self.xfaces[-1], side=1, area=area_r
             )[:, 0]
         return uL, uR
 
@@ -181,9 +199,10 @@ class Discretization:
         m, E, n = U.shape[0], self.n_elements, self.n
         try:
             u_q = self.eval_at_quad(U)
-            F_q = self.law.flux(u_q, x=self.xq)
+            F_q = self.law.flux(u_q, geom=self.geom_q)
             uL, uR = self.face_traces(U, t)
-            F_hat = self.law.roe_flux(uL, uR, x=self.xfaces, entropy_fix=self.entropy_fix)
+            F_hat = self.law.roe_flux(uL, uR, entropy_fix=self.entropy_fix,
+                                      geom=self.geom_faces)
         except AdmissibilityError as exc:
             raise SolverAbort(f"inadmissible state at t={t:.6g}: {exc}") from exc
 
@@ -191,7 +210,7 @@ class Discretization:
         R += F_hat[:, :-1].reshape(m, E, n) @ self._lift_left
         R += F_hat[:, 1:].reshape(m, E, n) @ self._lift_right
         if self.law.has_source():
-            S_q = self.law.source(u_q, self.xq)
+            S_q = self.law.source(u_q, geom=self.geom_q)
             R += (S_q.reshape(m, E, -1) @ self._source) * self._half_h
         return R
 

@@ -305,6 +305,35 @@ def test_fv_reference_unknown_case(tmp_path, monkeypatch, case):
     assert not (tmp_path / "subgrid_dg").exists()
 
 
+def test_fv_reference_without_cache_writes_nothing(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    fv_reference("convection-gaussian", 16, t_final=0.05, cache=False)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_project_initial_projects_split_element_once(monkeypatch):
+    # one vector-valued projection for the nozzle's shock element, not one
+    # per component
+    config = harness._filled(RunConfig(case="nozzle"))
+    row = harness._CASES["nozzle"]
+    mesh = build_uniform_mesh(*row.domain, config.n_elements, config.n)
+    disc = Discretization(mesh, config.p, row.law(), row.bc_left, row.bc_right)
+    projections, profiles = [], []
+    real = harness.project_l2
+    monkeypatch.setattr(harness, "project_l2",
+                        lambda *a, **kw: projections.append(a) or real(*a, **kw))
+
+    def profile(x):
+        profiles.append(x)
+        return row.initial(x)
+
+    project_initial(disc, profile, (harness._nozzle_steady_params()[-1],))
+    assert len(projections) == 1
+    # the nodes of the whole mesh, then each sub-cell of the shock element
+    # with the one split at the shock
+    assert len(profiles) == 1 + config.n + 1
+
+
 def test_fv_reference_initial_cell_averages():
     # a cell that straddles a jump holds the average of its two sides
     _, x, U = fv_reference("shu-osher", 4096, t_final=0.0, cache=False)

@@ -272,6 +272,117 @@ def test_farfield_ghost_rejects_nonphysical_interior(law, interior, message):
             boundary_ghost(bc, interior, law, x=0.0, side=side)
 
 
+def array_farfield_ghost(bc, interior, law, x, side):
+    """The farfield ghost as it was written with 1-element numpy arrays, as
+    a reference for the float code: farfield state stacked per call, area
+    taken from nozzle_area for the nozzle only."""
+    g = law.gamma_a
+    rho_f, vel_f, mach_f = bc.farfield
+    c_f = vel_f / mach_f
+
+    def state(rho, vel, p):
+        rho = np.asarray(rho, dtype=float)
+        return np.stack([rho, rho * vel, np.asarray(p) / (g - 1.0)
+                         + 0.5 * rho * np.asarray(vel) ** 2])
+
+    def primitives(u):
+        rho = u[0]
+        vel = u[1] / rho
+        return rho, vel, (g - 1.0) * (u[2] - 0.5 * rho * vel * vel)
+
+    far = state(rho_f, vel_f, rho_f * c_f * c_f / g)
+    area = 1.0
+    u = interior.reshape(3)
+    if isinstance(law, NozzleEuler):
+        area = float(nozzle_area(x)[0])
+        u = u / area
+    rho_d, u_d, p_d = primitives(u)
+    rho_a, u_a, p_a = primitives(far)
+    c_d = np.sqrt(g * p_d / rho_d)
+    rc = rho_d * c_d
+    qn_d = side * u_d
+    if qn_d >= c_d:
+        rho_b, u_b, p_b = rho_d, u_d, p_d
+    elif qn_d <= -c_d:
+        rho_b, u_b, p_b = rho_a, u_a, p_a
+    elif qn_d >= 0.0:
+        p_b = p_a
+        rho_b = rho_d + (p_b - p_d) / (c_d * c_d)
+        u_b = u_d + side * (p_d - p_b) / rc
+    else:
+        p_b = 0.5 * (p_a + p_d - rc * side * (u_a - u_d))
+        rho_b = rho_a + (p_b - p_a) / (c_d * c_d)
+        u_b = u_a - side * (p_a - p_b) / rc
+    return (state(rho_b, u_b, p_b) * area).reshape(3, 1)
+
+
+@pytest.mark.parametrize("law, x", [(Euler1D(), 0.3), (NozzleEuler(), 0.3),
+                                    (NozzleEuler(), 0.77)])
+@pytest.mark.parametrize("side", [-1, 1])
+@pytest.mark.parametrize("normal_mach", [2.0, -2.0, 0.5, -0.5, 0.0])
+def test_farfield_ghost_matches_array_implementation(law, x, side, normal_mach):
+    # normal Mach number side * u / c of the interior: supersonic out, in,
+    # subsonic out, in, and rest (the subsonic outflow branch)
+    assert float(nozzle_area(x)[0]) != 1.0
+    rho, p = 0.9, 1.3
+    c = np.sqrt(GAMMA * p / rho)
+    interior = euler_state_from_primitives(rho, side * normal_mach * c, p, GAMMA)[:, None]
+    if isinstance(law, NozzleEuler):
+        interior = interior * nozzle_area(x)[0]
+    for far in [(1.0, 1.0, 0.40), (1.0, 1.0, 0.45), (1.0, 5.0, 2.5)]:
+        bc = BoundaryCondition("farfield", farfield=far)
+        ghost = boundary_ghost(bc, interior, law, x=x, side=side)
+        assert ghost.shape == (3, 1)
+        assert np.array_equal(ghost, array_farfield_ghost(bc, interior, law, x, side))
+    rng = np.random.default_rng(11)
+    for u in random_admissible_states(rng, 40).T:
+        u = u[:, None] * (nozzle_area(x)[0] if isinstance(law, NozzleEuler) else 1.0)
+        assert np.array_equal(boundary_ghost(bc, u, law, x=x, side=side),
+                              array_farfield_ghost(bc, u, law, x, side))
+
+
+def test_farfield_ghost_area_from_caller():
+    # the area a caller passes replaces the one the law computes from x
+    law = NozzleEuler()
+    bc = BoundaryCondition("farfield", farfield=(1.0, 1.0, 0.40))
+    u = farfield_state(1.0, 1.0, 0.40, GAMMA)[:, None] * nozzle_area(0.3)[0]
+    area = float(nozzle_area(0.3)[0])
+    assert np.array_equal(boundary_ghost(bc, u, law, x=0.3, side=-1),
+                          boundary_ghost(bc, u, law, side=-1, area=area))
+
+
+@pytest.mark.parametrize("interior, message", [
+    (np.array([[-0.1], [0.0], [2.0]]), "density"),
+    (np.array([[1.0], [10.0], [1.0]]), "pressure"),
+])
+def test_farfield_ghost_abort_names_side_and_x(interior, message):
+    bc = BoundaryCondition("farfield", farfield=(1.0, 1.0, 0.40))
+    for side, where, x in [(-1, "left", 0.0), (1, "right", 1.0)]:
+        with pytest.raises(AdmissibilityError,
+                           match=f"{message} .* {where} farfield boundary at x={x:g}"):
+            boundary_ghost(bc, interior, NozzleEuler(), x=x, side=side)
+
+
+def test_nozzle_calls_match_from_coordinates_and_geometry():
+    law = NozzleEuler()
+    rng = np.random.default_rng(5)
+    x = np.sort(rng.uniform(0.0, 1.0, (4, 7)), axis=None).reshape(4, 7)
+    geom = law.geometry(x)
+    A = nozzle_area(x)[0]
+    u = random_admissible_states(rng, x.size).reshape(3, *x.shape) * A
+    v = random_admissible_states(rng, x.size).reshape(3, *x.shape) * A
+    assert np.array_equal(law.flux(u, x=x), law.flux(u, geom=geom))
+    assert np.array_equal(law.source(u, x), law.source(u, geom=geom))
+    for fix in (False, True):
+        assert np.array_equal(law.roe_flux(u, v, x=x, entropy_fix=fix),
+                              law.roe_flux(u, v, entropy_fix=fix, geom=geom))
+
+
+def test_laws_without_geometry():
+    for law in (Convection(), Burgers(), Euler1D()):
+        assert law.geometry(np.linspace(0.0, 1.0, 5)) is None
+
+
 def test_boundary_condition_validation():
     with pytest.raises(ValueError):
         BoundaryCondition("unknown")

@@ -253,6 +253,23 @@ def test_farfield_ghost_admissibility_loss_aborts():
         disc.residual(U, 0.0)
 
 
+def test_nozzle_step_evaluates_no_area(monkeypatch):
+    # the nozzle's A and dA/dx are built with the Discretization; a residual
+    # and an IMEX step evaluate none
+    from subgrid_dg import physics
+
+    rng = np.random.default_rng(3)
+    disc, U = operator_case("nozzle", False, 2, 3, rng)
+    calls = []
+    real = physics.nozzle_area
+    monkeypatch.setattr(physics, "nozzle_area", lambda x: calls.append(x) or real(x))
+    disc.residual(U, 0.0)
+    gammas = np.zeros(disc.n_elements)
+    gammas[1] = 0.5
+    imex_step(disc, FieldState(U, 0.0), 1e-4, gammas)
+    assert calls == []
+
+
 def test_subcell_averages_and_total_mass():
     disc = make_convection_disc(n_elements=4, p=3, n=4)
     state = project_initial(disc, lambda x: gaussian_profile(x)[None])
