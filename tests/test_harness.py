@@ -25,10 +25,10 @@ from subgrid_dg.harness import (
     spatial_accuracy_dt_rule,
     state_error_norm,
 )
-from subgrid_dg.mesh import build_uniform_mesh
-from subgrid_dg.physics import euler_state_from_primitives, nozzle_area
+from subgrid_dg.mesh import Mesh, build_uniform_mesh
+from subgrid_dg.physics import BoundaryCondition, euler_state_from_primitives, nozzle_area
 from subgrid_dg.projections import project_l2, project_lo
-from subgrid_dg.solver import Discretization
+from subgrid_dg.solver import Discretization, SolverAbort
 
 # The presets and defaults the README's case table lists:
 # case: (domain, p, n, n_elements, dt, t_final)
@@ -41,13 +41,6 @@ README_PRESETS = {
     "shu-osher": ((-5.0, 5.0), 3, 5, 64, None, 1.78),
     "fv-comparison": ((-5.0, 5.0), 0, 5, 64, None, 1.78),
 }
-
-
-def one_step_relaxation(monkeypatch):
-    """Cut the nozzle's shock relaxation to one step, for tests that build it."""
-    real = harness.advance
-    monkeypatch.setattr(harness, "advance",
-                        lambda disc, state, dt, t_final, **kw: real(disc, state, dt, dt, **kw))
 
 
 def test_run_config_validation():
@@ -75,8 +68,7 @@ def test_case_defaults_applied():
 
 
 @pytest.mark.parametrize("case", harness.CASES)
-def test_every_preset_builds_with_its_defaults(case, monkeypatch):
-    one_step_relaxation(monkeypatch)
+def test_every_preset_builds_with_its_defaults(case):
     config, disc, state = build_problem(RunConfig(case=case))
     domain, p, n, n_elements, dt, t_final = README_PRESETS[case]
     assert (disc.mesh.a, disc.mesh.b) == domain
@@ -86,11 +78,82 @@ def test_every_preset_builds_with_its_defaults(case, monkeypatch):
     assert np.all(disc.law.admissible(disc.eval_at_quad(state.U)))
 
 
-def test_nozzle_steady_params_computed_once_per_build(monkeypatch):
-    one_step_relaxation(monkeypatch)
+def test_nozzle_steady_params_computed_once_per_build():
     harness._nozzle_steady_params.cache_clear()
     build_problem(RunConfig(case="nozzle", p=1, n=2, n_elements=3))
     assert harness._nozzle_steady_params.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("overrides", [{}, dict(p=1, n=2, n_elements=3), dict(n_elements=32)])
+def test_relaxed_shock_element_is_discrete_steady_state(overrides):
+    # the built nozzle's shock element solves its one-element steady problem
+    # with gamma from its own sensor; every other element is the projection
+    config, disc, state = build_problem(RunConfig(case="nozzle", **overrides))
+    x_shock = harness._nozzle_steady_params()[-1]
+    element = min(int(x_shock * disc.n_elements), disc.n_elements - 1)
+    xl, xr = disc.mesh.element_bounds(element)
+    traces = [BoundaryCondition("prescribed", state=tuple(nozzle_initial(np.array([x]))[:, 0]))
+              for x in (xl, xr)]
+    disc1 = Discretization(Mesh(np.array([xl, xr]), disc.n), disc.p, disc.law, *traces,
+                           disc.sensor_config, disc.entropy_fix)
+    U = state.U[:, element:element + 1]
+    gamma = disc1.evaluate_sensor(U).gamma
+    penalty_rate = disc1.solve_mass(disc1.apply_penalty(U, gamma))
+    F = disc1.solve_mass(disc1.residual(U, 0.0)) - penalty_rate
+    assert np.linalg.norm(F) <= 1e-10 * max(1.0, np.linalg.norm(penalty_rate))
+    u0 = project_initial(disc, harness._CASES["nozzle"].initial, (x_shock,))
+    others = np.arange(disc.n_elements) != element
+    assert np.array_equal(state.U[:, others], u0.U[:, others])
+    assert not np.array_equal(state.U[:, element], u0.U[:, element])
+
+
+def test_shock_relaxation_without_steady_state_aborts(monkeypatch):
+    class Shifted(harness.Discretization):
+        def residual(self, U, t):        # M^-1 (R + 1 - penalty) has no root
+            return super().residual(U, t) + 1.0
+
+    monkeypatch.setattr(harness, "Discretization", Shifted)
+    with pytest.raises(SolverAbort, match=r"shock element 5 on x in \[0\.555556, 0\.666667\]"
+                                          r": \|F\| = .* after \d+ Newton iterations"):
+        build_problem(RunConfig(case="nozzle"))
+
+
+def bisect_200(g, lo, hi):
+    """_bisect as it was: always 200 halvings."""
+    lo_positive = g(lo) > 0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        up = (g(mid) > 0) == lo_positive
+        if isinstance(up, np.ndarray):
+            lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+        else:
+            lo, hi = (mid, hi) if up else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("g, lo, hi", [
+    (lambda x: x * x - 2.0, 0.0, 2.0),
+    (lambda x: np.exp(-x) - x, 1.0, 0.0),
+    (lambda x: x ** 3 - np.arange(1.0, 6.0), np.zeros(5), np.linspace(1.0, 3.0, 5)),
+    (lambda x: np.sin(x) - 0.5, 0.0, np.linspace(1.0, 3.0, 4)),
+    (lambda x: x - np.nan, 0.0, 1.0),
+    (lambda x: x - 0.5, np.array([np.nan, 0.0]), np.array([1.0, 1.0])),
+])
+def test_bisect_matches_200_halvings(g, lo, hi):
+    assert np.array_equal(harness._bisect(g, lo, hi), bisect_200(g, lo, hi), equal_nan=True)
+
+
+def test_nozzle_profile_matches_200_halvings(monkeypatch):
+    x = np.linspace(0.0, 1.0, 2001)
+    harness._nozzle_steady_params.cache_clear()
+    params, profile = harness._nozzle_steady_params(), nozzle_initial(x)
+    monkeypatch.setattr(harness, "_bisect", bisect_200)
+    harness._nozzle_steady_params.cache_clear()
+    try:
+        assert harness._nozzle_steady_params() == params
+        assert np.array_equal(nozzle_initial(x), profile)
+    finally:
+        harness._nozzle_steady_params.cache_clear()
 
 
 def project_initial_per_element(disc, f, breakpoints):
