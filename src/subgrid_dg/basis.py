@@ -66,12 +66,12 @@ class ReferenceElement:
 
 
 @lru_cache(maxsize=None)
-def reference_element(p: int, n: int, n_quad: int | None = None) -> ReferenceElement:
+def reference_element(p: int, n: int) -> ReferenceElement:
     if p < 0:
         raise ValueError("polynomial degree must be >= 0")
     if n < 1:
         raise ValueError("sub-cell count must be >= 1")
-    q = n_quad if n_quad is not None else p + 2
+    q = p + 2
     dof = p + n
 
     g, w = gauss_rule(q)
@@ -126,6 +126,19 @@ def reference_element(p: int, n: int, n_quad: int | None = None) -> ReferenceEle
     )
 
 
+@lru_cache(maxsize=None)
+def penalty_eigenbasis(p: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lam, W, M W): the p eigenpairs M_pp w = lam M w with lam > 0, W^T M W = I
+    and W^T M_pp W = diag(lam) (Golub & Van Loan, Matrix Computations, 8.7).
+    M_pp has rank p, so (M + c M_pp)^{-1} = M^{-1} - W diag(c lam/(1 + c lam)) W^T
+    for c >= 0.  Built on first use: only penalized elements need it."""
+    ref = reference_element(p, n)
+    l_inv = np.linalg.inv(np.linalg.cholesky(ref.mass))
+    lam, V = np.linalg.eigh(l_inv @ ref.mass_pp @ l_inv.T)   # ascending
+    W = l_inv.T @ V[:, n:]
+    return lam[n:], W, ref.mass @ W
+
+
 @dataclass(frozen=True)
 class ElementSpace:
     """Discretization descriptor for one element [x_left, x_right]."""
@@ -144,10 +157,6 @@ class ElementSpace:
     @property
     def ref(self) -> ReferenceElement:
         return reference_element(self.p, self.n)
-
-    @property
-    def n_poly(self) -> int:
-        return self.p
 
     @property
     def dof(self) -> int:

@@ -66,6 +66,13 @@ class RunConfig:
     def __post_init__(self):
         if self.case not in CASES:
             raise ValueError(f"unknown case {self.case!r}; choose from {CASES}")
+        self.sensor_config    # validates c_pen, tau and s_eps
+        if self.force_gamma_value is not None and not 0.0 <= self.force_gamma_value < np.inf:
+            raise ValueError(f"force_gamma_value must be finite and >= 0: {self.force_gamma_value}")
+
+    @property
+    def sensor_config(self) -> SensorConfig:
+        return SensorConfig(c_pen=self.c_pen, tau=self.tau, s_eps=self.s_eps)
 
     @property
     def force_gamma(self) -> tuple[int, float] | None:
@@ -248,7 +255,7 @@ def nozzle_initial(x):
     return euler_state_from_primitives(rho, u, p, 1.4) * A
 
 
-def _relax_shock_element(disc, state, x_shock, sensor_cfg, entropy_fix) -> FieldState:
+def _relax_shock_element(disc, state, x_shock) -> FieldState:
     """Replace the shock element's content with its local discrete steady state.
 
     A sharp projected jump is not a steady structure of the scheme; solving
@@ -279,7 +286,7 @@ def _relax_shock_element(disc, state, x_shock, sensor_cfg, entropy_fix) -> Field
         mesh1, disc.p, disc.law,
         BoundaryCondition("prescribed", state=tuple(trace_l)),
         BoundaryCondition("prescribed", state=tuple(trace_r)),
-        sensor_cfg, entropy_fix,
+        disc.sensor_config, disc.entropy_fix,
     )
 
     def rate(V, gamma):
@@ -417,16 +424,14 @@ def build_problem(config: RunConfig):
     """Discretization and projected initial state for a case."""
     config = _filled(config)
     case = _CASES[config.case]
-    sensor_cfg = SensorConfig(c_pen=config.c_pen, tau=config.tau, s_eps=config.s_eps)
     mesh = build_uniform_mesh(*case.domain, config.n_elements, config.n)
     disc = Discretization(mesh, config.p, case.law(), case.bc_left, case.bc_right,
-                          sensor_cfg, config.entropy_fix)
+                          config.sensor_config, config.entropy_fix)
     if config.case != "nozzle":
         return config, disc, project_initial(disc, case.initial, case.breakpoints)
     x_shock = _nozzle_steady_params()[-1]
     u0 = project_initial(disc, case.initial, [x_shock])
-    return config, disc, _relax_shock_element(disc, u0, x_shock, sensor_cfg,
-                                              config.entropy_fix)
+    return config, disc, _relax_shock_element(disc, u0, x_shock)
 
 
 def default_dt(disc: Discretization, U0: np.ndarray, cfl: float) -> float:

@@ -7,19 +7,20 @@ Legendre modes first, then the n sub-cell indicator coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .basis import (
     ElementSpace,
     assemble_mass,
-    assemble_penalty_mass,
     gauss_rule,
     legendre_eval,
+    penalty_eigenbasis,
+    reference_element,
 )
 
 RANK_TOL = 1e-10         # relative singular-value cutoff for injectivity
-LSTSQ_COND_LIMIT = 1e7   # beyond this, normal equations would be unreliable
 
 
 class NonInjectiveError(ValueError):
@@ -60,9 +61,8 @@ def _quad_rhs(f, space: ElementSpace, breakpoints=None) -> np.ndarray:
 def project_l2(f, space: ElementSpace, breakpoints=None) -> np.ndarray:
     """L2 projection of f onto the combined local space; solves M c = b.
     A vector-valued f (shape (m, q) at q points) gives shape (m, dof)."""
-    M = assemble_mass(space)
     b = _quad_rhs(f, space, breakpoints)
-    return np.linalg.solve(M, b[..., None])[..., 0]
+    return np.linalg.solve(assemble_mass(space), b[..., None])[..., 0]
 
 
 def project_ho(c: np.ndarray, space: ElementSpace) -> np.ndarray:
@@ -84,16 +84,18 @@ def project_lo(c: np.ndarray, space: ElementSpace) -> np.ndarray:
 
 
 def project_penalized(f, space: ElementSpace, gamma: float, breakpoints=None) -> np.ndarray:
-    """Penalized L2 projection: solves (M + gamma * M_pp) c = b.
-
-    gamma = 0 recovers project_l2; gamma -> infinity drives the polynomial
-    modes to zero, leaving the monotone sub-cell-average projection.
+    """Penalized L2 projection: solves (M + gamma * M_pp) c = b as
+    c = M^{-1} b - (2/h) W diag(gamma lam / (1 + gamma lam)) W^T b in the
+    penalty eigenbasis.  gamma = 0 is exactly project_l2; gamma -> infinity
+    drives the polynomial modes to zero, leaving the monotone sub-cell-average
+    projection.
     """
     if gamma < 0:
         raise ValueError("penalty parameter must be non-negative")
-    M = assemble_mass(space) + gamma * assemble_penalty_mass(space)
     b = _quad_rhs(f, space, breakpoints)
-    return np.linalg.solve(M, b)
+    lam, W, _ = penalty_eigenbasis(space.p, space.n)
+    damped = ((b @ W) * (gamma * lam / (1.0 + gamma * lam))) @ W.T * (2.0 / space.width)
+    return np.linalg.solve(assemble_mass(space), b[..., None])[..., 0] - damped
 
 
 def avg_matrix(space: ElementSpace) -> np.ndarray:
@@ -101,28 +103,20 @@ def avg_matrix(space: ElementSpace) -> np.ndarray:
     return space.ref.leg_sub_avg.T
 
 
+@lru_cache(maxsize=None)
+def average_fit(p: int, n: int) -> np.ndarray:
+    """pinv(avg_matrix): maps sub-cell averages to the L_0..L_p coefficients
+    of their least-squares polynomial fit (equal sub-cell measures, so no
+    weights).  Averaging is rank deficient in 1D exactly when n < p + 1."""
+    if n < p + 1:
+        raise NonInjectiveError(f"sub-cell averaging is rank deficient for (p={p}, n={n})")
+    return np.linalg.pinv(reference_element(p, n).leg_sub_avg.T)
+
+
 def project_avg_preserving(c: np.ndarray, space: ElementSpace) -> np.ndarray:
     """Best full polynomial (L_0..L_p coefficients) matching the sub-cell
-    averages of c in the sub-cell-measure weighted least-squares sense.
-
-    Raises NonInjectiveError when averaging is rank deficient on the
-    polynomial space (in 1D this happens iff n < p + 1).
-    """
-    avgs = project_lo(c, space)
-    G = avg_matrix(space)
-    # uniform sub-grid: all sub-cell measures equal, weights drop out of argmin
-    sol, _, rank, sv = np.linalg.lstsq(G, avgs, rcond=RANK_TOL)
-    if rank < space.p + 1:
-        raise NonInjectiveError(
-            f"sub-cell averaging is rank deficient for (p={space.p}, n={space.n})"
-        )
-    if sv[0] / sv[-1] > LSTSQ_COND_LIMIT:
-        # rank-revealing route is already in use; flag pathological conditioning
-        raise NonInjectiveError(
-            f"average matrix nearly singular for (p={space.p}, n={space.n}): "
-            f"cond={sv[0] / sv[-1]:.3e}"
-        )
-    return sol
+    averages of c in the least-squares sense; see `average_fit`."""
+    return project_lo(c, space) @ average_fit(space.p, space.n).T
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,8 @@
 """Shock sensor and penalty: how far the field is from a pure polynomial
-that preserves the sub-cell averages."""
+that preserves the sub-cell averages.  One operator per (p, n),
+`_sensor_operator`, carries the whole sensor; `evaluate_field_sensor`
+applies it to all elements and `sensor_value` / `sensor_scale` read its rows.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +12,7 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import ElementSpace, reference_element
-from .projections import NonInjectiveError, project_avg_preserving, project_lo
+from .projections import average_fit
 
 DEFAULT_C_PEN = 1.0e7
 DEFAULT_S_EPS = 1.0e-10
@@ -24,6 +27,11 @@ class SensorConfig:
     c_pen: float = DEFAULT_C_PEN
     tau: float | None = None      # None -> 0.01 / p
     s_eps: float = DEFAULT_S_EPS
+
+    def __post_init__(self):
+        tau = 0.0 if self.tau is None else self.tau
+        if not (0.0 < self.s_eps < np.inf and 0.0 <= self.c_pen < np.inf and 0.0 <= tau < np.inf):
+            raise ValueError(f"need finite s_eps > 0, c_pen >= 0 and tau >= 0: {self}")
 
     def tau_for(self, p: int) -> float:
         return self.tau if self.tau is not None else default_tau(p)
@@ -43,13 +51,9 @@ def _sensor_operator(p: int, n: int) -> np.ndarray:
     """(2n, dof) matrix mapping coefficients to the sub-cell averages (first
     n rows) and to the residual of the best average-preserving polynomial
     fit of those averages (last n): res = (G pinv(G) - I) avg."""
-    if n < p + 1:
-        raise NonInjectiveError(
-            f"sensor undefined: averaging not injective for (p={p}, n={n})"
-        )
     leg_sub_avg = reference_element(p, n).leg_sub_avg
     G = leg_sub_avg.T  # (n, p+1)
-    fit_residual = G @ np.linalg.pinv(G) - np.eye(n)
+    fit_residual = G @ average_fit(p, n) - np.eye(n)
     averages = np.hstack([leg_sub_avg[1:].T, np.eye(n)])   # (n, dof)
     return np.vstack([averages, fit_residual @ averages])
 
@@ -57,17 +61,14 @@ def _sensor_operator(p: int, n: int) -> np.ndarray:
 def sensor_value(c: np.ndarray, space: ElementSpace) -> float:
     """s_K: max sub-cell-average discrepancy between the field and its best
     average-preserving polynomial surrogate."""
-    avgs = project_lo(c, space)
-    fit = project_avg_preserving(c, space)
-    G = reference_element(space.p, space.n).leg_sub_avg.T
-    return float(np.max(np.abs(G @ fit - avgs)))
+    return float(np.max(np.abs(_sensor_operator(space.p, space.n)[space.n:] @ c)))
 
 
 def sensor_scale(c: np.ndarray, space: ElementSpace, s_eps: float = DEFAULT_S_EPS) -> float:
     """s0_K: max absolute sub-cell average plus the zero-division guard."""
     if s_eps <= 0:
         raise ValueError("s_eps must be positive")
-    return float(np.max(np.abs(project_lo(c, space)))) + s_eps
+    return float(np.max(np.abs(_sensor_operator(space.p, space.n)[: space.n] @ c))) + s_eps
 
 
 def penalty(s: float, s0: float, c_pen: float = DEFAULT_C_PEN, tau: float = 0.01) -> float:
@@ -81,7 +82,6 @@ def evaluate_field_sensor(
     U: np.ndarray,
     space: ElementSpace,
     config: SensorConfig = SensorConfig(),
-    s_eps: float | None = None,
 ) -> SensorReport:
     """Per-element sensor over a global state U of shape (m, n_elements, dof).
 
@@ -92,10 +92,9 @@ def evaluate_field_sensor(
     m, n_el, dof = U.shape
     if dof != space.dof:
         raise ValueError("state dof does not match space")
-    eps = config.s_eps if s_eps is None else s_eps
     if space.p == 0:
         zero = np.zeros(n_el)
-        return SensorReport(s=zero, s0=np.full(n_el, eps), gamma=zero.copy())
+        return SensorReport(s=zero, s0=np.full(n_el, config.s_eps), gamma=zero.copy())
 
     # |sub-cell averages| and |fit residuals| of all components and elements
     # at once, sub-cells leading so that the maxima over them run along
@@ -105,11 +104,11 @@ def evaluate_field_sensor(
     tau = config.tau_for(space.p)
     if m == 1:
         s = peaks[1, 0]
-        s0 = peaks[0, 0] + eps
+        s0 = peaks[0, 0] + config.s_eps
         ratio = s / s0
     else:
         s_all = peaks[1]
-        s0_all = peaks[0] + eps
+        s0_all = peaks[0] + config.s_eps
         ratio_all = s_all / s0_all
         comp = np.argmax(ratio_all, axis=0)          # driving component per element
         idx = np.arange(n_el)

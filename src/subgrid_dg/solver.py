@@ -19,8 +19,10 @@ nozzle's A and dA/dx) at the quadrature nodes, the sub-cell faces and the two
 domain ends, built once with the nodes and passed to every flux, source and
 boundary ghost call, so a step evaluates no geometry.
 
-`imex_step` keeps the implicit stage rates on the penalized elements only
-and does no implicit work when no element is penalized.
+`imex_step` (ARS(2,2,2)) keeps the implicit stage rates on the penalized
+elements only and does no implicit work when none is penalized.  A stage's
+penalty solve is a closed-form filter of the polynomial modes in the
+reference element's penalty eigenbasis (`basis.penalty_eigenbasis`).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import ElementSpace, reference_element
+from .basis import ElementSpace, penalty_eigenbasis, reference_element
 from .mesh import Mesh
 from .physics import (
     AdmissibilityError,
@@ -38,9 +40,8 @@ from .physics import (
     boundary_area,
     boundary_ghost,
 )
+from .projections import project_lo
 from .sensor import SensorConfig, SensorReport, evaluate_field_sensor
-
-SQRT2 = np.sqrt(2.0)
 
 
 class SolverAbort(RuntimeError):
@@ -74,8 +75,8 @@ class IMEXTableau:
 
 def ars222() -> IMEXTableau:
     """ARS(2,2,2) with alpha = 1 - 1/sqrt(2), delta = -2 sqrt(2)/3."""
-    alpha = 1.0 - 1.0 / SQRT2
-    delta = -2.0 * SQRT2 / 3.0
+    alpha = 1.0 - 1.0 / np.sqrt(2.0)
+    delta = -2.0 * np.sqrt(2.0) / 3.0
     A = np.array([
         [0.0, 0.0, 0.0],
         [0.0, alpha, 0.0],
@@ -88,6 +89,9 @@ def ars222() -> IMEXTableau:
     ])
     b = np.array([0.0, 1.0 - alpha, alpha])
     return IMEXTableau(A=A, A_hat=A_hat, b=b, b_hat=b.copy())
+
+
+_ARS222 = ars222()
 
 
 class Discretization:
@@ -227,7 +231,7 @@ class Discretization:
 
     def subcell_averages(self, U: np.ndarray) -> np.ndarray:
         """(m, E, n) sub-cell averages of the field."""
-        return U[:, :, : self.p] @ self.ref.leg_sub_avg[1:] + U[:, :, self.p:]
+        return project_lo(U, self.space)
 
     def total_mass(self, U: np.ndarray) -> np.ndarray:
         """Integral of each component over the domain."""
@@ -257,54 +261,48 @@ class Discretization:
         return self.law.max_wave_speed(u_q, x=self.xq)
 
 
+def penalty_stage_rate(p: int, n: int, U: np.ndarray, gammas: np.ndarray,
+                       c: float) -> np.ndarray:
+    """Rate r of the frozen penalty stage (M + c gamma M_pp) r = -gamma M_pp U,
+    c = dt a_ii, on each element of U (m, E, dof), gammas (E,):
+    r = -W diag(gamma lam / (1 + c gamma lam)) W^T M U; h cancels."""
+    lam, W, MW = penalty_eigenbasis(p, n)
+    glam = gammas[:, None] * lam                       # (E, p)
+    return -((U @ MW) * (glam / (1.0 + c * glam))) @ W.T
+
+
 def imex_step(
     disc: Discretization,
     state: FieldState,
     dt: float,
     gammas: np.ndarray,
-    tableau: IMEXTableau | None = None,
 ) -> FieldState:
     """One ARS(2,2,2) step with the penalty frozen at the given gammas."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    tab = tableau if tableau is not None else ars222()
+    tab = _ARS222
     U0 = state.U
-    s = tab.stages
     active = np.flatnonzero(gammas > 0.0)
     # implicit stage rates are zero outside the penalized elements, so they
-    # are kept, solved and added on those elements only: (m, E_act, dof)
-    r: list[np.ndarray | None] = [None] * s
+    # are kept and added on those elements only: (m, E_act, dof)
+    r: list[np.ndarray | None] = [None] * tab.stages
     r_hat: list[np.ndarray] = []
-
-    for i in range(s):
+    for i in range(tab.stages):
         Ui = U0.copy()
         for j in range(i):
             if tab.A[i, j] != 0.0 and r[j] is not None:
                 Ui[:, active] += dt * tab.A[i, j] * r[j]
             if tab.A_hat[i, j] != 0.0:
                 Ui += dt * tab.A_hat[i, j] * r_hat[j]
+        # the first stage is explicit, and its implicit rate has zero weight
         aii = tab.A[i, i]
-        if active.size and (
-            aii != 0.0 or tab.b[i] != 0.0 or np.any(tab.A[i + 1:, i] != 0.0)
-        ):
-            # (M_ref + dt a_ii gamma Mpp_ref) r = -gamma Mpp_ref U ; h cancels
-            g = gammas[active]
-            A_stage = (
-                disc.ref.mass[None]
-                + (dt * aii * g)[:, None, None] * disc.ref.mass_pp[None]
-            )
-            rhs = -(Ui[:, active] @ disc.ref.mass_pp.T).transpose(1, 2, 0)
-            rhs *= g[:, None, None]
-            sol = np.linalg.solve(A_stage, rhs)          # (E_act, dof, m)
-            r[i] = sol.transpose(2, 0, 1)
-        Ui_eval = Ui
-        if r[i] is not None and aii != 0.0:
-            Ui_eval = Ui.copy()
-            Ui_eval[:, active] += dt * aii * r[i]
-        r_hat.append(disc.solve_mass(disc.residual(Ui_eval, state.time)))
+        if active.size and aii != 0.0:
+            r[i] = penalty_stage_rate(disc.p, disc.n, Ui[:, active], gammas[active], dt * aii)
+            Ui[:, active] += dt * aii * r[i]
+        r_hat.append(disc.solve_mass(disc.residual(Ui, state.time)))
 
     U1 = U0.copy()
-    for j in range(s):
+    for j in range(tab.stages):
         if tab.b[j] != 0.0 and r[j] is not None:
             U1[:, active] += dt * tab.b[j] * r[j]
         if tab.b_hat[j] != 0.0:
@@ -312,14 +310,9 @@ def imex_step(
     return FieldState(U=U1, time=state.time + dt)
 
 
-def explicit_step(
-    disc: Discretization,
-    state: FieldState,
-    dt: float,
-    tableau: IMEXTableau | None = None,
-) -> FieldState:
+def explicit_step(disc: Discretization, state: FieldState, dt: float) -> FieldState:
     """Explicit-only path of the same tableau (the Gamma = 0 limit)."""
-    return imex_step(disc, state, dt, np.zeros(disc.n_elements), tableau)
+    return imex_step(disc, state, dt, np.zeros(disc.n_elements))
 
 
 @dataclass
@@ -341,14 +334,12 @@ def advance(
     t_final: float,
     snapshot_times=(),
     force_gamma: tuple[int, float] | None = None,
-    tableau: IMEXTableau | None = None,
     on_step=None,
 ) -> Trajectory:
     """Fixed-step march to t_final; steps are shortened to land exactly on
     snapshot times and on t_final.  Gamma is recomputed once per step."""
     if dt <= 0 or t_final <= state.time:
         raise ValueError("need dt > 0 and t_final beyond the current time")
-    tab = tableau if tableau is not None else ars222()
     eps = 1e-12 * max(1.0, abs(t_final))
     marks = sorted({float(ts) for ts in snapshot_times if state.time < ts <= t_final})
     traj = Trajectory()
@@ -366,7 +357,7 @@ def advance(
             step = min(dt, mark - current.time)
             rep = disc.evaluate_sensor(current.U)
             rep = _with_forced(rep, force_gamma)
-            new = imex_step(disc, current, step, rep.gamma, tab)
+            new = imex_step(disc, current, step, rep.gamma)
             if not np.all(np.isfinite(new.U)):
                 raise SolverAbort(
                     f"non-finite state after step {traj.n_steps + 1} at t={new.time:.6g}"

@@ -81,6 +81,15 @@ def test_run_command_missing_case_is_config_error(capsys):
     assert main(["run", "--p", "1"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("flags", [
+    ["--s-eps", "0"], ["--c-pen", "-1"], ["--tau", "-0.01"],
+    ["--force-gamma-element", "3", "--force-gamma-value", "-1"],
+])
+def test_run_command_invalid_sensor_setting_is_config_error(flags, capsys):
+    assert main(["run", "--case", "convection-heaviside"] + flags) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_command_solver_abort_exit_code(capsys):
     code = main(["run", "--case", "burgers", "--p", "1", "--n", "2",

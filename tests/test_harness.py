@@ -57,6 +57,15 @@ def test_run_config_validation():
     assert cfg.force_gamma == (3, 1.0e7)
     cfg = RunConfig(case="burgers", force_gamma_element=3, force_gamma_value=5.0)
     assert cfg.force_gamma == (3, 5.0)
+    # sensor settings that would give a NaN or negative penalty, and a
+    # negative forced penalty, are rejected where they enter
+    for bad in (dict(s_eps=0.0), dict(s_eps=-1e-10), dict(s_eps=float("inf")),
+                dict(c_pen=-1.0), dict(c_pen=float("nan")), dict(tau=-0.01),
+                dict(tau=float("inf")), dict(force_gamma_element=3, force_gamma_value=-1.0),
+                dict(force_gamma_value=float("nan"))):
+        with pytest.raises(ValueError):
+            RunConfig(case="burgers", **bad)
+    assert RunConfig(case="burgers", c_pen=0.0, tau=0.0).sensor_config.c_pen == 0.0
 
 
 def test_case_defaults_applied():

@@ -3,9 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subgrid_dg.basis import ElementSpace, basis_eval, gauss_rule
+from subgrid_dg.basis import (
+    ElementSpace,
+    assemble_mass,
+    assemble_penalty_mass,
+    basis_eval,
+    gauss_rule,
+)
 from subgrid_dg.projections import (
     NonInjectiveError,
+    _quad_rhs,
     avg_matrix,
     check_injectivity,
     project_avg_preserving,
@@ -99,6 +106,39 @@ def test_projection_gamma_zero_matches_plain_l2():
     np.testing.assert_allclose(
         project_penalized(f, space, 0.0), project_l2(f, space), atol=1e-13
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    pn=st.sampled_from([(1, 1), (1, 3), (2, 4), (3, 5), (4, 8)]),
+    gamma=st.one_of(st.just(0.0), st.floats(-12.0, 12.0).map(lambda e: 10.0**e)),
+    width=st.floats(0.01, 3.0),
+    k=st.floats(0.5, 12.0),
+    cut=st.floats(0.0, 1.0),
+)
+def test_project_penalized_matches_assembled_solve(pn, gamma, width, k, cut):
+    # the eigenbasis filter against solving (M + gamma M_pp) c = b directly,
+    # to 1e-11 of the coefficients' max-norm
+    space = ElementSpace(*pn, 0.2, 0.2 + width)
+    x_cut = 0.2 + cut * width
+    f = lambda x: np.sin(k * x) + np.where(x < x_cut, 1.0, -0.5)
+    c = project_penalized(f, space, gamma, breakpoints=[x_cut])
+    b = _quad_rhs(f, space, [x_cut])
+    expected = np.linalg.solve(
+        assemble_mass(space) + gamma * assemble_penalty_mass(space), b
+    )
+    assert np.max(np.abs(c - expected)) <= 1e-11 * np.max(np.abs(expected))
+    if gamma == 0.0:
+        assert np.array_equal(c, project_l2(f, space, breakpoints=[x_cut]))
+
+
+def test_project_penalized_vector_valued():
+    # a vector-valued profile is projected component by component
+    space = ElementSpace(3, 5, 0.0, 1.0)
+    parts = [lambda x: np.sin(3.0 * x), lambda x: np.where(x < 0.4, 1.0, 0.0)]
+    c = project_penalized(lambda x: np.stack([g(x) for g in parts]), space, 10.0, [0.4])
+    for row, g in zip(c, parts):
+        np.testing.assert_allclose(row, project_penalized(g, space, 10.0, [0.4]), atol=1e-14)
 
 
 def test_penalized_polynomial_norm_monotone_in_gamma():

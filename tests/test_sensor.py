@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subgrid_dg.basis import ElementSpace
-from subgrid_dg.projections import NonInjectiveError, project_l2
+from subgrid_dg.projections import NonInjectiveError, avg_matrix, project_l2, project_lo
 from subgrid_dg.sensor import (
+    DEFAULT_S_EPS,
     SensorConfig,
     default_tau,
     evaluate_field_sensor,
@@ -13,6 +14,16 @@ from subgrid_dg.sensor import (
     sensor_scale,
     sensor_value,
 )
+
+
+def lstsq_sensor(c, space, s_eps):
+    """Independent scalar sensor: fit L_0..L_p to the sub-cell averages of c
+    by least squares and return (max fit residual, max |average| + s_eps)."""
+    avgs = project_lo(c, space)
+    G = avg_matrix(space)
+    fit, _, rank, _ = np.linalg.lstsq(G, avgs, rcond=1e-10)
+    assert rank == space.p + 1
+    return float(np.max(np.abs(G @ fit - avgs))), float(np.max(np.abs(avgs))) + s_eps
 
 
 def polynomial_states(rng, count, space):
@@ -40,8 +51,6 @@ def test_subcell_averages_of_polynomial_are_invisible():
     rng = np.random.default_rng(1)
     poly = np.zeros(space.dof)
     poly[: space.p] = rng.standard_normal(space.p)
-    from subgrid_dg.projections import project_lo
-
     c = np.zeros(space.dof)
     c[space.p:] = project_lo(poly, space)
     assert sensor_value(c, space) < 1e-10
@@ -81,6 +90,17 @@ def test_default_tau():
     assert default_tau(0) == np.inf
 
 
+def test_sensor_config_validation():
+    for bad in (dict(s_eps=0.0), dict(s_eps=float("nan")), dict(c_pen=-1.0),
+                dict(c_pen=float("inf")), dict(tau=-1e-3), dict(tau=float("nan"))):
+        with pytest.raises(ValueError):
+            SensorConfig(**bad)
+    # a zero state is a zero sensor with a finite normalization, never NaN
+    space = ElementSpace(2, 4)
+    rep = evaluate_field_sensor(np.zeros((1, 3, space.dof)), space, SensorConfig(tau=0.0))
+    assert np.all(rep.gamma == 0.0) and np.all(rep.s0 == DEFAULT_S_EPS)
+
+
 def test_sensor_scale_guard():
     space = ElementSpace(2, 3)
     assert sensor_scale(np.zeros(space.dof), space, s_eps=1e-10) == pytest.approx(1e-10)
@@ -112,8 +132,9 @@ def test_field_sensor_takes_worst_component():
 @pytest.mark.parametrize("p,n", [(1, 2), (2, 3), (3, 5), (4, 8), (4, 9)])
 @pytest.mark.parametrize("m", [1, 3])
 def test_field_sensor_matches_scalar_sensor(p, n, m):
-    # the fused all-element sensor against the scalar per-element definitions;
-    # some elements are pure polynomials, so both branches of gamma show up
+    # the fused all-element sensor, and the scalar readers of its operator,
+    # against a least-squares fit of each element's sub-cell averages; some
+    # elements are pure polynomials, so both branches of gamma show up
     space = ElementSpace(p, n)
     config = SensorConfig(c_pen=1e3, s_eps=1e-10)
     rng = np.random.default_rng(10 * p + n + m)
@@ -122,8 +143,10 @@ def test_field_sensor_matches_scalar_sensor(p, n, m):
     rep = evaluate_field_sensor(U, space, config)
     tau = config.tau_for(p)
     for e in range(U.shape[1]):
-        s = np.array([sensor_value(U[c, e], space) for c in range(m)])
-        s0 = np.array([sensor_scale(U[c, e], space, config.s_eps) for c in range(m)])
+        s, s0 = np.array([lstsq_sensor(U[c, e], space, config.s_eps) for c in range(m)]).T
+        for c in range(m):
+            assert sensor_value(U[c, e], space) == pytest.approx(s[c], rel=1e-9, abs=1e-13)
+            assert sensor_scale(U[c, e], space, config.s_eps) == pytest.approx(s0[c], rel=1e-12)
         if np.max(s / s0) < 1e-10:
             # a pure polynomial in every component: which component drives
             # is decided by round-off, and nothing is penalized

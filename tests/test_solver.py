@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from subgrid_dg.basis import reference_element
 from subgrid_dg.harness import (
     NOZZLE_INLET,
     NOZZLE_OUTLET,
@@ -29,6 +32,7 @@ from subgrid_dg.solver import (
     ars222,
     explicit_step,
     imex_step,
+    penalty_stage_rate,
 )
 
 
@@ -329,6 +333,47 @@ def test_zero_gamma_step_bit_matches_explicit_tableau_path():
     assert np.array_equal(stepped.U, U1)
     explicit = explicit_step(disc, state, dt)
     assert np.array_equal(stepped.U, explicit.U)
+
+
+def lu_stage_rate(p, n, U, gammas, c):
+    """Frozen penalty stage by a batched LU solve of the assembled element
+    systems (M + c gamma M_pp) r = -gamma M_pp U on the reference element."""
+    ref = reference_element(p, n)
+    A = ref.mass[None] + (c * gammas)[:, None, None] * ref.mass_pp[None]
+    rhs = -(U @ ref.mass_pp.T).transpose(1, 2, 0) * gammas[:, None, None]
+    return np.linalg.solve(A, rhs).transpose(2, 0, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    pn=st.sampled_from([(1, 1), (1, 3), (2, 4), (3, 5), (4, 8)]),
+    gammas=st.lists(st.one_of(st.just(0.0), st.floats(-12.0, 12.0).map(lambda e: 10.0**e)),
+                    min_size=1, max_size=6),
+    c=st.sampled_from([0.0, 1e-7, 1e-4, 2.9e-3, 0.05, 1.0]),
+    m=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_penalty_stage_rate_matches_batched_lu(pn, gammas, c, m, seed):
+    # the closed-form eigenbasis filter against the assembled solve, to
+    # 1e-11 of the rate's max-norm
+    p, n = pn
+    gammas = np.array(gammas)
+    U = np.random.default_rng(seed).standard_normal((m, gammas.size, p + n))
+    rate = penalty_stage_rate(p, n, U, gammas, c)
+    expected = lu_stage_rate(p, n, U, gammas, c)
+    assert rate.shape == expected.shape
+    assert np.max(np.abs(rate - expected)) <= 1e-11 * np.max(np.abs(expected))
+
+
+def test_penalty_stage_is_exactly_zero_at_p0():
+    # p = 0 has no polynomial modes: a forced penalty changes nothing
+    U = np.random.default_rng(3).standard_normal((2, 4, 5))
+    rate = penalty_stage_rate(0, 5, U, np.full(4, 1e7), 1e-3)
+    assert rate.shape == U.shape and np.all(rate == 0.0)
+    disc = make_convection_disc(n_elements=6, p=0, n=5)
+    state = project_initial(disc, lambda x: gaussian_profile(x)[None])
+    forced = imex_step(disc, state, 1e-3, np.full(disc.n_elements, 1e7))
+    assert np.array_equal(forced.U, explicit_step(disc, state, 1e-3).U)
 
 
 def test_imex_step_second_order_with_frozen_penalty():
