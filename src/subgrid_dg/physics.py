@@ -120,13 +120,23 @@ def euler_state_from_primitives(rho, vel, p, gamma_a) -> np.ndarray:
     ])
 
 
-def _fix_abs(lam, eps, entropy_fix):
-    """|lambda|, optionally smoothed near zero (Harten)."""
-    a = np.abs(lam)
-    if not entropy_fix:
-        return a
-    small = a < eps
-    return np.where(small, lam * lam / (2.0 * eps) + 0.5 * eps, a)
+def _roe_side(u, gamma_a):
+    """Checked (rho, v, m v, p) of one side of a face: m v serves both the
+    pressure and the momentum flux."""
+    rho = u[0]
+    if (rho <= 0).any():
+        raise AdmissibilityError("non-positive density")
+    vel = u[1] / rho
+    q = u[1] * vel
+    p = (gamma_a - 1.0) * (u[2] - 0.5 * q)
+    if (p <= 0).any():
+        raise AdmissibilityError("non-positive pressure")
+    return rho, vel, q, p
+
+
+def _harten(lam, a, eps):
+    """|lambda| = a smoothed near zero (Harten's entropy fix)."""
+    return np.where(a < eps, lam * lam / (2.0 * eps) + 0.5 * eps, a)
 
 
 @dataclass
@@ -157,44 +167,52 @@ class Euler1D(ConservationLaw):
         return out
 
     def roe_flux(self, uL, uR, x=None, entropy_fix: bool = False, geom=None):
-        """Roe flux from one set of primitives per side.  Products are
-        grouped as in 0.5 (F(uL) + F(uR)) - 0.5 |A| (uR - uL) written out,
-        so the result is the same bit for bit."""
+        """Roe flux 0.5 (F(uL) + F(uR)) - 0.5 |A~| (uR - uL), with the
+        dissipation in the compact form (Roe, J. Comput. Phys. 43, 1981;
+        Toro, Riemann Solvers and Numerical Methods for Fluid Dynamics,
+        3rd ed., 11.3)
+
+            |A~| du = |l2| du + d1 (1, v~, H~) + d2 (0, 1, v~),
+            d1 = (k1 dp / c~ + k2 rho~ dv) / c~,   d2 = k2 dp / c~ + k1 rho~ dv,
+
+        with k1 = (|l1| + |l3|)/2 - |l2|, k2 = (|l3| - |l1|)/2 and
+        rho~ = sqrt(rhoL rhoR): the three waves summed in closed form.  With
+        `entropy_fix`, |l1|, |l2|, |l3| are smoothed near zero (Harten)."""
         uL, uR = _as_state(uL), _as_state(uR)
         g = self.gamma_a
-        rhoL, vL, pL = _euler_primitives(uL, g)
-        rhoR, vR, pR = _euler_primitives(uR, g)
+        rhoL, vL, qL, pL = _roe_side(uL, g)
+        rhoR, vR, qR, pR = _roe_side(uR, g)
         EpL = uL[2] + pL
         EpR = uR[2] + pR
         sL, sR = np.sqrt(rhoL), np.sqrt(rhoR)
-        w = sL / (sL + sR)
-        vt = w * vL + (1.0 - w) * vR
-        Ht = w * (EpL / rhoL) + (1.0 - w) * (EpR / rhoR)
-        vt2 = vt * vt
-        c2 = (g - 1.0) * (Ht - 0.5 * vt * vt)
+        inv = 1.0 / (sL + sR)
+        vt = (sL * vL + sR * vR) * inv
+        Ht = (EpL / sL + EpR / sR) * inv
+        c2 = (g - 1.0) * (Ht - 0.5 * (vt * vt))
         if (c2 <= 0).any():
             raise AdmissibilityError("negative Roe-averaged sound speed")
         ct = np.sqrt(c2)
-        lam1, lam3, vct = vt - ct, vt + ct, vt * ct
+        ic = 1.0 / ct
+        lam1, lam3 = vt - ct, vt + ct
+        a1, a2, a3 = np.abs(lam1), np.abs(vt), np.abs(lam3)
+        if entropy_fix:
+            eps = 0.05 * (a2 + ct)
+            a1, a2, a3 = _harten(lam1, a1, eps), _harten(vt, a2, eps), _harten(lam3, a3, eps)
+        k1 = 0.5 * (a1 + a3) - a2
+        k2 = 0.5 * (a3 - a1)
+        rdv = sL * sR * (vR - vL)
+        dpc = (pR - pL) * ic
+        d1 = (k1 * dpc + k2 * rdv) * ic
+        d2 = k2 * dpc + k1 * rdv
 
-        d0 = uR[0] - uL[0]
-        d1 = uR[1] - uL[1]
-        a2 = (g - 1.0) / c2 * (d0 * (Ht - vt2) + vt * d1 - (uR[2] - uL[2]))
-        a1 = (d0 * lam3 - d1 - ct * a2) / (2.0 * ct)
-        a3 = d0 - a1 - a2
-
-        eps = 0.05 * (np.abs(vt) + ct)
-        w1 = a1 * _fix_abs(lam1, eps, entropy_fix)
-        w2 = a2 * _fix_abs(vt, eps, entropy_fix)
-        w3 = a3 * _fix_abs(lam3, eps, entropy_fix)
-
-        # central part from the primitives above: F = (m, m v + p, (E + p) v)
-        out = np.empty((3,) + d0.shape)
-        out[0] = 0.5 * (uL[1] + uR[1]) - 0.5 * (w1 + w2 + w3)
-        out[1] = (0.5 * ((uL[1] * vL + pL) + (uR[1] * vR + pR))
-                  - 0.5 * (w1 * lam1 + w2 * vt + w3 * lam3))
-        out[2] = (0.5 * (EpL * vL + EpR * vR)
-                  - 0.5 * (w1 * (Ht - vct) + w2 * 0.5 * vt * vt + w3 * (Ht + vct)))
+        # row k: 0.5 (F_k(uL) + F_k(uR) - (|A~| du)_k), the side fluxes
+        # F = (m, m v + p, (E + p) v) from the primitives above
+        out = np.empty((3,) + vt.shape)
+        np.multiply(0.5, (uL[1] + uR[1]) - (a2 * (rhoR - rhoL) + d1), out=out[0, ...])
+        np.multiply(0.5, ((qL + pL) + (qR + pR)) - (a2 * (uR[1] - uL[1]) + d1 * vt + d2),
+                    out=out[1, ...])
+        np.multiply(0.5, (EpL * vL + EpR * vR) - (a2 * (uR[2] - uL[2]) + d1 * Ht + d2 * vt),
+                    out=out[2, ...])
         return out
 
     def max_wave_speed(self, u, x=None):

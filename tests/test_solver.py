@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subgrid_dg import solver
 from subgrid_dg.basis import reference_element
 from subgrid_dg.harness import (
     NOZZLE_INLET,
@@ -483,6 +484,34 @@ def test_mass_conservation_burgers_with_active_sensor():
     assert drift < 1e-12
     # the sensor does fire during this window (shock has formed by t = 0.3)
     assert np.max(traj.sensors[-1].gamma) > 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_advance_aborts_on_injected_non_finite_value(monkeypatch, bad):
+    disc = make_convection_disc(n_elements=4, p=1, n=2)
+    state = project_initial(disc, lambda x: gaussian_profile(x)[None])
+    steps = []
+
+    def poisoned(disc, state, dt, gammas):
+        new = imex_step(disc, state, dt, gammas)
+        steps.append(new)
+        if len(steps) == 3:
+            new.U[0, 2, 1] = bad
+        return new
+
+    monkeypatch.setattr(solver, "imex_step", poisoned)
+    with pytest.raises(SolverAbort, match=r"non-finite state after step 3 at t=0\.03\b"):
+        advance(disc, state, dt=1e-2, t_final=0.1)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_advance_keeps_finite_state_whose_drift_norm_overflows():
+    disc = make_convection_disc(n_elements=4, p=1, n=2)
+    state = project_initial(disc, lambda x: 1e200 * gaussian_profile(x)[None])
+    traj = advance(disc, state, dt=1e-2, t_final=0.05)
+    assert traj.n_steps == len(traj.step_diffs) == 5
+    assert np.isinf(traj.step_diffs).all()      # the norm's squares overflow
+    assert np.isfinite(traj.final.U).all()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
