@@ -7,7 +7,7 @@ point evaluations and whole-face batches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -26,9 +26,9 @@ class ConservationLaw:
     """Base interface: flux, Roe flux, wave speeds, optional source.
 
     A law whose terms depend on position builds its fixed per-point data
-    with `geometry(x)`; its flux, Roe flux and source take that data as
-    `geom` in place of the coordinates `x`, so a caller with fixed points
-    computes it once.
+    with `geometry(x)`.  Every call accepts the coordinates `x`, and the
+    flux, Roe flux and source also that data as `geom` in place of `x`, so a
+    caller with fixed points computes it once; only `source` uses them.
     """
 
     m: int = 1
@@ -105,7 +105,11 @@ def _euler_primitives(u, gamma_a):
     if (rho <= 0).any():
         raise AdmissibilityError("non-positive density")
     vel = u[1] / rho
-    p = (gamma_a - 1.0) * (u[2] - 0.5 * rho * vel * vel)
+    p = 0.5 * rho                       # p = (gamma - 1)(E - 0.5 rho v v), in place
+    p *= vel
+    p *= vel
+    p = u[2] - p
+    p *= gamma_a - 1.0
     if (p <= 0).any():
         raise AdmissibilityError("non-positive pressure")
     return rho, vel, p
@@ -216,8 +220,13 @@ class Euler1D(ConservationLaw):
         return out
 
     def max_wave_speed(self, u, x=None):
-        rho, vel, p = _euler_primitives(_as_state(u), self.gamma_a)
-        return float(np.max(np.abs(vel) + np.sqrt(self.gamma_a * p / rho)))
+        u = _as_state(u)
+        # |v| + sqrt(gamma p / rho), in place in the fresh v and p arrays (a
+        # point state is viewed as (3, 1), so that they are arrays)
+        rho, vel, p = _euler_primitives(u.reshape(len(u), -1), self.gamma_a)
+        p *= self.gamma_a
+        p /= rho
+        return float(np.add(np.abs(vel, out=vel), np.sqrt(p, out=p), out=vel).max())
 
 
 def nozzle_area(x) -> tuple[np.ndarray, np.ndarray]:
@@ -232,54 +241,38 @@ def nozzle_area(x) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass
-class NozzleEuler(ConservationLaw):
-    """Quasi-1D Euler flow in a duct of area A(x).
+class NozzleEuler(Euler1D):
+    """Quasi-1D Euler flow in a duct of area A(x): area-weighted state
+    u = A (rho, rho v, rho E), momentum source p dA/dx.
 
-    Conserved variables are area-weighted: (A rho, A rho u, A rho E); the
-    momentum equation carries the source p * dA/dx.
+    The Euler flux is homogeneous of degree one, F(lambda w) = lambda F(w)
+    (Toro, Riemann Solvers and Numerical Methods for Fluid Dynamics, 3rd
+    ed., 3.1.2), and so is the Roe flux of two sides scaled by one lambda,
+    whose Roe averages, wave speeds and entropy-fix eps do not change (Roe,
+    J. Comput. Phys. 43, 1981).  So A F(u/A) = F(u): the flux, Roe flux,
+    wave speed and admissibility (A > 0 keeps every sign) are `Euler1D`'s,
+    and the inherited `primitives` returns (A rho, v, A p).  The area enters
+    only the source and the farfield ghost.
     """
 
-    gamma_a: float = 1.4
-    m: int = 3
     name: str = "nozzle"
-    euler: Euler1D = field(init=False)
-
-    def __post_init__(self):
-        self.euler = Euler1D(gamma_a=self.gamma_a)
 
     def geometry(self, x):
-        """(A, dA/dx) at x."""
-        return nozzle_area(x)
-
-    def flux(self, u, x=None, geom=None):
-        u = _as_state(u)
-        A, _ = nozzle_area(x) if geom is None else geom
-        return A * self.euler.flux(u / A)
-
-    def roe_flux(self, uL, uR, x=None, entropy_fix: bool = False, geom=None):
-        uL, uR = _as_state(uL), _as_state(uR)
-        A, _ = nozzle_area(x) if geom is None else geom
-        return A * self.euler.roe_flux(uL / A, uR / A, entropy_fix=entropy_fix)
+        """(A, (dA/dx) / A) at x."""
+        A, dA = nozzle_area(x)
+        return A, dA / A
 
     def source(self, u, x=None, geom=None):
         u = _as_state(u)
-        A, dA = nozzle_area(x) if geom is None else geom
-        _, _, p = _euler_primitives(u / A, self.gamma_a)
+        _, dlogA = self.geometry(x) if geom is None else geom
+        # the pressure of the weighted state is A p: (A p) (dA/dx) / A
+        _, _, Ap = _euler_primitives(u, self.gamma_a)
         out = np.zeros_like(u)
-        out[1] = p * dA
+        out[1] = Ap * dlogA
         return out
 
     def has_source(self):
         return True
-
-    def max_wave_speed(self, u, x=None):
-        u = _as_state(u)
-        A, _ = nozzle_area(x) if x is not None else (np.ones_like(u[0]), None)
-        return self.euler.max_wave_speed(u / A)
-
-    def admissible(self, u):
-        # the positive area factor does not change the signs being tested
-        return self.euler.admissible(u)
 
 
 @dataclass(frozen=True)

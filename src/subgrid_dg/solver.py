@@ -15,14 +15,14 @@ the continuous polynomial test modes telescope across interior sub-cell
 faces, so they only see the element-boundary fluxes.
 
 The Discretization also holds the law's geometry (`law.geometry`, e.g. the
-nozzle's A and dA/dx) at the quadrature nodes, the sub-cell faces and the two
-domain ends, built once with the nodes and passed to every flux, source and
-boundary ghost call, so a step evaluates no geometry.
+nozzle's A and (dA/dx)/A) at the quadrature nodes only, and the duct area at
+the two domain ends for the ghosts, so a step evaluates no geometry.
 
-`imex_step` (ARS(2,2,2)) keeps the implicit stage rates on the penalized
-elements only and does no implicit work when none is penalized.  A stage's
-penalty solve is a closed-form filter of the polynomial modes in the
-reference element's penalty eigenbasis (`basis.penalty_eigenbasis`).
+`imex_step` (ARS(2,2,2)) keeps the implicit stage rates on the slice of
+elements from the first to the last penalized one and does no implicit work
+when none is penalized.  A stage's penalty solve is a closed-form filter of
+the polynomial modes in the reference element's penalty eigenbasis
+(`basis.penalty_eigenbasis`).
 """
 
 from __future__ import annotations
@@ -134,10 +134,9 @@ class Discretization:
         # all sub-cell face positions, shape (E*n + 1,)
         sub_edges_phys = xl[:, None] + 0.5 * (self.ref.sub_edges[None, :-1] + 1.0) * h[:, None]
         self.xfaces = np.append(sub_edges_phys.ravel(), mesh.b)
-        # the law's geometry at the nodes and faces (None for a law without
+        # the law's geometry at the quadrature nodes (None for a law without
         # one), and its duct area at the two boundary faces
         self.geom_q = law.geometry(self.xq)
-        self.geom_faces = law.geometry(self.xfaces)
         self._ghost_area = (boundary_area(law, self.xfaces[0]),
                             boundary_area(law, self.xfaces[-1]))
         self._build_operators()
@@ -204,10 +203,9 @@ class Discretization:
         m, E, n = U.shape[0], self.n_elements, self.n
         try:
             u_q = self.eval_at_quad(U)
-            F_q = self.law.flux(u_q, geom=self.geom_q)
+            F_q = self.law.flux(u_q)
             uL, uR = self.face_traces(U, t)
-            F_hat = self.law.roe_flux(uL, uR, entropy_fix=self.entropy_fix,
-                                      geom=self.geom_faces)
+            F_hat = self.law.roe_flux(uL, uR, entropy_fix=self.entropy_fix)
         except AdmissibilityError as exc:
             raise SolverAbort(f"inadmissible state at t={t:.6g}: {exc}") from exc
 
@@ -258,15 +256,14 @@ class Discretization:
         return evaluate_field_sensor(U, self.space, self.sensor_config)
 
     def max_wave_speed(self, U: np.ndarray) -> float:
-        u_q = self.eval_at_quad(U)
-        return self.law.max_wave_speed(u_q, x=self.xq)
+        return self.law.max_wave_speed(self.eval_at_quad(U))
 
 
 def penalty_stage_rate(p: int, n: int, U: np.ndarray, gammas: np.ndarray,
                        c: float) -> np.ndarray:
     """Rate r of the frozen penalty stage (M + c gamma M_pp) r = -gamma M_pp U,
     c = dt a_ii, on each element of U (m, E, dof), gammas (E,):
-    r = -W diag(gamma lam / (1 + c gamma lam)) W^T M U; h cancels."""
+    r = -W diag(gamma lam / (1 + c gamma lam)) W^T M U; h cancels; r = 0 where gamma = 0."""
     lam, W, MW = penalty_eigenbasis(p, n)
     glam = gammas[:, None] * lam                       # (E, p)
     return -((U @ MW) * (glam / (1.0 + c * glam))) @ W.T
@@ -284,28 +281,29 @@ def imex_step(
     tab = _ARS222
     U0 = state.U
     active = np.flatnonzero(gammas > 0.0)
-    # implicit stage rates are zero outside the penalized elements, so they
-    # are kept and added on those elements only: (m, E_act, dof)
+    # implicit stage rates are zero where gamma = 0, so they are kept and
+    # added on the slice from the first to the last penalized element only
+    blk = slice(active[0], active[-1] + 1) if active.size else None
     r: list[np.ndarray | None] = [None] * tab.stages
     r_hat: list[np.ndarray] = []
     for i in range(tab.stages):
         Ui = U0.copy()
         for j in range(i):
             if tab.A[i, j] != 0.0 and r[j] is not None:
-                Ui[:, active] += dt * tab.A[i, j] * r[j]
+                Ui[:, blk] += dt * tab.A[i, j] * r[j]
             if tab.A_hat[i, j] != 0.0:
                 Ui += dt * tab.A_hat[i, j] * r_hat[j]
         # the first stage is explicit, and its implicit rate has zero weight
         aii = tab.A[i, i]
-        if active.size and aii != 0.0:
-            r[i] = penalty_stage_rate(disc.p, disc.n, Ui[:, active], gammas[active], dt * aii)
-            Ui[:, active] += dt * aii * r[i]
+        if blk is not None and aii != 0.0:
+            r[i] = penalty_stage_rate(disc.p, disc.n, Ui[:, blk], gammas[blk], dt * aii)
+            Ui[:, blk] += dt * aii * r[i]
         r_hat.append(disc.solve_mass(disc.residual(Ui, state.time)))
 
     U1 = U0.copy()
     for j in range(tab.stages):
         if tab.b[j] != 0.0 and r[j] is not None:
-            U1[:, active] += dt * tab.b[j] * r[j]
+            U1[:, blk] += dt * tab.b[j] * r[j]
         if tab.b_hat[j] != 0.0:
             U1 += dt * tab.b_hat[j] * r_hat[j]
     return FieldState(U=U1, time=state.time + dt)

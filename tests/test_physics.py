@@ -225,6 +225,8 @@ def test_euler_max_wave_speed():
     law = Euler1D()
     u = euler_state_from_primitives(1.0, 2.0, 1.4, GAMMA)[:, None]
     assert law.max_wave_speed(u) == pytest.approx(2.0 + np.sqrt(1.4 * 1.4 / 1.0))
+    # a point-shaped call gives the same speed
+    assert law.max_wave_speed(u[:, 0]) == law.max_wave_speed(u)
 
 
 # -- nozzle -------------------------------------------------------------------
@@ -252,6 +254,84 @@ def test_nozzle_flux_reduces_to_euler_in_straight_duct():
     np.testing.assert_allclose(
         law.roe_flux(u, u, x=x), euler.flux(u), atol=1e-12
     )
+
+
+def area_scaled_nozzle(u, v, A, dA, entropy_fix):
+    """The quasi-1D terms from the Euler ones on the state per unit area,
+    w = u / A, scaled back by A: A F(w), A Roe(u / A, v / A), p(w) dA/dx and
+    the max speed of w; the oracles for `NozzleEuler`, which applies the
+    Euler calls to u itself.
+
+    Also returns, per face, the size of the terms the flux and the source
+    sum (the same formulas with every term in absolute value, the pressure
+    as (gamma - 1)(|E| + rho v v / 2)), and the Roe flux's from
+    `roe_flux_waves`: the pressure of a state whose kinetic energy dwarfs
+    it is a cancellation, so its rounding is a few ulps of that size."""
+    euler = Euler1D()
+    w = u / A
+    rho, vel, p = euler.primitives(w)
+    p_size = (GAMMA - 1.0) * (np.abs(w[2]) + 0.5 * rho * vel * vel)
+    terms = {
+        "flux": (A * euler.flux(w),
+                 A * np.maximum.reduce([np.abs(w[1]), np.abs(w[1] * vel) + p_size,
+                                        (np.abs(w[2]) + p_size) * np.abs(vel)])),
+        "roe_flux": (A * euler.roe_flux(w, v / A, entropy_fix=entropy_fix),
+                     A * roe_flux_waves(w, v / A, entropy_fix=entropy_fix)[1]),
+        "source": (np.stack([np.zeros_like(p), p * dA, np.zeros_like(p)]),
+                   np.abs(dA) * p_size),
+    }
+    return terms, euler.max_wave_speed(w)
+
+
+_area = st.floats(np.log10(0.5), np.log10(2.0)).map(lambda e: 10.0 ** e)
+# dA/dx is 0 or log-uniform in [1e-3, 1] in size: a subnormal slope would make
+# the relative check meaningless
+_slope = st.one_of(st.just(0.0), st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-3.0, 0.0))
+                   .map(lambda s: s[0] * 10.0 ** s[1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_side, _side, _area, _slope), min_size=1, max_size=8),
+       st.booleans())
+def test_nozzle_law_matches_area_scaled_euler(faces, entropy_fix):
+    # one area A and one dA/dx per face, shared by both of its sides
+    law = NozzleEuler()
+    left, right, A, dA = (np.array(c, dtype=float) for c in zip(*faces))
+    u = euler_state_from_primitives(*left.T, GAMMA) * A
+    v = euler_state_from_primitives(*right.T, GAMMA) * A
+    geom = (A, dA / A)
+    terms, speed = area_scaled_nozzle(u, v, A, dA, entropy_fix)
+    got = {
+        "flux": law.flux(u, geom=geom),
+        "roe_flux": law.roe_flux(u, v, entropy_fix=entropy_fix, geom=geom),
+        "source": law.source(u, geom=geom),
+    }
+    for name, (oracle, size) in terms.items():
+        # per face, normwise, against the size of the oracle's terms (see
+        # test_euler_roe_flux_matches_wave_by_wave_sum)
+        assert np.all(np.abs(got[name] - oracle).max(axis=0) <= 1e-12 * size), name
+    assert np.all(got["source"][[0, 2]] == 0.0)
+    assert abs(law.max_wave_speed(u) - speed) <= 1e-12 * speed
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.array([-1.0, 0.0, 1.0]), "non-positive density"),
+    (np.array([1.0, 10.0, 1.0]), "non-positive pressure"),
+])
+def test_nozzle_calls_reject_inadmissible_state(bad, message):
+    # the Euler checks of the weighted state: A > 0 keeps every sign
+    law = NozzleEuler()
+    x = np.array([0.3, 0.5, 0.7])
+    good = euler_state_from_primitives(np.ones(3), 0.5 * np.ones(3), 2.0 * np.ones(3), GAMMA)
+    good = good * nozzle_area(x)[0]
+    u = good.copy()
+    u[:, 1] = bad * nozzle_area(x[1])[0]
+    calls = [lambda: law.flux(u, x=x), lambda: law.source(u, x),
+             lambda: law.max_wave_speed(u, x=x),
+             lambda: law.roe_flux(u, good, x=x), lambda: law.roe_flux(good, u, x=x)]
+    for call in calls:
+        with pytest.raises(AdmissibilityError, match=message):
+            call()
 
 
 def test_nozzle_source_momentum_only():

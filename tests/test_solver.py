@@ -366,6 +366,61 @@ def test_penalty_stage_rate_matches_batched_lu(pn, gammas, c, m, seed):
     assert np.max(np.abs(rate - expected)) <= 1e-11 * np.max(np.abs(expected))
 
 
+def gather_scatter_step(disc, state, dt, gammas):
+    """ARS(2,2,2) step with the implicit stage rates kept on the penalized
+    elements alone, gathered and scattered by fancy indexing: the reference
+    for the block view of `imex_step`."""
+    tab = ars222()
+    U0 = state.U
+    active = np.flatnonzero(gammas > 0.0)
+    r = [None] * tab.stages
+    r_hat = []
+    for i in range(tab.stages):
+        Ui = U0.copy()
+        for j in range(i):
+            if tab.A[i, j] != 0.0 and r[j] is not None:
+                Ui[:, active] += dt * tab.A[i, j] * r[j]
+            if tab.A_hat[i, j] != 0.0:
+                Ui += dt * tab.A_hat[i, j] * r_hat[j]
+        aii = tab.A[i, i]
+        if active.size and aii != 0.0:
+            r[i] = penalty_stage_rate(disc.p, disc.n, Ui[:, active], gammas[active], dt * aii)
+            Ui[:, active] += dt * aii * r[i]
+        r_hat.append(disc.solve_mass(disc.residual(Ui, state.time)))
+    U1 = U0.copy()
+    for j in range(tab.stages):
+        if tab.b[j] != 0.0 and r[j] is not None:
+            U1[:, active] += dt * tab.b[j] * r[j]
+        if tab.b_hat[j] != 0.0:
+            U1 += dt * tab.b_hat[j] * r_hat[j]
+    return U1
+
+
+@pytest.mark.parametrize("case", ["convection-heaviside", "shu-osher"])
+@pytest.mark.parametrize("active", [[3, 4, 5], [1, 6], [2], list(range(8))])
+def test_block_view_step_matches_gather_scatter(case, active):
+    # contiguous, gapped, single and full penalized sets: the elements of the
+    # block with gamma = 0 get a rate of exactly 0, so the step is the same
+    # bit for bit
+    _, disc, state = build_problem(RunConfig(case=case, n_elements=8))
+    dt = 1e-3 if case == "convection-heaviside" else 2e-4
+    gammas = np.zeros(disc.n_elements)
+    gammas[active] = np.geomspace(1e-2, 1e8, len(active))
+    stepped = imex_step(disc, state, dt, gammas)
+    expected = gather_scatter_step(disc, state, dt, gammas)
+    assert np.array_equal(stepped.U, expected)
+    assert not np.array_equal(stepped.U, explicit_step(disc, state, dt).U)
+
+
+def test_penalty_stage_rate_is_exactly_zero_where_gamma_is_zero():
+    rng = np.random.default_rng(4)
+    gammas = np.array([3.0, 0.0, 0.0, 1e9, 0.0, 2e-3])
+    U = rng.standard_normal((3, gammas.size, 9))
+    rate = penalty_stage_rate(4, 5, U, gammas, 2.9e-4)
+    assert np.all(rate[:, gammas == 0.0] == 0.0)
+    assert np.all(np.any(rate[:, gammas > 0.0] != 0.0, axis=-1))
+
+
 def test_penalty_stage_is_exactly_zero_at_p0():
     # p = 0 has no polynomial modes: a forced penalty changes nothing
     U = np.random.default_rng(3).standard_normal((2, 4, 5))
