@@ -69,6 +69,8 @@ class RunConfig:
         self.sensor_config    # validates c_pen, tau and s_eps
         if self.force_gamma_value is not None and not 0.0 <= self.force_gamma_value < np.inf:
             raise ValueError(f"force_gamma_value must be finite and >= 0: {self.force_gamma_value}")
+        if self.force_gamma_element is not None and self.force_gamma_element < 0:
+            raise ValueError(f"force_gamma_element must be >= 0: {self.force_gamma_element}")
 
     @property
     def sensor_config(self) -> SensorConfig:
@@ -427,6 +429,9 @@ def build_problem(config: RunConfig):
     mesh = build_uniform_mesh(*case.domain, config.n_elements, config.n)
     disc = Discretization(mesh, config.p, case.law(), case.bc_left, case.bc_right,
                           config.sensor_config, config.entropy_fix)
+    if (config.force_gamma_element or 0) >= disc.n_elements:
+        raise ValueError(f"force_gamma_element {config.force_gamma_element} is not one of "
+                         f"the {disc.n_elements} elements (0 to {disc.n_elements - 1})")
     if config.case != "nozzle":
         return config, disc, project_initial(disc, case.initial, case.breakpoints)
     x_shock = _nozzle_steady_params()[-1]

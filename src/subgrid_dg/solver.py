@@ -18,11 +18,11 @@ The Discretization also holds the law's geometry (`law.geometry`, e.g. the
 nozzle's A and (dA/dx)/A) at the quadrature nodes only, and the duct area at
 the two domain ends for the ghosts, so a step evaluates no geometry.
 
-`imex_step` (ARS(2,2,2)) keeps the implicit stage rates on the slice of
-elements from the first to the last penalized one and does no implicit work
-when none is penalized.  A stage's penalty solve is a closed-form filter of
-the polynomial modes in the reference element's penalty eigenbasis
-(`basis.penalty_eigenbasis`).
+`imex_step` is ARS(2,2,2) (Ascher, Ruuth & Spiteri, 1997) written out as its
+three stages.  It keeps the implicit stage rates on the slice of elements
+from the first to the last penalized one and does no implicit work when none
+is penalized.  A stage's penalty solve is a closed-form filter of the
+polynomial modes in the penalty eigenbasis (`basis.penalty_eigenbasis`).
 """
 
 from __future__ import annotations
@@ -93,6 +93,9 @@ def ars222() -> IMEXTableau:
 
 
 _ARS222 = ars222()
+# its coefficients as Python floats; alpha = A_hat[1, 0] = A[2, 2] and b = b_hat = A[2]
+_ALPHA, _DELTA = float(_ARS222.A[1, 1]), float(_ARS222.A_hat[2, 0])
+_A_32, _A_HAT_32 = float(_ARS222.A[2, 1]), float(_ARS222.A_hat[2, 1])
 
 
 class Discretization:
@@ -275,38 +278,40 @@ def imex_step(
     dt: float,
     gammas: np.ndarray,
 ) -> FieldState:
-    """One ARS(2,2,2) step with the penalty frozen at the given gammas."""
+    """One ARS(2,2,2) step with the penalty frozen at the given gammas; per
+    earlier stage, the implicit rate is added before the explicit one."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    tab = _ARS222
-    U0 = state.U
+    t, U0 = state.time, state.U
+    k1 = disc.solve_mass(disc.residual(U0, t))
+    U2 = U0 + (dt * _ALPHA) * k1
+    U3 = U0 + (dt * _DELTA) * k1
     active = np.flatnonzero(gammas > 0.0)
+    if not active.size:
+        k2 = disc.solve_mass(disc.residual(U2, t))
+        U3 += (dt * _A_HAT_32) * k2
+        k3 = disc.solve_mass(disc.residual(U3, t))
+        U1 = U0 + (dt * _A_32) * k2
+        U1 += (dt * _ALPHA) * k3
+        return FieldState(U=U1, time=t + dt)
     # implicit stage rates are zero where gamma = 0, so they are kept and
     # added on the slice from the first to the last penalized element only
-    blk = slice(active[0], active[-1] + 1) if active.size else None
-    r: list[np.ndarray | None] = [None] * tab.stages
-    r_hat: list[np.ndarray] = []
-    for i in range(tab.stages):
-        Ui = U0.copy()
-        for j in range(i):
-            if tab.A[i, j] != 0.0 and r[j] is not None:
-                Ui[:, blk] += dt * tab.A[i, j] * r[j]
-            if tab.A_hat[i, j] != 0.0:
-                Ui += dt * tab.A_hat[i, j] * r_hat[j]
-        # the first stage is explicit, and its implicit rate has zero weight
-        aii = tab.A[i, i]
-        if blk is not None and aii != 0.0:
-            r[i] = penalty_stage_rate(disc.p, disc.n, Ui[:, blk], gammas[blk], dt * aii)
-            Ui[:, blk] += dt * aii * r[i]
-        r_hat.append(disc.solve_mass(disc.residual(Ui, state.time)))
-
+    blk = slice(active[0], active[-1] + 1)
+    g, c = gammas[blk], dt * _ALPHA
+    s2 = penalty_stage_rate(disc.p, disc.n, U2[:, blk], g, c)
+    U2[:, blk] += c * s2
+    k2 = disc.solve_mass(disc.residual(U2, t))
+    U3[:, blk] += (dt * _A_32) * s2
+    U3 += (dt * _A_HAT_32) * k2
+    s3 = penalty_stage_rate(disc.p, disc.n, U3[:, blk], g, c)
+    U3[:, blk] += c * s3
+    k3 = disc.solve_mass(disc.residual(U3, t))
     U1 = U0.copy()
-    for j in range(tab.stages):
-        if tab.b[j] != 0.0 and r[j] is not None:
-            U1[:, blk] += dt * tab.b[j] * r[j]
-        if tab.b_hat[j] != 0.0:
-            U1 += dt * tab.b_hat[j] * r_hat[j]
-    return FieldState(U=U1, time=state.time + dt)
+    U1[:, blk] += (dt * _A_32) * s2
+    U1 += (dt * _A_32) * k2
+    U1[:, blk] += c * s3
+    U1 += c * k3
+    return FieldState(U=U1, time=t + dt)
 
 
 def explicit_step(disc: Discretization, state: FieldState, dt: float) -> FieldState:

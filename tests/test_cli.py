@@ -90,6 +90,17 @@ def test_run_command_invalid_sensor_setting_is_config_error(flags, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("element, message", [
+    ("16", "force_gamma_element 16 is not one of the 16 elements"),
+    ("-1", "force_gamma_element must be >= 0: -1"),
+])
+def test_run_command_forced_element_off_the_mesh_is_config_error(element, message, capsys):
+    code = main(["run", "--case", "convection-gaussian", "--p", "2", "--n-elements", "16",
+                 "--t-final", "0.01", "--force-gamma-element", element])
+    assert code == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_command_solver_abort_exit_code(capsys):
     code = main(["run", "--case", "burgers", "--p", "1", "--n", "2",

@@ -36,6 +36,33 @@ def test_convection_upwind():
     assert law.max_wave_speed(uR) == 2.0
 
 
+def convection_roe_central(beta, uL, uR):
+    """The central flux plus Roe dissipation, as Convection.roe_flux once
+    computed it."""
+    return 0.5 * beta * (uL + uR) - 0.5 * abs(beta) * (uR - uL)
+
+
+_face_value = st.floats(-1e6, 1e6, allow_subnormal=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    beta=st.one_of(st.just(0.0), st.floats(1e-6, 1e3), st.floats(-1e3, -1e-6)),
+    faces=st.lists(st.tuples(_face_value, _face_value), min_size=1, max_size=8),
+)
+def test_convection_roe_flux_is_the_upwind_state(beta, faces):
+    uL, uR = (np.array([side]) for side in zip(*faces))
+    before = uL.copy(), uR.copy()
+    flux = Convection(beta=beta).roe_flux(uL, uR)
+    assert flux.shape == uL.shape
+    # within 4 ulp of the size of the terms, per face
+    size = abs(beta) * np.maximum(np.abs(uL), np.abs(uR))
+    assert np.all(np.abs(flux - convection_roe_central(beta, uL, uR)) <= 4 * np.spacing(size))
+    # a fresh array, not a view of either side
+    flux[...] = np.nan
+    assert np.array_equal(uL, before[0]) and np.array_equal(uR, before[1])
+
+
 def test_burgers_flux_and_consistency():
     law = Burgers()
     u = np.array([[0.3, -1.2, 2.0]])
