@@ -676,6 +676,10 @@ def fv_reference(case: str, cells: int, t_final: float | None = None,
         raise ValueError(f"no finite volume reference for case {case!r}; choose from {names}")
     if t_final is None:
         t_final = _CASES[case].defaults["t_final"]
+    if cells < 1:
+        raise ValueError(f"need at least one cell, got cells={cells}")
+    if not 0.0 <= t_final < np.inf:
+        raise ValueError(f"t_final must be finite and non-negative, got {t_final}")
     key = f"fvref_v{FV_SCHEME_VERSION}_{case}_{cells}_{t_final:.6g}.npz"
     path = _fv_cache_dir() / key if cache else None
     x = U = None

@@ -2,6 +2,10 @@
 
 All state arguments are arrays of shape (m, ...) so the same code path serves
 point evaluations and whole-face batches.
+
+A residual takes its volume and face fluxes from one `fluxes(u_q, uL, uR)`
+call, which returns exactly `(flux(u_q), roe_flux(uL, uR))`: the Euler laws
+derive and check the primitives of all three state arrays in one pass.
 """
 
 from __future__ import annotations
@@ -45,6 +49,11 @@ class ConservationLaw:
 
     def roe_flux(self, uL, uR, x=None, entropy_fix: bool = False, geom=None) -> np.ndarray:
         raise NotImplementedError
+
+    def fluxes(self, u_q, uL, uR, entropy_fix: bool = False):
+        """(flux(u_q), roe_flux(uL, uR)) of quadrature states u_q (m, ...)
+        and face states uL, uR (m, F): the two fluxes of one residual."""
+        return self.flux(u_q), self.roe_flux(uL, uR, entropy_fix=entropy_fix)
 
     def max_wave_speed(self, u, x=None) -> float:
         raise NotImplementedError
@@ -100,9 +109,15 @@ class Burgers(ConservationLaw):
         return float(np.max(np.abs(u)))
 
 
+def _any_nonpositive(a) -> bool:
+    """(a <= 0).any() as one reduction: fmin skips a NaN as the comparison
+    does, so a NaN hides no non-positive entry; -0.0 counts as one."""
+    return bool(np.fmin.reduce(a, axis=None, initial=np.inf) <= 0.0)
+
+
 def _euler_primitives(u, gamma_a):
     rho = u[0]
-    if (rho <= 0).any():
+    if _any_nonpositive(rho):
         raise AdmissibilityError("non-positive density")
     vel = u[1] / rho
     p = 0.5 * rho                       # p = (gamma - 1)(E - 0.5 rho v v), in place
@@ -110,7 +125,7 @@ def _euler_primitives(u, gamma_a):
     p *= vel
     p = u[2] - p
     p *= gamma_a - 1.0
-    if (p <= 0).any():
+    if _any_nonpositive(p):
         raise AdmissibilityError("non-positive pressure")
     return rho, vel, p
 
@@ -124,23 +139,73 @@ def euler_state_from_primitives(rho, vel, p, gamma_a) -> np.ndarray:
     ])
 
 
-def _roe_side(u, gamma_a):
-    """Checked (rho, v, m v, p) of one side of a face: m v serves both the
-    pressure and the momentum flux."""
+def _euler_side(u, gamma_a):
+    """The flux F = (m, m v + p, (E + p) v) of states u (3, ...), with their
+    checked (rho, v, p, E + p), which the Roe flux takes from a face side;
+    q = m v serves both the pressure and the momentum flux."""
     rho = u[0]
-    if (rho <= 0).any():
+    if _any_nonpositive(rho):
         raise AdmissibilityError("non-positive density")
     vel = u[1] / rho
     q = u[1] * vel
     p = (gamma_a - 1.0) * (u[2] - 0.5 * q)
-    if (p <= 0).any():
+    if _any_nonpositive(p):
         raise AdmissibilityError("non-positive pressure")
-    return rho, vel, q, p
+    Ep = u[2] + p
+    F = np.empty(u.shape)
+    F[0] = u[1]
+    np.add(q, p, out=F[1, ...])
+    np.multiply(Ep, vel, out=F[2, ...])
+    return F, rho, vel, p, Ep
 
 
 def _harten(lam, a, eps):
     """|lambda| = a smoothed near zero (Harten's entropy fix)."""
     return np.where(a < eps, lam * lam / (2.0 * eps) + 0.5 * eps, a)
+
+
+def _roe(uL, uR, FL, FR, sideL, sideR, gamma_a, entropy_fix):
+    """Roe flux 0.5 (F(uL) + F(uR)) - 0.5 |A~| (uR - uL) from the side
+    fluxes FL, FR and sides (rho, v, p, E + p) of `_euler_side`, with the
+    dissipation in the compact form (Roe, J. Comput. Phys. 43, 1981; Toro,
+    Riemann Solvers and Numerical Methods for Fluid Dynamics, 3rd ed., 11.3)
+
+        |A~| du = |l2| du + d1 (1, v~, H~) + d2 (0, 1, v~),
+        d1 = (k1 dp / c~ + k2 rho~ dv) / c~,   d2 = k2 dp / c~ + k1 rho~ dv,
+
+    with k1 = (|l1| + |l3|)/2 - |l2|, k2 = (|l3| - |l1|)/2 and
+    rho~ = sqrt(rhoL rhoR): the three waves summed in closed form.  With
+    `entropy_fix`, |l1|, |l2|, |l3| are smoothed near zero (Harten)."""
+    rhoL, vL, pL, EpL = sideL
+    rhoR, vR, pR, EpR = sideR
+    sL, sR = np.sqrt(rhoL), np.sqrt(rhoR)
+    inv = 1.0 / (sL + sR)
+    vt = (sL * vL + sR * vR) * inv
+    Ht = (EpL / sL + EpR / sR) * inv
+    c2 = (gamma_a - 1.0) * (Ht - 0.5 * (vt * vt))
+    if _any_nonpositive(c2):
+        raise AdmissibilityError("negative Roe-averaged sound speed")
+    ct = np.sqrt(c2)
+    ic = 1.0 / ct
+    lam1, lam3 = vt - ct, vt + ct
+    a1, a2, a3 = np.abs(lam1), np.abs(vt), np.abs(lam3)
+    if entropy_fix:
+        eps = 0.05 * (a2 + ct)
+        a1, a2, a3 = _harten(lam1, a1, eps), _harten(vt, a2, eps), _harten(lam3, a3, eps)
+    k1 = 0.5 * (a1 + a3) - a2
+    k2 = 0.5 * (a3 - a1)
+    rdv = sL * sR * (vR - vL)
+    dpc = (pR - pL) * ic
+    d1 = (k1 * dpc + k2 * rdv) * ic
+    d2 = k2 * dpc + k1 * rdv
+
+    # row k: 0.5 (F_k(uL) + F_k(uR) - (|A~| du)_k)
+    out = FL + FR
+    out[0] -= a2 * (rhoR - rhoL) + d1
+    out[1] -= a2 * (uR[1] - uL[1]) + d1 * vt + d2
+    out[2] -= a2 * (uR[2] - uL[2]) + d1 * Ht + d2 * vt
+    out *= 0.5
+    return out
 
 
 @dataclass
@@ -162,62 +227,23 @@ class Euler1D(ConservationLaw):
         return (rho > 0.0) & (p > 0.0)
 
     def flux(self, u, x=None, geom=None):
-        u = _as_state(u)
-        rho, vel, p = _euler_primitives(u, self.gamma_a)
-        out = np.empty(u.shape)
-        out[0] = u[1]
-        out[1] = u[1] * vel + p
-        out[2] = (u[2] + p) * vel
-        return out
+        return _euler_side(_as_state(u), self.gamma_a)[0]
 
     def roe_flux(self, uL, uR, x=None, entropy_fix: bool = False, geom=None):
-        """Roe flux 0.5 (F(uL) + F(uR)) - 0.5 |A~| (uR - uL), with the
-        dissipation in the compact form (Roe, J. Comput. Phys. 43, 1981;
-        Toro, Riemann Solvers and Numerical Methods for Fluid Dynamics,
-        3rd ed., 11.3)
-
-            |A~| du = |l2| du + d1 (1, v~, H~) + d2 (0, 1, v~),
-            d1 = (k1 dp / c~ + k2 rho~ dv) / c~,   d2 = k2 dp / c~ + k1 rho~ dv,
-
-        with k1 = (|l1| + |l3|)/2 - |l2|, k2 = (|l3| - |l1|)/2 and
-        rho~ = sqrt(rhoL rhoR): the three waves summed in closed form.  With
-        `entropy_fix`, |l1|, |l2|, |l3| are smoothed near zero (Harten)."""
         uL, uR = _as_state(uL), _as_state(uR)
-        g = self.gamma_a
-        rhoL, vL, qL, pL = _roe_side(uL, g)
-        rhoR, vR, qR, pR = _roe_side(uR, g)
-        EpL = uL[2] + pL
-        EpR = uR[2] + pR
-        sL, sR = np.sqrt(rhoL), np.sqrt(rhoR)
-        inv = 1.0 / (sL + sR)
-        vt = (sL * vL + sR * vR) * inv
-        Ht = (EpL / sL + EpR / sR) * inv
-        c2 = (g - 1.0) * (Ht - 0.5 * (vt * vt))
-        if (c2 <= 0).any():
-            raise AdmissibilityError("negative Roe-averaged sound speed")
-        ct = np.sqrt(c2)
-        ic = 1.0 / ct
-        lam1, lam3 = vt - ct, vt + ct
-        a1, a2, a3 = np.abs(lam1), np.abs(vt), np.abs(lam3)
-        if entropy_fix:
-            eps = 0.05 * (a2 + ct)
-            a1, a2, a3 = _harten(lam1, a1, eps), _harten(vt, a2, eps), _harten(lam3, a3, eps)
-        k1 = 0.5 * (a1 + a3) - a2
-        k2 = 0.5 * (a3 - a1)
-        rdv = sL * sR * (vR - vL)
-        dpc = (pR - pL) * ic
-        d1 = (k1 * dpc + k2 * rdv) * ic
-        d2 = k2 * dpc + k1 * rdv
+        FL, *sideL = _euler_side(uL, self.gamma_a)
+        FR, *sideR = _euler_side(uR, self.gamma_a)
+        return _roe(uL, uR, FL, FR, sideL, sideR, self.gamma_a, entropy_fix)
 
-        # row k: 0.5 (F_k(uL) + F_k(uR) - (|A~| du)_k), the side fluxes
-        # F = (m, m v + p, (E + p) v) from the primitives above
-        out = np.empty((3,) + vt.shape)
-        np.multiply(0.5, (uL[1] + uR[1]) - (a2 * (rhoR - rhoL) + d1), out=out[0, ...])
-        np.multiply(0.5, ((qL + pL) + (qR + pR)) - (a2 * (uR[1] - uL[1]) + d1 * vt + d2),
-                    out=out[1, ...])
-        np.multiply(0.5, (EpL * vL + EpR * vR) - (a2 * (uR[2] - uL[2]) + d1 * Ht + d2 * vt),
-                    out=out[2, ...])
-        return out
+    def fluxes(self, u_q, uL, uR, entropy_fix: bool = False):
+        """One `_euler_side` pass over the columns [u_q | uL | uR]."""
+        nq, nf = u_q[0].size, uL.shape[1]
+        F, *side = _euler_side(np.concatenate([u_q.reshape(3, nq), uL, uR], axis=1),
+                               self.gamma_a)
+        L, R = slice(nq, nq + nf), slice(nq + nf, None)
+        F_hat = _roe(uL, uR, F[:, L], F[:, R], [a[L] for a in side], [a[R] for a in side],
+                     self.gamma_a, entropy_fix)
+        return F[:, :nq].reshape(u_q.shape), F_hat
 
     def max_wave_speed(self, u, x=None):
         u = _as_state(u)

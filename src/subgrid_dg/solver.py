@@ -206,9 +206,8 @@ class Discretization:
         m, E, n = U.shape[0], self.n_elements, self.n
         try:
             u_q = self.eval_at_quad(U)
-            F_q = self.law.flux(u_q)
             uL, uR = self.face_traces(U, t)
-            F_hat = self.law.roe_flux(uL, uR, entropy_fix=self.entropy_fix)
+            F_q, F_hat = self.law.fluxes(u_q, uL, uR, entropy_fix=self.entropy_fix)
         except AdmissibilityError as exc:
             raise SolverAbort(f"inadmissible state at t={t:.6g}: {exc}") from exc
 

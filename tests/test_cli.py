@@ -154,3 +154,18 @@ def test_reference_command_unknown_case(tmp_path, capsys):
     code = main(["reference", "--case", "burgers", "--cells", "8",
                  "--output-dir", str(tmp_path)])
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--cells", "0"], "cells=0"),
+    (["--cells", "-4"], "cells=-4"),
+    (["--cells", "16", "--t-final", "-1"], "t_final must be finite and non-negative, got -1.0"),
+    (["--cells", "16", "--t-final", "nan"], "got nan"),
+])
+def test_reference_command_bad_cells_or_end_time_is_config_error(tmp_path, monkeypatch, capsys,
+                                                                 flags, message):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    code = main(["reference", "--case", "shu-osher", *flags, "--output-dir", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("reference_*.csv"))

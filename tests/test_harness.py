@@ -377,6 +377,21 @@ def test_fv_reference_unknown_case(tmp_path, monkeypatch, case):
     assert not (tmp_path / "subgrid_dg").exists()
 
 
+@pytest.mark.parametrize("cells, t_final, message", [
+    (0, 0.1, "cells=0"),
+    (-4, 0.1, "cells=-4"),
+    (16, -1.0, "t_final .* -1.0"),
+    (16, float("nan"), "t_final .* nan"),
+    (16, float("inf"), "t_final .* inf"),
+])
+def test_fv_reference_rejects_bad_cells_and_end_time(tmp_path, monkeypatch, cells, t_final,
+                                                     message):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    with pytest.raises(ValueError, match=message):
+        fv_reference("shu-osher", cells, t_final=t_final)
+    assert not (tmp_path / "subgrid_dg").exists()
+
+
 def test_fv_reference_without_cache_writes_nothing(tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     fv_reference("convection-gaussian", 16, t_final=0.05, cache=False)

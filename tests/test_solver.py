@@ -258,6 +258,34 @@ def test_farfield_ghost_admissibility_loss_aborts():
         disc.residual(U, 0.0)
 
 
+@pytest.mark.parametrize("law_name", ["euler", "nozzle"])
+@pytest.mark.parametrize("component, value, message", [
+    (0, -1.0, "non-positive density"),
+    (2, 1e-3, "non-positive pressure"),
+])
+def test_residual_turns_inadmissible_state_into_abort(law_name, component, value, message):
+    # element 3's sub-cell values make its quadrature and face states inadmissible
+    disc, U = operator_case(law_name, True, 2, 3, np.random.default_rng(5))
+    U[component, 3] = 0.0
+    U[component, 3, disc.p:] = value
+    with pytest.raises(SolverAbort, match=f"inadmissible state at t=0.25: {message}"):
+        disc.residual(U, 0.25)
+
+
+@pytest.mark.parametrize("law_name", ["convection", "burgers", "euler", "nozzle"])
+def test_residual_calls_each_layer_once(law_name):
+    # the quadrature values, the face traces and the one fluxes call per
+    # residual, each through its own method
+    disc, U = operator_case(law_name, False, 2, 3, np.random.default_rng(6))
+    calls = []
+    for owner, name in ((disc, "eval_at_quad"), (disc, "face_traces"), (disc.law, "fluxes")):
+        real = getattr(owner, name)
+        setattr(owner, name, lambda *a, _real=real, _name=name, **kw:
+                calls.append(_name) or _real(*a, **kw))
+    disc.residual(U, 0.0)
+    assert calls == ["eval_at_quad", "face_traces", "fluxes"]
+
+
 def test_nozzle_step_evaluates_no_area(monkeypatch):
     # the nozzle's A and dA/dx are built with the Discretization; a residual
     # and an IMEX step evaluate none
