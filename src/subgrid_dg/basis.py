@@ -139,6 +139,19 @@ def penalty_eigenbasis(p: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return lam[n:], W, ref.mass @ W
 
 
+def penalty_stage_rate(p: int, n: int, U: np.ndarray, gammas: np.ndarray,
+                       c: float) -> np.ndarray:
+    """Rate r of the frozen penalty stage (M + c gamma M_pp) r = -gamma M_pp U
+    on each element of U (m, E, dof), gammas (E,):
+    r = -W diag(gamma lam / (1 + c gamma lam)) W^T M U; h cancels; r = 0 where
+    gamma = 0.  The stage weight c = dt a_ii gives an implicit stage, c = 0 the penalty rate
+    -M^{-1} gamma M_pp U, and U + r at c = 1 the penalized projection of the
+    function whose L2 projection is U."""
+    lam, W, MW = penalty_eigenbasis(p, n)
+    glam = gammas[:, None] * lam                       # (E, p)
+    return -((U @ MW) * (glam / (1.0 + c * glam))) @ W.T
+
+
 @dataclass(frozen=True)
 class ElementSpace:
     """Discretization descriptor for one element [x_left, x_right]."""

@@ -9,6 +9,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import typing
 from pathlib import Path
 
 from .harness import (
@@ -27,34 +28,35 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_NONINJECTIVE = 4
 
-_BOOL_KEYS = {"entropy_fix"}
-_INT_KEYS = {"p", "n", "n_elements", "force_gamma_element"}
-_FLOAT_KEYS = {"dt", "t_final", "c_pen", "tau", "s_eps", "cfl", "force_gamma_value"}
+
+def _parse_bool(raw: str) -> bool:
+    return raw.strip().lower() in ("1", "true", "yes", "on")
 
 
-def _parse_value(key: str, raw: str):
-    raw = raw.strip()
-    if key == "snapshot_times":
-        return tuple(float(v) for v in raw.replace(",", " ").split()) if raw else ()
-    if key in _BOOL_KEYS:
-        return raw.lower() in ("1", "true", "yes", "on")
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    return raw
+def _parse_times(raw: str) -> tuple:
+    return tuple(float(v) for v in raw.replace(",", " ").split())
+
+
+def _text_parser(hint):
+    """Parser of a RunConfig field's text value, from its type hint: the
+    hint's one type other than None."""
+    kind = next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
+    return {bool: _parse_bool, tuple: _parse_times, str: str.strip}.get(kind, kind)
+
+
+# every RunConfig field with the parser of its value in a config file or flag
+_FIELDS = {name: _text_parser(hint) for name, hint in typing.get_type_hints(RunConfig).items()}
 
 
 def load_config(path: str) -> dict:
     """Flat key/value config: `key = value` lines or a flat JSON object."""
     text = Path(path).read_text()
-    valid = {f.name for f in dataclasses.fields(RunConfig)}
     values: dict = {}
     if text.lstrip().startswith("{"):
         for key, val in json.loads(text).items():
-            if key not in valid:
+            if key not in _FIELDS:
                 raise ValueError(f"unknown config key {key!r}")
-            values[key] = tuple(val) if key == "snapshot_times" else val
+            values[key] = tuple(val) if _FIELDS[key] is _parse_times else val
         return values
     for line_no, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -63,40 +65,28 @@ def load_config(path: str) -> dict:
         if "=" not in line:
             raise ValueError(f"line {line_no}: expected key = value")
         key, raw = (part.strip() for part in line.split("=", 1))
-        if key not in valid:
+        if key not in _FIELDS:
             raise ValueError(f"line {line_no}: unknown config key {key!r}")
-        values[key] = _parse_value(key, raw)
+        values[key] = _FIELDS[key](raw)
     return values
 
 
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--case", choices=None)
-    parser.add_argument("--p", type=int)
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--n-elements", dest="n_elements", type=int)
-    parser.add_argument("--dt", type=float)
-    parser.add_argument("--t-final", dest="t_final", type=float)
-    parser.add_argument("--c-pen", dest="c_pen", type=float)
-    parser.add_argument("--tau", type=float)
-    parser.add_argument("--s-eps", dest="s_eps", type=float)
-    parser.add_argument("--cfl", type=float)
-    parser.add_argument("--entropy-fix", dest="entropy_fix", action="store_true",
-                        default=None)
-    parser.add_argument("--force-gamma-element", dest="force_gamma_element", type=int)
-    parser.add_argument("--force-gamma-value", dest="force_gamma_value", type=float)
-    parser.add_argument("--snapshot-times", dest="snapshot_times",
-                        help="comma-separated times")
-    parser.add_argument("--output-dir", dest="output_dir")
+    """One flag per RunConfig field; values are parsed as config file values."""
+    for name, parse in _FIELDS.items():
+        flag = "--" + name.replace("_", "-")
+        if parse is _parse_bool:
+            parser.add_argument(flag, dest=name, action="store_true", default=None)
+        else:
+            parser.add_argument(flag, dest=name)
 
 
 def _build_run_config(args) -> RunConfig:
     values = load_config(args.config) if args.config else {}
-    for f in dataclasses.fields(RunConfig):
-        cli_val = getattr(args, f.name, None)
+    for name, parse in _FIELDS.items():
+        cli_val = getattr(args, name)
         if cli_val is not None:
-            if f.name == "snapshot_times" and isinstance(cli_val, str):
-                cli_val = _parse_value("snapshot_times", cli_val)
-            values[f.name] = cli_val
+            values[name] = parse(cli_val) if isinstance(cli_val, str) else cli_val
     if "case" not in values:
         raise ValueError("a case must be given via config file or --case")
     return RunConfig(**values)
@@ -133,7 +123,7 @@ def main(argv=None) -> int:
 
     if args.command == "check-injectivity":
         report = check_injectivity(args.p, args.r, args.d)
-        print(json.dumps(report.as_dict()))
+        print(json.dumps(dataclasses.asdict(report)))
         return EXIT_OK
 
     if args.command == "reference":

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import ElementSpace
+from .basis import ElementSpace, penalty_stage_rate
 from .mesh import Mesh, build_uniform_mesh
 from .physics import (
     BoundaryCondition,
@@ -30,7 +30,7 @@ from .physics import (
     nozzle_area,
 )
 from .projections import project_l2
-from .sensor import SensorConfig
+from .sensor import DEFAULT_C_PEN, DEFAULT_S_EPS, SensorConfig
 from .solver import Discretization, FieldState, SolverAbort, Trajectory, advance
 
 GAUSSIAN_CENTER = 0.5
@@ -39,6 +39,7 @@ SHU_OSHER_LEFT = (3.857143, 2.629369, 10.3333)
 SHU_OSHER_JUMP = -4.0
 NOZZLE_INLET = (1.0, 1.0, 0.40)
 NOZZLE_OUTLET = (1.0, 1.0, 0.45)
+GAS_GAMMA = Euler1D.gamma_a     # ratio of specific heats of every Euler preset
 # steady flag: relative drift rate ||U_{n+1}-U_n|| / (dt ||U_n||) below this
 STEADY_RATE_TOL = 1e-4
 
@@ -53,9 +54,9 @@ class RunConfig:
     n_elements: int | None = None
     dt: float | None = None
     t_final: float | None = None
-    c_pen: float = 1.0e7
+    c_pen: float = DEFAULT_C_PEN
     tau: float | None = None
-    s_eps: float = 1.0e-10
+    s_eps: float = DEFAULT_S_EPS
     cfl: float = 0.3
     entropy_fix: bool = False
     force_gamma_element: int | None = None
@@ -71,6 +72,8 @@ class RunConfig:
             raise ValueError(f"force_gamma_value must be finite and >= 0: {self.force_gamma_value}")
         if self.force_gamma_element is not None and self.force_gamma_element < 0:
             raise ValueError(f"force_gamma_element must be >= 0: {self.force_gamma_element}")
+        if self.force_gamma_value is not None and self.force_gamma_element is None:
+            raise ValueError("force_gamma_value needs force_gamma_element")
 
     @property
     def sensor_config(self) -> SensorConfig:
@@ -80,7 +83,7 @@ class RunConfig:
     def force_gamma(self) -> tuple[int, float] | None:
         if self.force_gamma_element is None:
             return None
-        value = self.force_gamma_value if self.force_gamma_value is not None else 1.0e7
+        value = self.force_gamma_value if self.force_gamma_value is not None else DEFAULT_C_PEN
         return (self.force_gamma_element, value)
 
 
@@ -123,10 +126,10 @@ def shu_osher_initial(x):
     x = np.asarray(x, dtype=float)
     rho_l, u_l, p_l = SHU_OSHER_LEFT
     left = euler_state_from_primitives(
-        np.full_like(x, rho_l), np.full_like(x, u_l), np.full_like(x, p_l), 1.4
+        np.full_like(x, rho_l), np.full_like(x, u_l), np.full_like(x, p_l), GAS_GAMMA
     )
     right = euler_state_from_primitives(
-        1.0 + 0.2 * np.sin(5.0 * x), np.zeros_like(x), np.ones_like(x), 1.4
+        1.0 + 0.2 * np.sin(5.0 * x), np.zeros_like(x), np.ones_like(x), GAS_GAMMA
     )
     return np.where(x < SHU_OSHER_JUMP, left, right)
 
@@ -135,7 +138,8 @@ def sod_like_initial(x):
     """Shock tube: the Shu-Osher inflow state left of its jump, gas at rest
     with unit density and pressure right of it."""
     x = np.asarray(x, dtype=float)
-    rest = euler_state_from_primitives(np.ones_like(x), np.zeros_like(x), np.ones_like(x), 1.4)
+    rest = euler_state_from_primitives(np.ones_like(x), np.zeros_like(x), np.ones_like(x),
+                                       GAS_GAMMA)
     return np.where(x < SHU_OSHER_JUMP, shu_osher_initial(x), rest)
 
 
@@ -169,7 +173,7 @@ def _nozzle_density(area, mdot, sigma, enthalpy, branch):
     Roots of  gamma*sigma*rho^(gamma-1)/(gamma-1) + mdot^2/(2 A^2 rho^2) = H;
     ``branch`` selects the subsonic (dense) or supersonic (light) solution.
     """
-    gamma_a = 1.4
+    gamma_a = GAS_GAMMA
 
     def f(rho):
         c2 = gamma_a * sigma * rho ** (gamma_a - 1.0)
@@ -191,7 +195,7 @@ def _nozzle_steady_params():
     linearized sense used by the boundary ghost), which shifts entropy and
     stagnation enthalpy slightly from their farfield values.
     """
-    gamma_a = 1.4
+    gamma_a = GAS_GAMMA
     rho_a, u_a, m_a = NOZZLE_INLET
     c_a = u_a / m_a
     p_a = rho_a * c_a * c_a / gamma_a
@@ -253,8 +257,8 @@ def nozzle_initial(x):
                    _nozzle_density(A, mdot, sigma, enthalpy, "supersonic"),
                    _nozzle_density(A, mdot, sigma, enthalpy, "subsonic"))
     u = mdot / (rho * A)
-    p = sigma * rho ** 1.4
-    return euler_state_from_primitives(rho, u, p, 1.4) * A
+    p = sigma * rho ** GAS_GAMMA
+    return euler_state_from_primitives(rho, u, p, GAS_GAMMA) * A
 
 
 def _relax_shock_element(disc, state, x_shock) -> FieldState:
@@ -291,8 +295,11 @@ def _relax_shock_element(disc, state, x_shock) -> FieldState:
         disc.sensor_config, disc.entropy_fix,
     )
 
+    def penalty_rate(V, gamma):      # -M^-1 gamma M_pp V, the penalty filter at c = 0
+        return penalty_stage_rate(disc1.p, disc1.n, V, gamma, 0.0)
+
     def rate(V, gamma):
-        return disc1.solve_mass(disc1.residual(V, 0.0) - disc1.apply_penalty(V, gamma))
+        return disc1.solve_mass(disc1.residual(V, 0.0)) + penalty_rate(V, gamma)
 
     local = FieldState(state.U[:, element:element + 1].copy(), 0.0)
     U = advance(disc1, local, dt=4e-4, t_final=4e-4).final.U
@@ -301,7 +308,7 @@ def _relax_shock_element(disc, state, x_shock) -> FieldState:
         gamma = disc1.evaluate_sensor(U).gamma
         F = rate(U, gamma)
         norm = np.linalg.norm(F)
-        tol = 1e-10 * max(1.0, np.linalg.norm(disc1.solve_mass(disc1.apply_penalty(U, gamma))))
+        tol = 1e-10 * max(1.0, np.linalg.norm(penalty_rate(U, gamma)))
         if norm <= tol:
             out = state.U.copy()
             out[:, element] = U[:, 0]
@@ -387,7 +394,7 @@ _GAUSSIAN = Case((0.0, 1.0), Convection, _PERIODIC, _PERIODIC,
 _SHU_OSHER = Case(
     (-5.0, 5.0), Euler1D,
     BoundaryCondition("prescribed",
-                      state=tuple(euler_state_from_primitives(*SHU_OSHER_LEFT, 1.4))),
+                      state=tuple(euler_state_from_primitives(*SHU_OSHER_LEFT, GAS_GAMMA))),
     BoundaryCondition("wall"),
     shu_osher_initial, (SHU_OSHER_JUMP,), dict(p=3, n=5, n_elements=64, t_final=1.78),
     fv=True,
@@ -528,25 +535,42 @@ def error_norm(disc: Discretization, U: np.ndarray, reference,
     raise ValueError(f"unknown norm kind {norm_kind!r}")
 
 
-def spatial_accuracy_dt_rule(coarsest_elements: int, wave_speed: float = 1.0):
+def spatial_accuracy_dt_rule(coarsest_elements: int):
     """Time-step rule for mesh-refinement studies: dt = c * h^((p+1)/2).
 
     The second-order time error then scales like the O(h^(p+1)) spatial
     error, so observed orders are not capped at 2.  The constant c is set by
     the explicit stability limit on the coarsest grid, where the rule and the
-    CFL bound coincide; on finer grids the rule is the stricter of the two.
+    CFL bound coincide: h is the case's domain length over the element count
+    and the wave speed that of the case's initial state built on the coarsest
+    grid, as `default_dt` takes them.  On finer grids the rule is the
+    stricter of the two.
     """
     def rule(cfg: RunConfig) -> float:
+        cfg = _filled(cfg)
+        a, b = _CASES[cfg.case].domain
+        _, disc, state0 = build_problem(replace(cfg, n_elements=coarsest_elements))
+        wave_speed = max(disc.max_wave_speed(state0.U), 1e-12)
+
         def stable_dt(n_elements: int) -> float:
-            h = 1.0 / n_elements
+            h = (b - a) / n_elements
             return cfg.cfl * (h / cfg.n) / ((2 * cfg.p + 1) * wave_speed)
 
         exponent = 0.5 * (cfg.p + 1)
-        c = stable_dt(coarsest_elements) / (1.0 / coarsest_elements) ** exponent
-        h = 1.0 / cfg.n_elements
+        c = stable_dt(coarsest_elements) / ((b - a) / coarsest_elements) ** exponent
+        h = (b - a) / cfg.n_elements
         return min(stable_dt(cfg.n_elements), c * h ** exponent)
 
     return rule
+
+
+def _observed_order(records: list[ErrorRecord], h: float, error: float) -> float | None:
+    """log(e_prev / e) / log(h_prev / h) against the last record; None when
+    there is none or either error is not a finite positive number."""
+    if not records or not all(0.0 < e < np.inf for e in (records[-1].error, error)):
+        return None
+    prev = records[-1]
+    return float(np.log(prev.error / error) / np.log(prev.h / h))
 
 
 def convergence_study(base: RunConfig, refinements, norm_kind: str = "L2",
@@ -557,30 +581,19 @@ def convergence_study(base: RunConfig, refinements, norm_kind: str = "L2",
         raise ValueError("need at least 3 refinement levels")
     records: list[ErrorRecord] = []
     for n_el in refinements:
-        cfg = replace(base, n_elements=int(n_el), output_dir=None)
-        cfg = _filled(cfg)
+        cfg = _filled(replace(base, n_elements=int(n_el), output_dir=None))
         if dt_rule is not None:
             cfg = replace(cfg, dt=dt_rule(cfg))
+        a, b = _CASES[cfg.case].domain
+        h = (b - a) / cfg.n_elements
         try:
-            if cfg.t_final == 0.0:
-                _, disc, state0 = build_problem(cfg)
-                final_U, init_U = state0.U, state0.U
-            else:
-                result = run_case(cfg)
-                disc = result.disc
-                final_U, init_U = result.trajectory.final.U, result.initial.U
-            err = state_error_norm(disc, final_U, init_U, norm_kind)
+            result = run_case(cfg)
+            err = state_error_norm(result.disc, result.trajectory.final.U, result.initial.U,
+                                   norm_kind)
         except SolverAbort:
-            records.append(ErrorRecord(h=1.0 / n_el, p=cfg.p, n=cfg.n,
-                                       norm_kind=norm_kind, error=float("nan")))
-            continue
-        h = (disc.mesh.b - disc.mesh.a) / disc.n_elements
-        order = None
-        if records and np.isfinite(records[-1].error):
-            prev = records[-1]
-            order = float(np.log(prev.error / err) / np.log(prev.h / h))
-        records.append(ErrorRecord(h=h, p=cfg.p, n=cfg.n, norm_kind=norm_kind,
-                                   error=err, observed_order=order))
+            err = float("nan")
+        records.append(ErrorRecord(h=h, p=cfg.p, n=cfg.n, norm_kind=norm_kind, error=err,
+                                   observed_order=_observed_order(records, h, err)))
     return records
 
 
@@ -598,12 +611,8 @@ def projection_convergence(p: int, n: int, refinements, profile=None,
         state = project_initial(disc, lambda x: np.asarray(f(x))[None])
         err = error_norm(disc, state.U, f, norm_kind)
         h = 1.0 / n_el
-        order = None
-        if records:
-            prev = records[-1]
-            order = float(np.log(prev.error / err) / np.log(prev.h / h))
-        records.append(ErrorRecord(h=h, p=p, n=n, norm_kind=norm_kind,
-                                   error=err, observed_order=order))
+        records.append(ErrorRecord(h=h, p=p, n=n, norm_kind=norm_kind, error=err,
+                                   observed_order=_observed_order(records, h, err)))
     return records
 
 

@@ -16,7 +16,7 @@ from .basis import (
     assemble_mass,
     gauss_rule,
     legendre_eval,
-    penalty_eigenbasis,
+    penalty_stage_rate,
     reference_element,
 )
 
@@ -32,29 +32,29 @@ def _quad_rhs(f, space: ElementSpace, breakpoints=None) -> np.ndarray:
 
     `breakpoints` lists known discontinuity locations of f; sub-cells that
     straddle one are integrated piecewise so the rule never crosses a jump.
-    f may be vector-valued, returning shape (m, q) at q points; the result
-    then has shape (m, dof).
+    f is called once, on the nodes of all pieces; it may be vector-valued,
+    returning shape (m, q) at q points, and the result then has shape
+    (m, dof).  The pieces' sums are added in order, piece by piece.
     """
-    ref = space.ref
+    ref, p = space.ref, space.p
     g, w = gauss_rule(ref.n_quad)
-    b = None
     edges = space.to_physical(ref.sub_edges)
-    for s in range(space.n):
-        xl, xr = edges[s], edges[s + 1]
-        cuts = [xl, xr]
-        if breakpoints is not None:
-            cuts += [float(c) for c in breakpoints if xl < c < xr]
-        cuts = sorted(cuts)
-        for a, c in zip(cuts[:-1], cuts[1:]):
-            xq = 0.5 * (a + c) + 0.5 * (c - a) * g
-            wq = 0.5 * (c - a) * w
-            fv = np.asarray(f(xq), dtype=float)
-            if b is None:
-                b = np.zeros(fv.shape[:-1] + (space.dof,))
-            xi = space.to_reference(xq)
-            for i in range(space.p):
-                b[..., i] += np.sum(wq * fv * legendre_eval(i + 1, xi), axis=-1)
-            b[..., space.p + s] += np.sum(wq * fv, axis=-1)
+    inside = [] if breakpoints is None else [
+        float(c) for c in breakpoints if edges[0] < c < edges[-1] and c not in edges]
+    cuts = np.sort(np.concatenate([edges, inside]))
+    a, c = cuts[:-1, None], cuts[1:, None]                 # (pieces, 1)
+    owner = np.searchsorted(edges, cuts[:-1], side="right") - 1
+    xq = 0.5 * (a + c) + 0.5 * (c - a) * g
+    fv = np.asarray(f(xq.ravel()), dtype=float)
+    fw = (0.5 * (c - a) * w) * fv.reshape(fv.shape[:-1] + xq.shape)
+    xi = space.to_reference(xq)
+    # (..., pieces, p + 1): the Legendre moments 1..p, then the plain sum
+    sums = np.stack([np.sum(fw * legendre_eval(i, xi), axis=-1) for i in range(1, p + 1)]
+                    + [np.sum(fw, axis=-1)], axis=-1)
+    b = np.zeros(fv.shape[:-1] + (space.dof,))
+    for k, s in enumerate(owner):
+        b[..., :p] += sums[..., k, :p]
+        b[..., p + s] += sums[..., k, p]
     return b
 
 
@@ -84,18 +84,17 @@ def project_lo(c: np.ndarray, space: ElementSpace) -> np.ndarray:
 
 
 def project_penalized(f, space: ElementSpace, gamma: float, breakpoints=None) -> np.ndarray:
-    """Penalized L2 projection: solves (M + gamma * M_pp) c = b as
-    c = M^{-1} b - (2/h) W diag(gamma lam / (1 + gamma lam)) W^T b in the
-    penalty eigenbasis.  gamma = 0 is exactly project_l2; gamma -> infinity
-    drives the polynomial modes to zero, leaving the monotone sub-cell-average
-    projection.
+    """Penalized L2 projection: solves (M + gamma * M_pp) u = b as the L2
+    projection u_0 plus the penalty filter of u_0 at stage weight 1
+    (`penalty_stage_rate`).  gamma = 0 is exactly project_l2; gamma ->
+    infinity drives the polynomial modes to zero, leaving the monotone
+    sub-cell-average projection.
     """
     if gamma < 0:
         raise ValueError("penalty parameter must be non-negative")
-    b = _quad_rhs(f, space, breakpoints)
-    lam, W, _ = penalty_eigenbasis(space.p, space.n)
-    damped = ((b @ W) * (gamma * lam / (1.0 + gamma * lam))) @ W.T * (2.0 / space.width)
-    return np.linalg.solve(assemble_mass(space), b[..., None])[..., 0] - damped
+    u0 = project_l2(f, space, breakpoints)
+    rate = penalty_stage_rate(space.p, space.n, u0[..., None, :], np.array([gamma]), 1.0)
+    return u0 + rate[..., 0, :]
 
 
 def avg_matrix(space: ElementSpace) -> np.ndarray:
@@ -129,13 +128,6 @@ class InjectivityReport:
     injective: bool
     smin: float
     smax: float
-
-    def as_dict(self) -> dict:
-        return {
-            "p": self.p, "r": self.r, "d": self.d, "n": self.n,
-            "dofs": self.dofs, "injective": self.injective,
-            "smin": self.smin, "smax": self.smax,
-        }
 
 
 def _simplex_subdivision_2d(r: int) -> list[np.ndarray]:

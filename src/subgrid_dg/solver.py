@@ -22,7 +22,7 @@ the two domain ends for the ghosts, so a step evaluates no geometry.
 three stages.  It keeps the implicit stage rates on the slice of elements
 from the first to the last penalized one and does no implicit work when none
 is penalized.  A stage's penalty solve is a closed-form filter of the
-polynomial modes in the penalty eigenbasis (`basis.penalty_eigenbasis`).
+polynomial modes in the penalty eigenbasis (`basis.penalty_stage_rate`).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import ElementSpace, penalty_eigenbasis, reference_element
+from .basis import ElementSpace, penalty_stage_rate, reference_element
 from .mesh import Mesh
 from .physics import (
     AdmissibilityError,
@@ -223,11 +223,6 @@ class Discretization:
         """Apply M^{-1} elementwise: the physical mass is (h/2) * M_ref."""
         return (R @ self._mass_inv_t) * self._inv_half_h
 
-    def apply_penalty(self, U: np.ndarray, gammas: np.ndarray) -> np.ndarray:
-        """Gamma M_pp U, elementwise."""
-        out = np.einsum("med,cd->mec", U, self.ref.mass_pp)
-        return out * (gammas * self.h / 2.0)[None, :, None]
-
     # -- diagnostics ----------------------------------------------------------
 
     def subcell_averages(self, U: np.ndarray) -> np.ndarray:
@@ -242,8 +237,8 @@ class Discretization:
 
     def poly_energy(self, U: np.ndarray) -> np.ndarray:
         """(m, E) squared L2 norm of the polynomial part per element."""
-        norms = 2.0 / (2.0 * np.arange(1, self.p + 1) + 1.0)
-        return (U[:, :, : self.p] ** 2 * norms[None, None, :]).sum(-1) * (self.h / 2.0)
+        norms = np.diagonal(self.ref.mass_pp)[: self.p]
+        return (U[:, :, : self.p] ** 2 * norms).sum(-1) * (self.h / 2.0)
 
     def field_norm(self, U: np.ndarray, kind: str = "L2") -> np.ndarray:
         """Global L1 or L2 norm of each component."""
@@ -259,16 +254,6 @@ class Discretization:
 
     def max_wave_speed(self, U: np.ndarray) -> float:
         return self.law.max_wave_speed(self.eval_at_quad(U))
-
-
-def penalty_stage_rate(p: int, n: int, U: np.ndarray, gammas: np.ndarray,
-                       c: float) -> np.ndarray:
-    """Rate r of the frozen penalty stage (M + c gamma M_pp) r = -gamma M_pp U,
-    c = dt a_ii, on each element of U (m, E, dof), gammas (E,):
-    r = -W diag(gamma lam / (1 + c gamma lam)) W^T M U; h cancels; r = 0 where gamma = 0."""
-    lam, W, MW = penalty_eigenbasis(p, n)
-    glam = gammas[:, None] * lam                       # (E, p)
-    return -((U @ MW) * (glam / (1.0 + c * glam))) @ W.T
 
 
 def imex_step(

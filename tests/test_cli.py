@@ -1,7 +1,10 @@
+import dataclasses
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from subgrid_dg import cli
 from subgrid_dg.cli import (
     EXIT_CONFIG,
     EXIT_NONINJECTIVE,
@@ -10,6 +13,7 @@ from subgrid_dg.cli import (
     load_config,
     main,
 )
+from subgrid_dg.harness import RunConfig
 
 TINY = ["--p", "1", "--n", "2", "--n-elements", "4", "--t-final", "0.02"]
 
@@ -51,6 +55,45 @@ def test_load_config_rejects_unknown_key(tmp_path):
     path.write_text("case burgers\n")
     with pytest.raises(ValueError, match="expected key = value"):
         load_config(str(path))
+
+
+# a value for every RunConfig field, none of them its default, as a flag or
+# config-file text would give it
+FIELD_VALUES = {
+    "case": ("burgers", "burgers"),
+    "p": (2, "2"),
+    "n": (3, "3"),
+    "n_elements": (5, "5"),
+    "dt": (1e-3, "1e-3"),
+    "t_final": (0.5, "0.5"),
+    "c_pen": (2e6, "2e6"),
+    "tau": (0.02, "0.02"),
+    "s_eps": (1e-9, "1e-9"),
+    "cfl": (0.2, "0.2"),
+    "entropy_fix": (True, "true"),
+    "force_gamma_element": (1, "1"),
+    "force_gamma_value": (5.0, "5"),
+    "snapshot_times": ((0.1, 0.2), "0.1,0.2"),
+    "output_dir": ("out", "out"),
+}
+
+
+def test_every_field_is_set_by_its_flag_and_by_a_config_file(tmp_path, monkeypatch):
+    assert set(FIELD_VALUES) == {f.name for f in dataclasses.fields(RunConfig)}
+    built = []
+    monkeypatch.setattr(cli, "run_case",
+                        lambda config: built.append(config) or SimpleNamespace(summary={}))
+    expected = RunConfig(**{k: v for k, (v, _) in FIELD_VALUES.items()})
+    flags = []
+    for name, (value, text) in FIELD_VALUES.items():
+        flag = "--" + name.replace("_", "-")
+        flags += [flag] if value is True else [flag, text]
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(f"{name} = {text}\n" for name, (_, text) in FIELD_VALUES.items()))
+    for argv in (["run"] + flags, ["run", "--config", str(path)]):
+        built.clear()
+        assert main(argv) == EXIT_OK
+        assert built == [expected]
 
 
 def test_run_command_success(capsys):
@@ -136,6 +179,20 @@ def test_convergence_command(tmp_path, capsys):
     csv_lines = (tmp_path / "out" / "convergence.csv").read_text().splitlines()
     assert csv_lines[0].startswith("h,")
     assert len(csv_lines) == 4
+
+
+def test_convergence_command_at_zero_end_time_is_config_error(tmp_path, capsys):
+    code = main(["convergence", "--case", "convection-gaussian", "--p", "1", "--n", "2",
+                 "--t-final", "0", "--levels", "4,8,16", "--output-dir", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert "t_final beyond the current time" in capsys.readouterr().err
+    assert not (tmp_path / "convergence.csv").exists()
+
+
+def test_run_command_forced_value_without_element_is_config_error(capsys):
+    code = main(["run", "--case", "convection-heaviside", "--force-gamma-value", "5"])
+    assert code == EXIT_CONFIG
+    assert "force_gamma_value needs force_gamma_element" in capsys.readouterr().err
 
 
 def test_reference_command(tmp_path, monkeypatch, capsys):

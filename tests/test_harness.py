@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from subgrid_dg import harness
-from subgrid_dg.basis import ElementSpace
+from subgrid_dg.basis import ElementSpace, penalty_stage_rate
 from subgrid_dg.harness import (
     NOZZLE_INLET,
     NOZZLE_OUTLET,
@@ -107,8 +107,8 @@ def test_relaxed_shock_element_is_discrete_steady_state(overrides):
                            disc.sensor_config, disc.entropy_fix)
     U = state.U[:, element:element + 1]
     gamma = disc1.evaluate_sensor(U).gamma
-    penalty_rate = disc1.solve_mass(disc1.apply_penalty(U, gamma))
-    F = disc1.solve_mass(disc1.residual(U, 0.0)) - penalty_rate
+    penalty_rate = penalty_stage_rate(disc1.p, disc1.n, U, gamma, 0.0)   # -M^-1 gamma M_pp U
+    F = disc1.solve_mass(disc1.residual(U, 0.0)) + penalty_rate
     assert np.linalg.norm(F) <= 1e-10 * max(1.0, np.linalg.norm(penalty_rate))
     u0 = project_initial(disc, harness._CASES["nozzle"].initial, (x_shock,))
     others = np.arange(disc.n_elements) != element
@@ -290,6 +290,19 @@ def test_spatial_accuracy_dt_rule():
     assert rule(fine) == pytest.approx(expected)
 
 
+@pytest.mark.parametrize("case", ["nozzle", "burgers", "shu-osher"])
+def test_spatial_accuracy_dt_rule_is_default_dt_at_the_coarsest_level(case):
+    # h from the case's domain and the wave speed of its built initial state
+    config, disc, state = build_problem(RunConfig(case=case))
+    rule = spatial_accuracy_dt_rule(config.n_elements)
+    assert rule(config) == pytest.approx(default_dt(disc, state.U, config.cfl), rel=1e-12)
+
+
+def test_forced_value_without_element_is_rejected():
+    with pytest.raises(ValueError, match="force_gamma_value needs force_gamma_element"):
+        RunConfig(case="convection-heaviside", force_gamma_value=5.0)
+
+
 def test_convergence_study_requires_three_levels():
     with pytest.raises(ValueError):
         convergence_study(RunConfig(case="convection-gaussian"), [8, 16])
@@ -416,9 +429,9 @@ def test_project_initial_projects_split_element_once(monkeypatch):
 
     project_initial(disc, profile, (harness._nozzle_steady_params()[-1],))
     assert len(projections) == 1
-    # the nodes of the whole mesh, then each sub-cell of the shock element
-    # with the one split at the shock
-    assert len(profiles) == 1 + config.n + 1
+    # the nodes of the whole mesh, then those of every piece of the shock
+    # element, its sub-cells with the one split at the shock
+    assert len(profiles) == 2
 
 
 def test_fv_reference_initial_cell_averages():

@@ -9,6 +9,7 @@ from subgrid_dg.basis import (
     assemble_penalty_mass,
     basis_eval,
     gauss_rule,
+    legendre_eval,
 )
 from subgrid_dg.projections import (
     NonInjectiveError,
@@ -98,6 +99,80 @@ def exact_subcell_averages_split(f, space, cut, n_quad=30):
             acc += 0.5 * (b - a) * np.sum(w * f(xq))
         out[s] = acc / (edges[s + 1] - edges[s])
     return out
+
+
+def quad_rhs_piece_by_piece(f, space, breakpoints=None):
+    """_quad_rhs written as a loop over the (sub-cell, cut) pieces: one call
+    of f and one Legendre evaluation per mode for each piece."""
+    ref = space.ref
+    g, w = gauss_rule(ref.n_quad)
+    b = None
+    edges = space.to_physical(ref.sub_edges)
+    for s in range(space.n):
+        xl, xr = edges[s], edges[s + 1]
+        cuts = [xl, xr]
+        if breakpoints is not None:
+            cuts += [float(c) for c in breakpoints if xl < c < xr]
+        cuts = sorted(cuts)
+        for a, c in zip(cuts[:-1], cuts[1:]):
+            xq = 0.5 * (a + c) + 0.5 * (c - a) * g
+            wq = 0.5 * (c - a) * w
+            fv = np.asarray(f(xq), dtype=float)
+            if b is None:
+                b = np.zeros(fv.shape[:-1] + (space.dof,))
+            xi = space.to_reference(xq)
+            for i in range(space.p):
+                b[..., i] += np.sum(wq * fv * legendre_eval(i + 1, xi), axis=-1)
+            b[..., space.p + s] += np.sum(wq * fv, axis=-1)
+    return b
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.integers(0, 7),
+    n=st.integers(1, 9),
+    x_left=st.floats(-5.0, 5.0),
+    width=st.floats(1e-3, 10.0),
+    m=st.sampled_from([None, 1, 3]),
+    k=st.floats(0.5, 20.0),
+    cut_kinds=st.lists(st.tuples(st.sampled_from(["inside", "outside", "edge", "twice"]),
+                                 st.floats(0.0, 1.0)), max_size=4),
+)
+def test_quad_rhs_equals_piece_by_piece_loop(p, n, x_left, width, m, k, cut_kinds):
+    # one call of f on all pieces gives the same bits as a call per piece
+    space = ElementSpace(p, n, x_left, x_left + width)
+    edges = space.to_physical(space.ref.sub_edges)
+    cuts = []
+    for kind, u in cut_kinds:
+        if kind == "inside":
+            cuts.append(x_left + u * width)
+        elif kind == "outside":
+            cuts.append(x_left - u * width if u < 0.5 else x_left + (0.5 + u) * width)
+        elif kind == "edge":
+            cuts.append(float(edges[int(u * n)]))
+        else:
+            cuts += [x_left + u * width] * 2
+    jump = cuts[0] if cuts else x_left + 0.5 * width
+
+    def f(x):
+        base = np.sin(k * x) + np.where(x < jump, 1.0, -0.5)
+        if m is None:
+            return base
+        return np.stack([base * (c + 1.0) + c * np.cos(x) for c in range(m)])
+
+    for breakpoints in (cuts, None):
+        new = _quad_rhs(f, space, breakpoints)
+        old = quad_rhs_piece_by_piece(f, space, breakpoints)
+        assert new.shape == old.shape
+        assert np.array_equal(new, old)
+
+
+def test_quad_rhs_calls_f_once():
+    calls = []
+    space = ElementSpace(3, 4, 0.0, 1.0)
+    _quad_rhs(lambda x: calls.append(x.shape) or np.sin(x), space, [0.3, 0.3, 0.6])
+    # 4 sub-cells, one split at 0.6 and one at 0.3 twice: 7 pieces of 5 nodes
+    assert calls == [(35,)]
 
 
 def test_projection_gamma_zero_matches_plain_l2():
