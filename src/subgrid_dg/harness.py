@@ -145,7 +145,7 @@ def sod_like_initial(x):
 
 def _bisect(g, lo, hi):
     """Root of g between lo and hi, across which g changes sign once, by up to
-    200 halvings; elementwise when the bracket or g holds arrays.
+    200 halvings; elementwise, and a 0-d array for a scalar bracket.
 
     A halving that leaves the bracket as it was repeats itself from then on
     (doubles reach adjacent floats after about 55), so the search stops
@@ -155,23 +155,18 @@ def _bisect(g, lo, hi):
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         up = (g(mid) > 0) == lo_positive
-        if isinstance(up, np.ndarray):
-            new = np.where(up, mid, lo), np.where(up, hi, mid)
-            if np.array_equal(new[0], lo) and np.array_equal(new[1], hi):
-                break
-        else:   # Python floats: several times faster than 0-d arrays
-            new = (mid, hi) if up else (lo, mid)
-            if new == (lo, hi):
-                break
-        lo, hi = new
+        new_lo, new_hi = np.where(up, mid, lo), np.where(up, hi, mid)
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
     return 0.5 * (lo + hi)
 
 
-def _nozzle_density(area, mdot, sigma, enthalpy, branch):
+def _nozzle_density(area, mdot, sigma, enthalpy, supersonic):
     """Density of steady duct flow, elementwise over array arguments.
 
     Roots of  gamma*sigma*rho^(gamma-1)/(gamma-1) + mdot^2/(2 A^2 rho^2) = H;
-    ``branch`` selects the subsonic (dense) or supersonic (light) solution.
+    the supersonic (light) one where the mask ``supersonic`` holds, else the dense one.
     """
     gamma_a = GAS_GAMMA
 
@@ -180,8 +175,8 @@ def _nozzle_density(area, mdot, sigma, enthalpy, branch):
         return c2 / (gamma_a - 1.0) + mdot ** 2 / (2.0 * area ** 2 * rho ** 2) - enthalpy
 
     rho_sonic = (mdot ** 2 / (gamma_a * sigma * area ** 2)) ** (1.0 / (gamma_a + 1.0))
-    lo, hi = (rho_sonic, 10.0) if branch == "subsonic" else (1e-3, rho_sonic)
-    return _bisect(f, lo, hi)
+    return _bisect(f, np.where(supersonic, 1e-3, rho_sonic),
+                   np.where(supersonic, rho_sonic, 10.0))
 
 
 @lru_cache(maxsize=1)
@@ -194,6 +189,11 @@ def _nozzle_steady_params():
     the farfield data only along the outgoing acoustic wave (in the
     linearized sense used by the boundary ghost), which shifts entropy and
     stagnation enthalpy slightly from their farfield values.
+    The normal-shock entropy jump sigma2/sigma1 = (p2/p1) / (rho2/rho1)^gamma
+    fixes the pre-shock Mach number M1, and the shock sits where the area
+    ratio of the sonic throat reaches M1, A(x) = A_t * area_ratio(M1)
+    (Anderson, Modern Compressible Flow, 3rd ed., chs. 3 and 5): with the
+    inlet Mach number, three scalar bisections and no density solve.
     """
     gamma_a = GAS_GAMMA
     rho_a, u_a, m_a = NOZZLE_INLET
@@ -209,7 +209,7 @@ def _nozzle_steady_params():
         t = (2.0 / (gamma_a + 1.0)) * (1.0 + 0.5 * (gamma_a - 1.0) * mach * mach)
         return t ** ((gamma_a + 1.0) / (2.0 * (gamma_a - 1.0))) / mach
 
-    mach_in = _bisect(lambda mach: area_ratio(mach) - 1.0 / a_throat, 1e-3, 1.0)
+    mach_in = float(_bisect(lambda mach: area_ratio(mach) - 1.0 / a_throat, 1e-3, 1.0))
 
     # inlet state: farfield plus a jump along the outgoing acoustic wave
     rho_d, u_d, p_d = rho_a, u_a, p_a
@@ -231,18 +231,15 @@ def _nozzle_steady_params():
     rho_e = mdot / u_e
     sigma2 = p_back / rho_e ** gamma_a
 
-    def post_shock_entropy(x):
-        area = float(nozzle_area(np.array([x]))[0][0])
-        rho1 = _nozzle_density(area, mdot, sigma1, enthalpy, "supersonic")
-        u1 = mdot / (rho1 * area)
-        p1 = sigma1 * rho1 ** gamma_a
-        msq = rho1 * u1 * u1 / (gamma_a * p1)
-        p2 = p1 * (2.0 * gamma_a * msq - (gamma_a - 1.0)) / (gamma_a + 1.0)
-        rho2 = rho1 * (gamma_a + 1.0) * msq / ((gamma_a - 1.0) * msq + 2.0)
-        return p2 / rho2 ** gamma_a
+    def entropy_jump(mach):          # sigma2 / sigma1 across a normal shock at M1
+        msq = mach * mach
+        p_ratio = (2.0 * gamma_a * msq - (gamma_a - 1.0)) / (gamma_a + 1.0)
+        rho_ratio = (gamma_a + 1.0) * msq / ((gamma_a - 1.0) * msq + 2.0)
+        return p_ratio / rho_ratio ** gamma_a
 
-    # the entropy jump grows with the shock position
-    x_shock = _bisect(lambda x: sigma2 - post_shock_entropy(x), 0.5 + 1e-9, 1.0 - 1e-9)
+    mach_1 = _bisect(lambda mach: entropy_jump(mach) - sigma2 / sigma1, 1.0, 10.0)
+    area_1 = a_throat * area_ratio(mach_1)
+    x_shock = float(_bisect(lambda x: nozzle_area(x)[0] - area_1, 0.5, 0.9))
     return mdot, sigma1, sigma2, enthalpy, x_shock
 
 
@@ -253,9 +250,7 @@ def nozzle_initial(x):
     A, _ = nozzle_area(x)
     upstream = x < x_shock
     sigma = np.where(upstream, sigma1, sigma2)
-    rho = np.where(upstream & (x >= 0.5),
-                   _nozzle_density(A, mdot, sigma, enthalpy, "supersonic"),
-                   _nozzle_density(A, mdot, sigma, enthalpy, "subsonic"))
+    rho = _nozzle_density(A, mdot, sigma, enthalpy, upstream & (x >= 0.5))
     u = mdot / (rho * A)
     p = sigma * rho ** GAS_GAMMA
     return euler_state_from_primitives(rho, u, p, GAS_GAMMA) * A
@@ -270,18 +265,19 @@ def _relax_shock_element(disc, state, x_shock) -> FieldState:
     the captured-shock profile and removes most of the start-up transient of
     the steady-state run.  The solve is pseudo-transient continuation
     (Kelley & Keyes, SIAM J. Numer. Anal. 35, 1998): a short march, then
-    damped Newton on F(U) = M^-1 (R(U) - gamma M_pp U) = 0 with gamma frozen
-    at the state's sensor value, frozen again until the state is steady
-    under the gamma of its own sensor.  The march is one IMEX step of
-    dt = 4e-4, the shortest start tried that Newton solves in a few
-    iterations (on the default nozzle 10, against 29 from the projection).
-    The Jacobian is a forward difference; a step is halved until it lowers
-    |F|, and a trial state the residual rejects as inadmissible is halved,
-    never accepted.  The tolerance is 1e-10, times the penalty rate
-    |M^-1 gamma M_pp U| where that exceeds 1, since the round-off floor of F
-    grows with the penalty term that R balances (4e-11 against a rate of 190
-    on the default nozzle).  No convergence in 100 iterations is a
-    SolverAbort.
+    damped Newton on F(U) = M^-1 (R(U) - gamma M_pp U) = 0 with gamma from
+    the sensor of each iterate, so the result is steady under its own gamma.
+    The march is one IMEX step of dt = 4e-4, the shortest start tried that
+    Newton solves in a few iterations (measured: 6, 232 residual calls with
+    the march, on the default nozzle; 4-5 at 5 to 64 elements).  The
+    Jacobian is a forward difference, backward in a column whose probe
+    state the residual rejects; a step is halved until it lowers |F|, and a
+    trial state the residual rejects is halved, never accepted.  The
+    tolerance is 1e-10, times the penalty rate |M^-1 gamma M_pp U| where
+    that exceeds 1, since the round-off floor of F grows with the penalty
+    term that R balances (4e-11 against a rate of 190 on the default
+    nozzle).  No convergence in 100 iterations, or a failed line search, is
+    a SolverAbort.
     """
     element = min(int(x_shock * disc.n_elements), disc.n_elements - 1)
     xl, xr = disc.mesh.element_bounds(element)
@@ -303,37 +299,36 @@ def _relax_shock_element(disc, state, x_shock) -> FieldState:
 
     local = FieldState(state.U[:, element:element + 1].copy(), 0.0)
     U = advance(disc1, local, dt=4e-4, t_final=4e-4).final.U
-    iterations, lam, norm = 0, 1.0, np.inf
-    while iterations < 100 and lam >= 1e-6:
+    for iterations in range(100):
         gamma = disc1.evaluate_sensor(U).gamma
         F = rate(U, gamma)
         norm = np.linalg.norm(F)
-        tol = 1e-10 * max(1.0, np.linalg.norm(penalty_rate(U, gamma)))
-        if norm <= tol:
+        if norm <= 1e-10 * max(1.0, np.linalg.norm(penalty_rate(U, gamma))):
             out = state.U.copy()
             out[:, element] = U[:, 0]
             return FieldState(U=out, time=state.time)
-        while norm > tol and iterations < 100 and lam >= 1e-6:
-            iterations += 1
-            u = U.ravel()
-            h = 1e-7 * np.maximum(1.0, np.abs(u))
-            J = np.column_stack([(rate((u + h[j] * e).reshape(U.shape), gamma) - F).ravel() / h[j]
-                                 for j, e in enumerate(np.eye(u.size))])
-            step = np.linalg.solve(J, -F.ravel()).reshape(U.shape)
-            lam = 1.0
-            while lam >= 1e-6:
-                try:
-                    trial = rate(U + lam * step, gamma)
-                except SolverAbort:
-                    trial = None
-                if trial is not None and np.linalg.norm(trial) < (1.0 - 1e-4 * lam) * norm:
-                    U, F = U + lam * step, trial
-                    norm = np.linalg.norm(F)
-                    break
-                lam *= 0.5
+        u = U.ravel()
+        h = 1e-7 * np.maximum(1.0, np.abs(u))
+        J = np.empty((u.size, u.size))
+        for j, probe in enumerate(np.diag(h)):
+            try:
+                J[:, j] = (rate((u + probe).reshape(U.shape), gamma) - F).ravel() / h[j]
+            except SolverAbort:      # inadmissible probe state: a backward difference
+                J[:, j] = (F - rate((u - probe).reshape(U.shape), gamma)).ravel() / h[j]
+        step = np.linalg.solve(J, -F.ravel()).reshape(U.shape)
+        for lam in 0.5 ** np.arange(20):
+            try:
+                trial = rate(U + lam * step, gamma)
+            except SolverAbort:
+                continue
+            if np.linalg.norm(trial) < (1.0 - 1e-4 * lam) * norm:
+                U = U + lam * step
+                break
+        else:
+            break
     raise SolverAbort(
         f"no discrete steady state for shock element {element} on x in "
-        f"[{xl:.6g}, {xr:.6g}]: |F| = {norm:.3e} after {iterations} Newton iterations"
+        f"[{xl:.6g}, {xr:.6g}]: |F| = {norm:.3e} after {iterations + 1} Newton iterations"
     )
 
 
@@ -576,15 +571,22 @@ def _observed_order(records: list[ErrorRecord], h: float, error: float) -> float
 def convergence_study(base: RunConfig, refinements, norm_kind: str = "L2",
                       dt_rule=None) -> list[ErrorRecord]:
     """Run `base` at each element count and report errors against the
-    projected initial condition (valid for the one-cycle convection cases)."""
+    projected initial condition, the exact end state only of periodic linear
+    convection over whole periods; anything else is a ValueError up front."""
     if len(refinements) < 3:
         raise ValueError("need at least 3 refinement levels")
+    t_final, case = _filled(base).t_final, _CASES[base.case]
+    law, (a, b) = case.law(), case.domain
+    periods = t_final * abs(law.beta) / (b - a) if isinstance(law, Convection) else np.nan
+    whole = abs(periods - np.round(periods)) <= 1e-12 * abs(periods)     # False for NaN
+    if case.bc_left.kind != "periodic" or not whole:
+        raise ValueError(f"no exact end state for case {base.case!r} at t_final={t_final:g}"
+                         ": needs periodic convection over a whole number of periods")
     records: list[ErrorRecord] = []
     for n_el in refinements:
         cfg = _filled(replace(base, n_elements=int(n_el), output_dir=None))
         if dt_rule is not None:
             cfg = replace(cfg, dt=dt_rule(cfg))
-        a, b = _CASES[cfg.case].domain
         h = (b - a) / cfg.n_elements
         try:
             result = run_case(cfg)
@@ -622,7 +624,7 @@ def projection_convergence(p: int, n: int, refinements, profile=None,
 # Part of the reference cache key: raise it whenever a change to the FV march
 # or to the fluxes it calls can change the stored solution, so that a cache
 # written by older code is not reused.
-FV_SCHEME_VERSION = 4
+FV_SCHEME_VERSION = 5
 
 # What np.load and reading a member raise on a truncated or corrupt .npz.
 _CACHE_READ_ERRORS = (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile,

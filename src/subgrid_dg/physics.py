@@ -116,18 +116,17 @@ def _any_nonpositive(a) -> bool:
 
 
 def _euler_primitives(u, gamma_a):
+    """Checked (rho, v, q, p) of states u (3, ...), with q = m v, which
+    serves both the pressure and the momentum flux."""
     rho = u[0]
     if _any_nonpositive(rho):
         raise AdmissibilityError("non-positive density")
     vel = u[1] / rho
-    p = 0.5 * rho                       # p = (gamma - 1)(E - 0.5 rho v v), in place
-    p *= vel
-    p *= vel
-    p = u[2] - p
-    p *= gamma_a - 1.0
+    q = u[1] * vel
+    p = (gamma_a - 1.0) * (u[2] - 0.5 * q)
     if _any_nonpositive(p):
         raise AdmissibilityError("non-positive pressure")
-    return rho, vel, p
+    return rho, vel, q, p
 
 
 def euler_state_from_primitives(rho, vel, p, gamma_a) -> np.ndarray:
@@ -141,16 +140,8 @@ def euler_state_from_primitives(rho, vel, p, gamma_a) -> np.ndarray:
 
 def _euler_side(u, gamma_a):
     """The flux F = (m, m v + p, (E + p) v) of states u (3, ...), with their
-    checked (rho, v, p, E + p), which the Roe flux takes from a face side;
-    q = m v serves both the pressure and the momentum flux."""
-    rho = u[0]
-    if _any_nonpositive(rho):
-        raise AdmissibilityError("non-positive density")
-    vel = u[1] / rho
-    q = u[1] * vel
-    p = (gamma_a - 1.0) * (u[2] - 0.5 * q)
-    if _any_nonpositive(p):
-        raise AdmissibilityError("non-positive pressure")
+    checked (rho, v, p, E + p), which the Roe flux takes from a face side."""
+    rho, vel, q, p = _euler_primitives(u, gamma_a)
     Ep = u[2] + p
     F = np.empty(u.shape)
     F[0] = u[1]
@@ -217,7 +208,8 @@ class Euler1D(ConservationLaw):
     name: str = "euler1d"
 
     def primitives(self, u):
-        return _euler_primitives(_as_state(u), self.gamma_a)
+        rho, vel, _, p = _euler_primitives(_as_state(u), self.gamma_a)
+        return rho, vel, p
 
     def admissible(self, u):
         u = _as_state(u)
@@ -249,7 +241,7 @@ class Euler1D(ConservationLaw):
         u = _as_state(u)
         # |v| + sqrt(gamma p / rho), in place in the fresh v and p arrays (a
         # point state is viewed as (3, 1), so that they are arrays)
-        rho, vel, p = _euler_primitives(u.reshape(len(u), -1), self.gamma_a)
+        rho, vel, _, p = _euler_primitives(u.reshape(len(u), -1), self.gamma_a)
         p *= self.gamma_a
         p /= rho
         return float(np.add(np.abs(vel, out=vel), np.sqrt(p, out=p), out=vel).max())
@@ -292,7 +284,7 @@ class NozzleEuler(Euler1D):
         u = _as_state(u)
         _, dlogA = self.geometry(x) if geom is None else geom
         # the pressure of the weighted state is A p: (A p) (dA/dx) / A
-        _, _, Ap = _euler_primitives(u, self.gamma_a)
+        Ap = _euler_primitives(u, self.gamma_a)[3]
         out = np.zeros_like(u)
         out[1] = Ap * dlogA
         return out
@@ -336,7 +328,7 @@ def farfield_state(rho: float, vel: float, mach: float, gamma_a: float) -> np.nd
 def _farfield_primitives(farfield: tuple, gamma_a: float) -> tuple[float, float, float]:
     """(rho, u, p) of a farfield boundary, as the checked primitives of its
     conserved state, once per farfield data and gamma."""
-    rho, vel, p = _euler_primitives(farfield_state(*farfield, gamma_a), gamma_a)
+    rho, vel, _, p = _euler_primitives(farfield_state(*farfield, gamma_a), gamma_a)
     return float(rho), float(vel), float(p)
 
 

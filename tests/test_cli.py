@@ -189,6 +189,17 @@ def test_convergence_command_at_zero_end_time_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "convergence.csv").exists()
 
 
+@pytest.mark.parametrize("case, t_final", [("burgers", "0.1"), ("convection-gaussian", "0.5")])
+def test_convergence_command_without_exact_end_state_is_config_error(tmp_path, capsys, case,
+                                                                       t_final):
+    code = main(["convergence", "--case", case, "--p", "1", "--n", "2", "--t-final", t_final,
+                 "--levels", "4,8,16", "--output-dir", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"no exact end state for case '{case}' at t_final={t_final}" in err
+    assert not (tmp_path / "convergence.csv").exists()
+
+
 def test_run_command_forced_value_without_element_is_config_error(capsys):
     code = main(["run", "--case", "convection-heaviside", "--force-gamma-value", "5"])
     assert code == EXIT_CONFIG

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subgrid_dg import harness
 from subgrid_dg.basis import ElementSpace, penalty_stage_rate
@@ -93,7 +95,9 @@ def test_nozzle_steady_params_computed_once_per_build():
     assert harness._nozzle_steady_params.cache_info().misses == 1
 
 
-@pytest.mark.parametrize("overrides", [{}, dict(p=1, n=2, n_elements=3), dict(n_elements=32)])
+@pytest.mark.parametrize("overrides", [{}, dict(p=1, n=2, n_elements=3), dict(n_elements=32),
+                                       dict(n_elements=5), dict(n_elements=16),
+                                       dict(n_elements=64)])
 def test_relaxed_shock_element_is_discrete_steady_state(overrides):
     # the built nozzle's shock element solves its one-element steady problem
     # with gamma from its own sensor; every other element is the projection
@@ -125,6 +129,119 @@ def test_shock_relaxation_without_steady_state_aborts(monkeypatch):
     with pytest.raises(SolverAbort, match=r"shock element 5 on x in \[0\.555556, 0\.666667\]"
                                           r": \|F\| = .* after \d+ Newton iterations"):
         build_problem(RunConfig(case="nozzle"))
+
+
+def test_shock_relaxation_at_three_elements_ends_in_named_abort():
+    # at p = 4, n = 8 the shock element of a 3-element nozzle has no
+    # discrete steady state; the abort names it, not a Jacobian probe
+    with pytest.raises(SolverAbort, match=r"no discrete steady state for shock element 1 on x "
+                                          r"in \[0\.333333, 0\.666667\]: \|F\| = "):
+        build_problem(RunConfig(case="nozzle", n_elements=3))
+
+
+def test_shock_relaxation_differences_an_inadmissible_probe_backwards(monkeypatch):
+    _, _, plain = build_problem(RunConfig(case="nozzle"))
+    states = []
+
+    class ProbeRejecting(harness.Discretization):
+        def residual(self, U, t):
+            states.append(U.copy())
+            if len(states) == 10:       # a forward probe of the first Jacobian
+                raise SolverAbort("inadmissible state at t=0: non-positive pressure")
+            return super().residual(U, t)
+
+    monkeypatch.setattr(harness, "Discretization", ProbeRejecting)
+    _, _, state = build_problem(RunConfig(case="nozzle"))
+    # after the 3 stages of the march, the first Newton residual, then the
+    # probes: the rejected one is followed by its mirror image
+    forward, backward = states[9] - states[3], states[10] - states[3]
+    assert np.count_nonzero(forward) == 1
+    assert np.array_equal(np.sign(backward), -np.sign(forward))
+    assert np.max(np.abs(state.U - plain.U)) <= 1e-9 * np.max(np.abs(plain.U))
+
+
+def counting_bisect(monkeypatch):
+    calls = []
+    real = harness._bisect
+    monkeypatch.setattr(harness, "_bisect", lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_nozzle_steady_params_makes_three_flat_solves(monkeypatch):
+    # inlet Mach number, pre-shock Mach number, shock position: no density
+    # solve inside the shock search
+    calls = counting_bisect(monkeypatch)
+    harness._nozzle_steady_params.cache_clear()
+    try:
+        harness._nozzle_steady_params()
+    finally:
+        harness._nozzle_steady_params.cache_clear()
+    assert len(calls) == 3
+
+
+def test_nozzle_initial_makes_one_bisection(monkeypatch):
+    harness._nozzle_steady_params()
+    calls = counting_bisect(monkeypatch)
+    nozzle_initial(np.linspace(0.0, 1.0, 101))
+    assert len(calls) == 1
+
+
+def nozzle_density_on_branch(area, mdot, sigma, enthalpy, branch):
+    """The steady duct-flow density on one branch for every point, as the
+    set-up solved it before one masked bisection did."""
+    gamma_a = harness.GAS_GAMMA
+
+    def f(rho):
+        c2 = gamma_a * sigma * rho ** (gamma_a - 1.0)
+        return c2 / (gamma_a - 1.0) + mdot ** 2 / (2.0 * area ** 2 * rho ** 2) - enthalpy
+
+    rho_sonic = (mdot ** 2 / (gamma_a * sigma * area ** 2)) ** (1.0 / (gamma_a + 1.0))
+    lo, hi = (rho_sonic, 10.0) if branch == "subsonic" else (1e-3, rho_sonic)
+    return bisect_200(f, lo, hi)
+
+
+def nested_shock_position():
+    """The shock position as a bisection over x of the entropy jump behind
+    a normal shock, with the supersonic density bisected at every x."""
+    gamma_a = harness.GAS_GAMMA
+    mdot, sigma1, sigma2, enthalpy, _ = harness._nozzle_steady_params()
+
+    def post_shock_entropy(x):
+        area = nozzle_area(np.array([x]))[0][0]
+        rho1 = nozzle_density_on_branch(area, mdot, sigma1, enthalpy, "supersonic")
+        u1 = mdot / (rho1 * area)
+        p1 = sigma1 * rho1 ** gamma_a
+        msq = rho1 * u1 * u1 / (gamma_a * p1)
+        p2 = p1 * (2.0 * gamma_a * msq - (gamma_a - 1.0)) / (gamma_a + 1.0)
+        rho2 = rho1 * (gamma_a + 1.0) * msq / ((gamma_a - 1.0) * msq + 2.0)
+        return p2 / rho2 ** gamma_a
+
+    return bisect_200(lambda x: sigma2 - post_shock_entropy(x), 0.5 + 1e-9, 1.0 - 1e-9)
+
+
+def test_flat_shock_position_matches_nested_bisection():
+    x_shock = harness._nozzle_steady_params()[-1]
+    assert isinstance(x_shock, float)
+    assert abs(x_shock - nested_shock_position()) <= 1e-13 * x_shock
+    assert x_shock == pytest.approx(0.66489327197981507, rel=1e-13)
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
+       supersonic=st.lists(st.booleans(), min_size=20, max_size=20),
+       downstream=st.lists(st.booleans(), min_size=20, max_size=20))
+def test_nozzle_density_mask_matches_both_branches(x, supersonic, downstream):
+    # one bisection with per-point brackets equals the subsonic and the
+    # supersonic bisection over every point, picked per point
+    mdot, sigma1, sigma2, enthalpy, _ = harness._nozzle_steady_params()
+    area = nozzle_area(np.array(x))[0]
+    k = len(x)
+    mask = np.array(supersonic[:k])
+    sigma = np.where(downstream[:k], sigma2, sigma1)
+    dense, light = (nozzle_density_on_branch(area, mdot, sigma, enthalpy, branch)
+                    for branch in ("subsonic", "supersonic"))
+    assert np.array_equal(harness._nozzle_density(area, mdot, sigma, enthalpy, mask),
+                          np.where(mask, light, dense))
 
 
 def bisect_200(g, lo, hi):
@@ -306,6 +423,18 @@ def test_forced_value_without_element_is_rejected():
 def test_convergence_study_requires_three_levels():
     with pytest.raises(ValueError):
         convergence_study(RunConfig(case="convection-gaussian"), [8, 16])
+
+
+@pytest.mark.parametrize("case, t_final", [
+    ("burgers", 0.1), ("nozzle", None), ("shu-osher", None), ("fv-comparison", None),
+    ("convection-gaussian", 0.5), ("convection-heaviside", 1.5), ("convection-gaussian", np.nan),
+])
+def test_convergence_study_refuses_case_without_exact_end_state(monkeypatch, case, t_final):
+    # only periodic convection over whole periods returns to its initial
+    # state; anything else is refused before a level runs
+    monkeypatch.setattr(harness, "run_case", lambda cfg: pytest.fail("a level ran"))
+    with pytest.raises(ValueError, match=f"no exact end state for case '{case}'"):
+        convergence_study(RunConfig(case=case, t_final=t_final), [4, 8, 16])
 
 
 def test_convergence_study_records():

@@ -22,6 +22,7 @@ from subgrid_dg.physics import (
     NozzleEuler,
     boundary_ghost,
     euler_state_from_primitives,
+    farfield_state,
 )
 from subgrid_dg.sensor import SensorConfig
 from subgrid_dg.solver import (
@@ -124,21 +125,61 @@ def test_free_stream_preservation_euler_periodic():
     assert np.max(np.abs(R)) < 1e-12
 
 
+SHU_OSHER_INFLOW = tuple(euler_state_from_primitives(3.857143, 2.629369, 10.3333, 1.4))
+# law, boundaries, and the state that the random cell values perturb
+P0_CASES = {
+    "convection-periodic": (Convection(beta=1.0), BoundaryCondition("periodic"),
+                            BoundaryCondition("periodic"), np.array([1.0])),
+    "burgers-periodic": (Burgers(), BoundaryCondition("periodic"),
+                         BoundaryCondition("periodic"), np.array([0.5])),
+    "euler-prescribed-wall": (Euler1D(), BoundaryCondition("prescribed", state=SHU_OSHER_INFLOW),
+                              BoundaryCondition("wall"),
+                              euler_state_from_primitives(1.0, 0.3, 1.0, 1.4)),
+    "euler-farfield": (Euler1D(), BoundaryCondition("farfield", farfield=NOZZLE_INLET),
+                       BoundaryCondition("farfield", farfield=NOZZLE_OUTLET),
+                       euler_state_from_primitives(1.0, 1.0, 4.0, 1.4)),
+}
+
+
 def test_residual_matches_p0_finite_volume_update():
     # with p = 0 the scheme is a first-order FV method: M^{-1} R equals the
-    # upwind flux-difference operator assembled independently here
+    # Roe flux difference over the sub-cells, with boundary ghosts,
+    # assembled independently here
     E, n = 4, 3
-    mesh = build_uniform_mesh(0.0, 1.0, E, n)
-    bc = BoundaryCondition("periodic")
-    disc = Discretization(mesh, 0, Convection(beta=1.0), bc, bc)
-    rng = np.random.default_rng(2)
-    U = rng.standard_normal((1, E, n))
-    rate = disc.solve_mass(disc.residual(U, 0.0))
-
-    cells = U[0].ravel()
     h_sub = 1.0 / (E * n)
-    expected = -(cells - np.roll(cells, 1)) / h_sub  # upwind, beta > 0
-    np.testing.assert_allclose(rate[0].ravel(), expected, atol=1e-12)
+    rng = np.random.default_rng(2)
+    for name, (law, bc_left, bc_right, base) in P0_CASES.items():
+        disc = Discretization(build_uniform_mesh(0.0, 1.0, E, n), 0, law, bc_left, bc_right)
+        U = base[:, None, None] * (1.0 + 0.2 * rng.standard_normal((law.m, E, n)))
+        rate = disc.solve_mass(disc.residual(U, 0.0))
+
+        cells = U.reshape(law.m, E * n)
+        if disc.periodic:
+            ghost_l, ghost_r = cells[:, -1:], cells[:, :1]
+        else:
+            ghost_l = boundary_ghost(bc_left, cells[:, :1], law, x=0.0, side=-1)
+            ghost_r = boundary_ghost(bc_right, cells[:, -1:], law, x=1.0, side=1)
+        ext = np.concatenate([ghost_l, cells, ghost_r], axis=1)
+        F = law.roe_flux(ext[:, :-1], ext[:, 1:])
+        expected = -(F[:, 1:] - F[:, :-1]) / h_sub
+        np.testing.assert_allclose(rate.reshape(law.m, E * n), expected, rtol=1e-12,
+                                   atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("kind", ["prescribed", "wall", "farfield"])
+def test_free_stream_preservation_at_each_boundary_kind(kind):
+    # a uniform state that the boundary reproduces: the prescribed state
+    # itself, gas at rest at a wall, the farfield state of the farfield data
+    if kind == "farfield":
+        bc = BoundaryCondition("farfield", farfield=NOZZLE_INLET)
+        state = farfield_state(*NOZZLE_INLET, 1.4)
+    else:
+        state = euler_state_from_primitives(1.2, 0.0 if kind == "wall" else 0.4, 2.0, 1.4)
+        bc = BoundaryCondition(kind, state=tuple(state) if kind == "prescribed" else None)
+    disc = Discretization(build_uniform_mesh(0.0, 1.0, 6, 4), 2, Euler1D(), bc, bc)
+    U = np.zeros((3, disc.n_elements, disc.dof))
+    U[:, :, disc.p:] = state[:, None, None]
+    assert np.max(np.abs(disc.residual(U, 0.0))) < 1e-12
 
 
 def test_polynomial_modes_see_only_element_boundary_fluxes():
