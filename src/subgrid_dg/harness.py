@@ -621,10 +621,23 @@ def projection_convergence(p: int, n: int, refinements, profile=None,
 # -- finite volume reference ---------------------------------------------------
 
 
-# Part of the reference cache key: raise it whenever a change to the FV march
-# or to the fluxes it calls can change the stored solution, so that a cache
-# written by older code is not reused.
-FV_SCHEME_VERSION = 5
+def _source_digest(directory: Path) -> str:
+    """16 hex digits: the CRC-32 and the Adler-32 of the name and bytes of
+    every `*.py` file in `directory`, in sorted order.  zlib's checksums,
+    not hashlib's: importing hashlib loads OpenSSL, about 3.4 MB of resident
+    memory in every process that imports the package."""
+    crc, adler = 0, 1                    # zlib's starting values
+    for path in sorted(directory.glob("*.py")):
+        data = path.read_bytes()
+        for chunk in (f"{path.name}\0{len(data)}\0".encode(), data):
+            crc, adler = zlib.crc32(chunk, crc), zlib.adler32(chunk, adler)
+    return f"{crc:08x}{adler:08x}"
+
+
+# Part of the reference cache key, computed once at import: any change to the
+# package's code keys a new reference, so a cache written by other code is
+# never read.
+SOURCE_DIGEST = _source_digest(Path(__file__).parent)
 
 # What np.load and reading a member raise on a truncated or corrupt .npz.
 _CACHE_READ_ERRORS = (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile,
@@ -691,7 +704,9 @@ def fv_reference(case: str, cells: int, t_final: float | None = None,
         raise ValueError(f"need at least one cell, got cells={cells}")
     if not 0.0 <= t_final < np.inf:
         raise ValueError(f"t_final must be finite and non-negative, got {t_final}")
-    key = f"fvref_v{FV_SCHEME_VERSION}_{case}_{cells}_{t_final:.6g}.npz"
+    # the exact end time: repr of a Python float is the shortest text that
+    # reads back as it (numpy 2's repr of an np.float64 also names the type)
+    key = f"fvref_{SOURCE_DIGEST}_{case}_{cells}_{float(t_final)!r}.npz"
     path = _fv_cache_dir() / key if cache else None
     x = U = None
     if path is not None and path.exists():

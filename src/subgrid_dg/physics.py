@@ -31,8 +31,8 @@ class ConservationLaw:
 
     A law whose terms depend on position builds its fixed per-point data
     with `geometry(x)`.  Every call accepts the coordinates `x`, and the
-    flux, Roe flux and source also that data as `geom` in place of `x`, so a
-    caller with fixed points computes it once; only `source` uses them.
+    source also that data as `geom` in place of `x`, so a caller with fixed
+    points computes it once; only `source` uses them.
     """
 
     m: int = 1
@@ -44,10 +44,10 @@ class ConservationLaw:
         law that does not depend on position."""
         return None
 
-    def flux(self, u, x=None, geom=None) -> np.ndarray:
+    def flux(self, u, x=None) -> np.ndarray:
         raise NotImplementedError
 
-    def roe_flux(self, uL, uR, x=None, entropy_fix: bool = False, geom=None) -> np.ndarray:
+    def roe_flux(self, uL, uR, x=None, entropy_fix: bool = False) -> np.ndarray:
         raise NotImplementedError
 
     def fluxes(self, u_q, uL, uR, entropy_fix: bool = False):
@@ -78,10 +78,10 @@ class Convection(ConservationLaw):
     m: int = 1
     name: str = "convection"
 
-    def flux(self, u, x=None, geom=None):
+    def flux(self, u, x=None):
         return self.beta * _as_state(u)
 
-    def roe_flux(self, uL, uR, x=None, entropy_fix: bool = False, geom=None):
+    def roe_flux(self, uL, uR, x=None, entropy_fix: bool = False):
         """The upwind flux, which is the Roe flux of a linear law (a new array)."""
         return self.beta * _as_state(uL if self.beta >= 0 else uR)
 
@@ -96,11 +96,11 @@ class Burgers(ConservationLaw):
     m: int = 1
     name: str = "burgers"
 
-    def flux(self, u, x=None, geom=None):
+    def flux(self, u, x=None):
         u = _as_state(u)
         return 0.5 * u * u
 
-    def roe_flux(self, uL, uR, x=None, entropy_fix: bool = False, geom=None):
+    def roe_flux(self, uL, uR, x=None, entropy_fix: bool = False):
         uL, uR = _as_state(uL), _as_state(uR)
         a = 0.5 * (uL + uR)  # Roe speed
         return 0.5 * (self.flux(uL) + self.flux(uR)) - 0.5 * np.abs(a) * (uR - uL)
@@ -218,10 +218,10 @@ class Euler1D(ConservationLaw):
             p = (self.gamma_a - 1.0) * (u[2] - 0.5 * u[1] * u[1] / rho)
         return (rho > 0.0) & (p > 0.0)
 
-    def flux(self, u, x=None, geom=None):
+    def flux(self, u, x=None):
         return _euler_side(_as_state(u), self.gamma_a)[0]
 
-    def roe_flux(self, uL, uR, x=None, entropy_fix: bool = False, geom=None):
+    def roe_flux(self, uL, uR, x=None, entropy_fix: bool = False):
         uL, uR = _as_state(uL), _as_state(uR)
         FL, *sideL = _euler_side(uL, self.gamma_a)
         FR, *sideR = _euler_side(uR, self.gamma_a)

@@ -326,8 +326,8 @@ def advance(
 ) -> Trajectory:
     """Fixed-step march to t_final; steps are shortened to land exactly on
     snapshot times and on t_final.  Gamma is recomputed once per step."""
-    if dt <= 0 or t_final <= state.time:
-        raise ValueError("need dt > 0 and t_final beyond the current time")
+    if not (dt > 0 and state.time < t_final < math.inf):
+        raise ValueError("need dt > 0 and a finite t_final beyond the current time")
     eps = 1e-12 * max(1.0, abs(t_final))
     marks = sorted({float(ts) for ts in snapshot_times if state.time < ts <= t_final})
     traj = Trajectory()

@@ -144,6 +144,16 @@ def test_run_command_forced_element_off_the_mesh_is_config_error(element, messag
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--t-final", "nan"], ["--t-final", "inf", "--dt", "1e-3"], ["--t-final", "0.02", "--dt", "nan"],
+])
+def test_run_command_non_finite_end_time_or_step_is_config_error(flags, capsys):
+    code = main(["run", "--case", "convection-gaussian", "--p", "1", "--n", "2",
+                 "--n-elements", "4", *flags])
+    assert code == EXIT_CONFIG
+    assert "need dt > 0 and a finite t_final" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_command_solver_abort_exit_code(capsys):
     code = main(["run", "--case", "burgers", "--p", "1", "--n", "2",

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -477,17 +478,45 @@ def test_fv_reference_truncated_cache_is_recomputed(tmp_path, monkeypatch, keep)
     assert sorted(p.name for p in path.parent.iterdir()) == [path.name]
 
 
-def test_fv_reference_cache_key_carries_scheme_version(tmp_path, monkeypatch):
+def test_fv_reference_cache_key_carries_source_digest(tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    fv_reference("convection-gaussian", 64, t_final=0.25)
+    _, x, U = fv_reference("convection-gaussian", 64, t_final=0.25)
     (old,) = (tmp_path / "subgrid_dg").glob("fvref_*.npz")
-    assert f"_v{harness.FV_SCHEME_VERSION}_" in old.name
-    # code with another scheme version neither reuses nor overwrites it
-    monkeypatch.setattr(harness, "FV_SCHEME_VERSION", harness.FV_SCHEME_VERSION + 1)
-    stamp = old.stat().st_mtime_ns
-    fv_reference("convection-gaussian", 64, t_final=0.25)
+    assert old.name == f"fvref_{harness.SOURCE_DIGEST}_convection-gaussian_64_0.25.npz"
+    # a wrong reference under that key stands for one that other code wrote:
+    # code with another digest neither reads nor overwrites it
+    np.savez_compressed(old, x=x, U=np.zeros_like(U))
+    stored = old.read_bytes()
+    monkeypatch.setattr(harness, "SOURCE_DIGEST", "0123456789abcdef")
+    _, _, U2 = fv_reference("convection-gaussian", 64, t_final=0.25)
+    np.testing.assert_array_equal(U2, U)
     assert len(list((tmp_path / "subgrid_dg").glob("fvref_*.npz"))) == 2
-    assert old.stat().st_mtime_ns == stamp
+    assert old.read_bytes() == stored
+
+
+def test_source_digest_follows_every_byte_of_the_package(tmp_path):
+    for path in Path(harness.__file__).parent.glob("*.py"):
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    assert harness._source_digest(tmp_path) == harness.SOURCE_DIGEST
+    target = tmp_path / "physics.py"
+    data = bytearray(target.read_bytes())
+    data[len(data) // 2] ^= 0x01                          # one byte changes
+    target.write_bytes(bytes(data))
+    assert harness._source_digest(tmp_path) != harness.SOURCE_DIGEST
+
+
+def test_fv_reference_cache_key_carries_exact_end_time(tmp_path, monkeypatch):
+    # end times that agree to 6 digits are two references, and a numpy
+    # scalar end time names the same file as the Python float
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    _, _, U = fv_reference("convection-gaussian", 64, t_final=0.25)
+    _, _, U_near = fv_reference("convection-gaussian", 64, t_final=np.float64(0.2500004))
+    _, _, fresh = fv_reference("convection-gaussian", 64, t_final=0.2500004, cache=False)
+    np.testing.assert_array_equal(U_near, fresh)
+    assert not np.array_equal(U_near, U)
+    names = sorted(p.name for p in (tmp_path / "subgrid_dg").iterdir())
+    assert names == [f"fvref_{harness.SOURCE_DIGEST}_convection-gaussian_64_{t}.npz"
+                     for t in ("0.25", "0.2500004")]
 
 
 def test_fv_reference_transports_profile(tmp_path, monkeypatch):

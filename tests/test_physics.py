@@ -470,8 +470,8 @@ def test_nozzle_law_matches_area_scaled_euler(faces, entropy_fix):
     geom = (A, dA / A)
     terms, speed = area_scaled_nozzle(u, v, A, dA, entropy_fix)
     got = {
-        "flux": law.flux(u, geom=geom),
-        "roe_flux": law.roe_flux(u, v, entropy_fix=entropy_fix, geom=geom),
+        "flux": law.flux(u),
+        "roe_flux": law.roe_flux(u, v, entropy_fix=entropy_fix),
         "source": law.source(u, geom=geom),
     }
     for name, (oracle, size) in terms.items():
@@ -715,12 +715,7 @@ def test_nozzle_calls_match_from_coordinates_and_geometry():
     geom = law.geometry(x)
     A = nozzle_area(x)[0]
     u = random_admissible_states(rng, x.size).reshape(3, *x.shape) * A
-    v = random_admissible_states(rng, x.size).reshape(3, *x.shape) * A
-    assert np.array_equal(law.flux(u, x=x), law.flux(u, geom=geom))
     assert np.array_equal(law.source(u, x), law.source(u, geom=geom))
-    for fix in (False, True):
-        assert np.array_equal(law.roe_flux(u, v, x=x, entropy_fix=fix),
-                              law.roe_flux(u, v, entropy_fix=fix, geom=geom))
 
 
 def test_laws_without_geometry():

@@ -23,6 +23,7 @@ from subgrid_dg.physics import (
     boundary_ghost,
     euler_state_from_primitives,
     farfield_state,
+    nozzle_area,
 )
 from subgrid_dg.sensor import SensorConfig
 from subgrid_dg.solver import (
@@ -164,6 +165,94 @@ def test_residual_matches_p0_finite_volume_update():
         expected = -(F[:, 1:] - F[:, :-1]) / h_sub
         np.testing.assert_allclose(rate.reshape(law.m, E * n), expected, rtol=1e-12,
                                    atol=1e-12, err_msg=name)
+
+
+# law, domain, boundaries, and the state whose Legendre modes are perturbed;
+# the nozzle's domain ends inside the duct, where the area is not 1
+N1_CASES = {
+    "convection-periodic": (Convection(beta=1.0), (0.0, 1.0), BoundaryCondition("periodic"),
+                            BoundaryCondition("periodic"), np.array([1.0])),
+    "convection-prescribed": (Convection(beta=-0.7), (0.0, 1.0),
+                              BoundaryCondition("prescribed", state=(0.3,)),
+                              BoundaryCondition("prescribed", state=(1.2,)), np.array([1.0])),
+    "burgers-periodic": (Burgers(), (0.0, 1.0), BoundaryCondition("periodic"),
+                         BoundaryCondition("periodic"), np.array([0.5])),
+    "burgers-prescribed": (Burgers(), (-1.0, 1.0), BoundaryCondition("prescribed", state=(0.8,)),
+                           BoundaryCondition("prescribed", state=(-0.3,)), np.array([0.4])),
+    "euler-periodic": (Euler1D(), (0.0, 1.0), BoundaryCondition("periodic"),
+                       BoundaryCondition("periodic"),
+                       euler_state_from_primitives(1.0, 0.3, 1.0, 1.4)),
+    "euler-prescribed-wall": (Euler1D(), (-5.0, 5.0),
+                              BoundaryCondition("prescribed", state=SHU_OSHER_INFLOW),
+                              BoundaryCondition("wall"),
+                              euler_state_from_primitives(1.0, 0.3, 1.0, 1.4)),
+    "euler-farfield": (Euler1D(), (0.0, 1.0), BoundaryCondition("farfield", farfield=NOZZLE_INLET),
+                       BoundaryCondition("farfield", farfield=NOZZLE_OUTLET),
+                       euler_state_from_primitives(1.0, 1.0, 4.0, 1.4)),
+    "nozzle-farfield": (NozzleEuler(), (0.2, 0.8),
+                        BoundaryCondition("farfield", farfield=NOZZLE_INLET),
+                        BoundaryCondition("farfield", farfield=NOZZLE_OUTLET),
+                        euler_state_from_primitives(1.0, 1.0, 4.0, 1.4)),
+    "nozzle-wall-prescribed": (NozzleEuler(), (0.0, 1.0), BoundaryCondition("wall"),
+                               BoundaryCondition("prescribed", state=SHU_OSHER_INFLOW),
+                               euler_state_from_primitives(1.0, 0.3, 1.0, 1.4)),
+}
+
+
+def modal_dg_residual(law, edges, bc_left, bc_right, c):
+    """Textbook modal DG residual (Cockburn & Shu, J. Sci. Comput. 16, 2001)
+    of u = sum_k c_k L_k on each element, c of shape (m, E, p + 1): for each
+    test function L_j, the volume integral of F(u) dL_j/dx and of S(u) L_j
+    by (p + 2)-point Gauss quadrature, minus the Roe flux at the element
+    faces times L_j there."""
+    p1 = c.shape[-1]
+    h = np.diff(edges)
+    xi, w = np.polynomial.legendre.leggauss(p1 + 1)
+    modes = [np.polynomial.Legendre.basis(k) for k in range(p1)]
+    L = np.array([mode(xi) for mode in modes])                  # (p+1, q)
+    dL = np.array([mode.deriv()(xi) for mode in modes])
+    sign = (-1.0) ** np.arange(p1)                              # L_k(-1); L_k(1) = 1
+    u_q = c @ L                                                 # (m, E, q)
+    left, right = c @ sign, c.sum(-1)                           # element traces, (m, E)
+    if bc_left.kind == "periodic":
+        ghost_l, ghost_r = right[:, -1:], left[:, :1]
+    else:
+        ghost_l = boundary_ghost(bc_left, left[:, :1], law, x=edges[0], side=-1)
+        ghost_r = boundary_ghost(bc_right, right[:, -1:], law, x=edges[-1], side=1)
+    F_hat = law.roe_flux(np.concatenate([ghost_l, right], axis=1),
+                         np.concatenate([left, ghost_r], axis=1))   # (m, E + 1)
+    R = (law.flux(u_q) * w) @ dL.T
+    R -= F_hat[:, 1:, None] - F_hat[:, :-1, None] * sign
+    if law.has_source():
+        x_q = edges[:-1, None] + 0.5 * (xi + 1.0) * h[:, None]
+        A, dA = nozzle_area(x_q)
+        S = np.zeros_like(u_q)
+        S[1] = law.primitives(u_q)[2] / A * dA                     # p dA/dx
+        R += 0.5 * h[:, None] * ((S * w) @ L.T)
+    return R
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", list(N1_CASES))
+def test_residual_matches_modal_dg_at_n1(name, p):
+    # with n = 1 the single indicator is L_0, so the scheme is modal DG in
+    # the basis (L_1, ..., L_p, L_0): its residual equals the textbook one
+    law, (a, b), bc_left, bc_right, base = N1_CASES[name]
+    E = 5
+    rng = np.random.default_rng(p)
+    widths = rng.uniform(0.5, 1.5, E)                           # a non-uniform mesh
+    edges = a + (b - a) * np.cumsum(np.r_[0.0, widths]) / widths.sum()
+    c = base[:, None, None] * np.concatenate(
+        [1.0 + 0.1 * rng.standard_normal((law.m, E, 1)),
+         0.05 * rng.standard_normal((law.m, E, p)) / np.arange(1, p + 1)], axis=-1)
+    disc = Discretization(Mesh(element_boundaries=edges, n_sub=1), p, law, bc_left, bc_right)
+    U = np.concatenate([c[..., 1:], c[..., :1]], axis=-1)
+    R = disc.residual(U, 0.0)
+
+    expected = modal_dg_residual(law, edges, bc_left, bc_right, c)
+    scale = max(np.abs(law.flux(c[..., 0])).max(), np.abs(expected).max())
+    np.testing.assert_allclose(np.concatenate([R[..., -1:], R[..., :-1]], axis=-1), expected,
+                               rtol=0, atol=1e-13 * scale, err_msg=name)
 
 
 @pytest.mark.parametrize("kind", ["prescribed", "wall", "farfield"])
@@ -578,10 +667,9 @@ def test_step_validation():
     state = project_initial(disc, lambda x: gaussian_profile(x)[None])
     with pytest.raises(ValueError):
         imex_step(disc, state, 0.0, np.zeros(disc.n_elements))
-    with pytest.raises(ValueError):
-        advance(disc, state, dt=-1.0, t_final=1.0)
-    with pytest.raises(ValueError):
-        advance(disc, state, dt=1e-3, t_final=0.0)
+    for dt, t_final in [(-1.0, 1.0), (1e-3, 0.0), (1e-3, np.nan), (1e-3, np.inf), (np.nan, 0.1)]:
+        with pytest.raises(ValueError, match="need dt > 0 and a finite t_final"):
+            advance(disc, state, dt=dt, t_final=t_final)
 
 
 def test_advance_hits_snapshot_times_exactly():
