@@ -13,6 +13,8 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
+from .mesh import reference_subcell_edges
+
 
 def legendre_eval(i: int, x) -> np.ndarray | float:
     """Value of the i-th Legendre polynomial, normalized so L_i(1) = 1."""
@@ -75,7 +77,7 @@ def reference_element(p: int, n: int) -> ReferenceElement:
     dof = p + n
 
     g, w = gauss_rule(q)
-    edges = np.linspace(-1.0, 1.0, n + 1)
+    edges = reference_subcell_edges(n)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 1.0 / n
     quad_ref = mid[:, None] + half * g[None, :]
@@ -185,19 +187,6 @@ class ElementSpace:
     def to_physical(self, xi):
         return self.x_left + 0.5 * (np.asarray(xi, dtype=float) + 1.0) * self.width
 
-    def quad_points(self) -> np.ndarray:
-        """(n, q) physical quadrature nodes."""
-        return self.to_physical(self.ref.quad_ref)
-
-    def quad_weights(self) -> np.ndarray:
-        """(n, q) physical quadrature weights (sum to element width)."""
-        return self.ref.quad_w * (self.width / 2.0)
-
-    def subcell_of(self, x) -> np.ndarray:
-        xi = self.to_reference(x)
-        idx = np.floor((xi + 1.0) * self.n / 2.0).astype(int)
-        return np.clip(idx, 0, self.n - 1)
-
 
 def basis_eval(space: ElementSpace, i: int, x) -> np.ndarray | float:
     """Value of local basis function i at physical coordinate(s) x."""
@@ -206,8 +195,8 @@ def basis_eval(space: ElementSpace, i: int, x) -> np.ndarray | float:
     xi = space.to_reference(x)
     if i < space.p:
         return legendre_eval(i + 1, xi)
-    j = i - space.p
-    return np.where(space.subcell_of(x) == j, 1.0, 0.0)
+    sub = np.clip(np.floor((xi + 1.0) * space.n / 2.0), 0, space.n - 1)   # x's sub-cell
+    return np.where(sub == i - space.p, 1.0, 0.0)
 
 
 def assemble_mass(space: ElementSpace) -> np.ndarray:

@@ -212,11 +212,10 @@ class Euler1D(ConservationLaw):
         return rho, vel, p
 
     def admissible(self, u):
-        u = _as_state(u)
-        rho = u[0]
+        u = _as_state(u)        # _euler_primitives' pressure, so false where it raises
         with np.errstate(divide="ignore", invalid="ignore"):
-            p = (self.gamma_a - 1.0) * (u[2] - 0.5 * u[1] * u[1] / rho)
-        return (rho > 0.0) & (p > 0.0)
+            p = (self.gamma_a - 1.0) * (u[2] - 0.5 * (u[1] * (u[1] / u[0])))
+        return (u[0] > 0.0) & (p > 0.0)
 
     def flux(self, u, x=None):
         return _euler_side(_as_state(u), self.gamma_a)[0]

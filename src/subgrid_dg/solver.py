@@ -128,15 +128,12 @@ class Discretization:
         self.n_elements = mesh.n_elements
         self.space = ElementSpace(p, self.n)
 
-        h = mesh.widths
-        xl = mesh.element_boundaries[:-1]
-        self.h = h
+        self.h = mesh.widths
         # physical quadrature nodes/weights, shape (E, n, q)
-        self.xq = xl[:, None, None] + 0.5 * (self.ref.quad_ref + 1.0)[None] * h[:, None, None]
-        self.wq = self.ref.quad_w[None] * (h[:, None, None] / 2.0)
+        self.xq = mesh.nodes(self.ref.quad_ref)
+        self.wq = self.ref.quad_w[None] * (self.h[:, None, None] / 2.0)
         # all sub-cell face positions, shape (E*n + 1,)
-        sub_edges_phys = xl[:, None] + 0.5 * (self.ref.sub_edges[None, :-1] + 1.0) * h[:, None]
-        self.xfaces = np.append(sub_edges_phys.ravel(), mesh.b)
+        self.xfaces = mesh.faces
         # the law's geometry at the quadrature nodes (None for a law without
         # one), and its duct area at the two boundary faces
         self.geom_q = law.geometry(self.xq)
@@ -240,14 +237,17 @@ class Discretization:
         norms = np.diagonal(self.ref.mass_pp)[: self.p]
         return (U[:, :, : self.p] ** 2 * norms).sum(-1) * (self.h / 2.0)
 
+    def quad_norm(self, v_q: np.ndarray, kind: str = "L2") -> np.float64:
+        """Global L1 or L2 norm of one field at the quadrature nodes (E, n, q)."""
+        if kind == "L2":
+            return np.sqrt(np.sum(v_q**2 * self.wq))
+        if kind == "L1":
+            return np.sum(np.abs(v_q) * self.wq)
+        raise ValueError(f"unknown norm kind {kind!r}")
+
     def field_norm(self, U: np.ndarray, kind: str = "L2") -> np.ndarray:
         """Global L1 or L2 norm of each component."""
-        u_q = self.eval_at_quad(U)
-        if kind == "L2":
-            return np.sqrt(np.einsum("mesq,esq->m", u_q**2, self.wq))
-        if kind == "L1":
-            return np.einsum("mesq,esq->m", np.abs(u_q), self.wq)
-        raise ValueError(f"unknown norm kind {kind!r}")
+        return np.array([self.quad_norm(u_q, kind) for u_q in self.eval_at_quad(U)])
 
     def evaluate_sensor(self, U: np.ndarray) -> SensorReport:
         return evaluate_field_sensor(U, self.space, self.sensor_config)

@@ -104,7 +104,7 @@ def test_relaxed_shock_element_is_discrete_steady_state(overrides):
     # with gamma from its own sensor; every other element is the projection
     config, disc, state = build_problem(RunConfig(case="nozzle", **overrides))
     x_shock = harness._nozzle_steady_params()[-1]
-    element = min(int(x_shock * disc.n_elements), disc.n_elements - 1)
+    element = disc.mesh.element_of(x_shock)
     xl, xr = disc.mesh.element_bounds(element)
     traces = [BoundaryCondition("prescribed", state=tuple(nozzle_initial(np.array([x]))[:, 0]))
               for x in (xl, xr)]
@@ -119,6 +119,19 @@ def test_relaxed_shock_element_is_discrete_steady_state(overrides):
     others = np.arange(disc.n_elements) != element
     assert np.array_equal(state.U[:, others], u0.U[:, others])
     assert not np.array_equal(state.U[:, element], u0.U[:, element])
+
+
+def test_shock_relaxation_on_a_nonuniform_mesh_solves_the_element_holding_the_shock():
+    # x_shock = 0.6649 lies in element 4, [0.62, 1]: element 3 ends at 0.62,
+    # short of x_shock * E = 3.32
+    case = harness._CASES["nozzle"]
+    mesh = Mesh(element_boundaries=np.array([0.0, 0.3, 0.5, 0.6, 0.62, 1.0]), n_sub=8)
+    disc = Discretization(mesh, 4, case.law(), case.bc_left, case.bc_right)
+    x_shock = harness._nozzle_steady_params()[-1]
+    u0 = project_initial(disc, case.initial, (x_shock,))
+    state = harness._relax_shock_element(disc, u0, x_shock)
+    changed = [e for e in range(5) if not np.array_equal(state.U[:, e], u0.U[:, e])]
+    assert changed == [4]
 
 
 def test_shock_relaxation_without_steady_state_aborts(monkeypatch):
@@ -484,14 +497,45 @@ def test_fv_reference_cache_key_carries_source_digest(tmp_path, monkeypatch):
     (old,) = (tmp_path / "subgrid_dg").glob("fvref_*.npz")
     assert old.name == f"fvref_{harness.SOURCE_DIGEST}_convection-gaussian_64_0.25.npz"
     # a wrong reference under that key stands for one that other code wrote:
-    # code with another digest neither reads nor overwrites it
+    # code with another digest does not read it, and deletes it once its own
+    # reference is written
     np.savez_compressed(old, x=x, U=np.zeros_like(U))
-    stored = old.read_bytes()
     monkeypatch.setattr(harness, "SOURCE_DIGEST", "0123456789abcdef")
     _, _, U2 = fv_reference("convection-gaussian", 64, t_final=0.25)
     np.testing.assert_array_equal(U2, U)
-    assert len(list((tmp_path / "subgrid_dg").glob("fvref_*.npz"))) == 2
-    assert old.read_bytes() == stored
+    (new,) = (tmp_path / "subgrid_dg").glob("fvref_*.npz")
+    assert new.name == "fvref_0123456789abcdef_convection-gaussian_64_0.25.npz"
+    with np.load(new) as stored:
+        np.testing.assert_array_equal(stored["U"], U)
+
+
+def test_fv_reference_prunes_only_superseded_copies_of_the_reference_it_writes(
+        tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    cache = tmp_path / "subgrid_dg"
+    cache.mkdir()
+    same = ["fvref_v4_shu-osher_64_0.01.npz", "fvref_v5_shu-osher_64_0.01.npz",
+            "fvref_00000000deadbeef_shu-osher_64_0.01.npz"]
+    others = ["fvref_v4_shu-osher_32_0.01.npz",                # other cells
+              "fvref_v4_shu-osher_64_0.02.npz",                # other end time
+              "fvref_v4_shu-osher_64_0.010000000000000002.npz",
+              "fvref_v4_sod-like_64_0.01.npz",                 # other case
+              "fvref_v4_x_shu-osher_64_0.01.npz",              # not one key
+              "fvref_v4_shu-osher_64_0.01.npz_ab12.tmp",       # writes in progress
+              f"fvref_{harness.SOURCE_DIGEST}_shu-osher_64_0.01ab12.tmp"]
+    for name in same + others:
+        (cache / name).write_bytes(b"")
+    # without the cache nothing is written, so nothing is pruned
+    fv_reference("shu-osher", 64, t_final=0.01, cache=False)
+    assert sorted(p.name for p in cache.iterdir()) == sorted(same + others)
+    fv_reference("shu-osher", 64, t_final=0.01)
+    kept = others + [f"fvref_{harness.SOURCE_DIGEST}_shu-osher_64_0.01.npz"]
+    assert sorted(p.name for p in cache.iterdir()) == sorted(kept)
+    # a cache hit writes nothing, so it prunes nothing either
+    stale = cache / "fvref_v6_shu-osher_64_0.01.npz"
+    stale.write_bytes(b"")
+    fv_reference("shu-osher", 64, t_final=0.01)
+    assert stale.exists()
 
 
 def test_source_digest_follows_every_byte_of_the_package(tmp_path):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from subgrid_dg.mesh import Mesh, build_uniform_mesh, subcell_bounds
+from subgrid_dg.basis import reference_element
+from subgrid_dg.mesh import Mesh, build_uniform_mesh
 
 
 def test_uniform_mesh_geometry():
@@ -24,16 +25,52 @@ def test_element_bounds():
         mesh.element_bounds(-1)
 
 
-def test_subcell_bounds():
+def test_faces_split_each_element_into_equal_subcells():
     mesh = build_uniform_mesh(0.0, 1.0, 2, 4)
-    xl, xr = subcell_bounds(mesh, 1, 0)
-    assert xl == pytest.approx(0.5)
-    assert xr == pytest.approx(0.625)
-    xl, xr = subcell_bounds(mesh, 0, 3)
-    assert xl == pytest.approx(0.375)
-    assert xr == pytest.approx(0.5)
-    with pytest.raises(IndexError):
-        subcell_bounds(mesh, 0, 4)
+    np.testing.assert_allclose(mesh.faces, np.linspace(0.0, 1.0, 9), rtol=0, atol=1e-15)
+    assert mesh.faces[0] == 0.0 and mesh.faces[4] == 0.5 and mesh.faces[-1] == 1.0
+
+
+NONUNIFORM = np.array([-1.0, -0.7, -0.1, 0.05, 0.3, 1.0])
+
+
+@pytest.mark.parametrize("p, n", [(0, 1), (2, 5), (4, 8)])
+def test_nodes_and_faces_are_the_element_maps(p, n):
+    # bit-identical to the element maps written out, in this order of operations
+    mesh = Mesh(element_boundaries=NONUNIFORM, n_sub=n)
+    ref = reference_element(p, n)
+    xl, h = NONUNIFORM[:-1], np.diff(NONUNIFORM)
+    xq = xl[:, None, None] + 0.5 * (ref.quad_ref + 1.0)[None] * h[:, None, None]
+    sub = xl[:, None] + 0.5 * (ref.sub_edges[None, :-1] + 1.0) * h[:, None]
+    assert np.array_equal(mesh.nodes(ref.quad_ref), xq)
+    assert np.array_equal(mesh.faces, np.append(sub.ravel(), 1.0))
+    assert mesh.faces.shape == (5 * n + 1,)
+    assert np.array_equal(mesh.faces[::n], NONUNIFORM)
+    assert mesh.nodes(0.0).shape == (5,)
+    assert mesh.nodes(np.zeros((2, 3))).shape == (5, 2, 3)
+
+
+def test_element_of_takes_half_open_intervals_and_b_in_the_last():
+    mesh = Mesh(element_boundaries=NONUNIFORM, n_sub=3)
+    assert mesh.element_of(-1.0) == 0
+    assert mesh.element_of(-0.7) == 1             # an interior face opens the next element
+    assert mesh.element_of(np.nextafter(-0.7, -1.0)) == 0
+    assert mesh.element_of(0.2) == 3
+    assert mesh.element_of(1.0) == 4              # b lies in the last element
+    x = np.array([-1.0, -0.4, -0.1, 0.05, 0.31, 1.0])
+    assert mesh.element_of(x).tolist() == [0, 1, 2, 3, 4, 4]
+    assert mesh.element_of([]).size == 0
+    # each node of an element lies in it
+    nodes = mesh.nodes(reference_element(3, 3).quad_ref)
+    assert np.array_equal(mesh.element_of(nodes),
+                          np.broadcast_to(np.arange(5)[:, None, None], nodes.shape))
+
+
+@pytest.mark.parametrize("x", [-1.0000001, 1.0000001, np.nan, [0.0, 2.0]])
+def test_element_of_rejects_x_outside_the_mesh(x):
+    mesh = Mesh(element_boundaries=NONUNIFORM, n_sub=3)
+    with pytest.raises(ValueError, match="outside the mesh"):
+        mesh.element_of(x)
 
 
 def test_nonuniform_boundaries_accepted():
