@@ -268,11 +268,13 @@ def _relax_shock_element(disc, state, x_shock) -> FieldState:
     damped Newton on F(U) = M^-1 (R(U) - gamma M_pp U) = 0 with gamma from
     the sensor of each iterate, so the result is steady under its own gamma.
     The march is one IMEX step of dt = 4e-4, the shortest start tried that
-    Newton solves in a few iterations (measured: 6, 232 residual calls with
-    the march, on the default nozzle; 4-5 at 5 to 64 elements).  The
-    Jacobian is a forward difference, backward in a column whose probe
-    state the residual rejects; a step is halved until it lowers |F|, and a
-    trial state the residual rejects is halved, never accepted.  The
+    Newton solves in a few iterations (measured: 6 on the default nozzle,
+    with 16 single residual calls, the march's 3 among them, and 6 batched
+    ones of 36 probe states; 4-5 at 5 to 64 elements).  The Jacobian is
+    forward differences from one residual call on the stack of all m * dof
+    probe states, or backward ones for every column if the residual rejects
+    that stack; a step is halved until it lowers |F|, and a trial state the
+    residual rejects is halved, never accepted.  The
     tolerance is 1e-10, times the penalty rate |M^-1 gamma M_pp U| where
     that exceeds 1, since the round-off floor of F grows with the penalty
     term that R balances (4e-11 against a rate of 190 on the default
@@ -281,8 +283,8 @@ def _relax_shock_element(disc, state, x_shock) -> FieldState:
     """
     element = disc.mesh.element_of(x_shock)
     xl, xr = disc.mesh.element_bounds(element)
-    traces = [BoundaryCondition("prescribed", state=tuple(nozzle_initial(np.array([x]))[:, 0]))
-              for x in (xl, xr)]
+    traces = [BoundaryCondition("prescribed", state=tuple(u))
+              for u in nozzle_initial(np.array([xl, xr])).T]
     disc1 = Discretization(Mesh(np.array([xl, xr]), disc.n), disc.p, disc.law, *traces,
                            disc.sensor_config, disc.entropy_fix)
 
@@ -304,12 +306,12 @@ def _relax_shock_element(disc, state, x_shock) -> FieldState:
             return FieldState(U=out, time=state.time)
         u = U.ravel()
         h = 1e-7 * np.maximum(1.0, np.abs(u))
-        J = np.empty((u.size, u.size))
-        for j, probe in enumerate(np.diag(h)):
-            try:
-                J[:, j] = (rate((u + probe).reshape(U.shape), gamma) - F).ravel() / h[j]
-            except SolverAbort:      # inadmissible probe state: a backward difference
-                J[:, j] = (F - rate((u - probe).reshape(U.shape), gamma)).ravel() / h[j]
+        probes = np.moveaxis(np.diag(h).reshape(u.size, *U.shape), 0, 1)  # (m, m*dof, 1, dof)
+        try:
+            dF = rate(U[:, None] + probes, gamma) - F[:, None]
+        except SolverAbort:          # an inadmissible probe state: all backward
+            dF = F[:, None] - rate(U[:, None] - probes, gamma)
+        J = np.moveaxis(dF, 1, 0).reshape(u.size, u.size).T / h
         step = np.linalg.solve(J, -F.ravel()).reshape(U.shape)
         for lam in 0.5 ** np.arange(20):
             try:

@@ -17,10 +17,11 @@ def reference_subcell_edges(n_sub: int) -> np.ndarray:
     return np.linspace(-1.0, 1.0, n_sub + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mesh:
     """Partition of [a, b] into elements, each split into n_sub equal
-    sub-cells; `widths` holds the element widths."""
+    sub-cells; `widths` holds the element widths.  A mesh compares and
+    hashes by identity, as its array field has no truth value."""
 
     element_boundaries: np.ndarray
     n_sub: int

@@ -228,6 +228,9 @@ class Euler1D(ConservationLaw):
 
     def fluxes(self, u_q, uL, uR, entropy_fix: bool = False):
         """One `_euler_side` pass over the columns [u_q | uL | uR]."""
+        if uL.ndim > 2:     # faces of a stack of states, (3, *batch, F): flattened
+            F_q, F_hat = self.fluxes(u_q, uL.reshape(3, -1), uR.reshape(3, -1), entropy_fix)
+            return F_q, F_hat.reshape(uL.shape)
         nq, nf = u_q[0].size, uL.shape[1]
         F, *side = _euler_side(np.concatenate([u_q.reshape(3, nq), uL, uR], axis=1),
                                self.gamma_a)

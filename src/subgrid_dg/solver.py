@@ -173,34 +173,36 @@ class Discretization:
     # -- spatial operator ---------------------------------------------------
 
     def eval_at_quad(self, U: np.ndarray) -> np.ndarray:
-        """Field values at all quadrature nodes, shape (m, E, n, q)."""
-        return (U @ self._phi).reshape(U.shape[0], self.n_elements, self.n, -1)
+        """Field values at all quadrature nodes, shape (m, *batch, E, n, q)."""
+        return (U @ self._phi).reshape(U.shape[:-1] + (self.n, -1))
 
     def face_traces(self, U: np.ndarray, t: float):
-        """Left/right states at every sub-cell face, shape (m, E*n + 1)."""
-        m, E, n = U.shape[0], self.n_elements, self.n
-        uL = np.empty((m, E * n + 1))
-        uR = np.empty((m, E * n + 1))
+        """Left/right states at every sub-cell face, shape (m, *batch, E*n + 1); a farfield
+        ghost takes one face's Python floats, so it raises on a batch of more than one."""
+        faces, subcells = U.shape[:-2] + self.xfaces.shape, U.shape[:-1] + (self.n,)
+        uL = np.empty(faces)
+        uR = np.empty(faces)
         # traces from inside each sub-cell, written straight into the face
         # arrays (splitting the unit-stride last axis reshapes to a view)
-        np.matmul(U, self._trace_left, out=uR[:, :-1].reshape(m, E, n))
-        np.matmul(U, self._trace_right, out=uL[:, 1:].reshape(m, E, n))
+        np.matmul(U, self._trace_left, out=uR[..., :-1].reshape(subcells))
+        np.matmul(U, self._trace_right, out=uL[..., 1:].reshape(subcells))
         if self.periodic:
-            uL[:, 0] = uL[:, -1]
-            uR[:, -1] = uR[:, 0]
+            uL[..., 0] = uL[..., -1]
+            uR[..., -1] = uR[..., 0]
         else:
             area_l, area_r = self._ghost_area
-            uL[:, 0] = boundary_ghost(
-                self.bc_left, uR[:, :1], self.law, t, x=self.xfaces[0], side=-1, area=area_l
-            )[:, 0]
-            uR[:, -1] = boundary_ghost(
-                self.bc_right, uL[:, -1:], self.law, t, x=self.xfaces[-1], side=1, area=area_r
-            )[:, 0]
+            uL[..., 0] = boundary_ghost(
+                self.bc_left, uR[..., :1], self.law, t, x=self.xfaces[0], side=-1, area=area_l
+            )[..., 0]
+            uR[..., -1] = boundary_ghost(
+                self.bc_right, uL[..., -1:], self.law, t, x=self.xfaces[-1], side=1, area=area_r
+            )[..., 0]
         return uL, uR
 
     def residual(self, U: np.ndarray, t: float) -> np.ndarray:
-        """R(U) of the semi-discrete system M dU/dt = R(U) - penalty."""
-        m, E, n = U.shape[0], self.n_elements, self.n
+        """R(U) of M dU/dt = R(U) - penalty for states U (m, *batch, E, dof): batch
+        axes after the component axis stack states (not at a farfield boundary)."""
+        elements = U.shape[:-1]
         try:
             u_q = self.eval_at_quad(U)
             uL, uR = self.face_traces(U, t)
@@ -208,12 +210,13 @@ class Discretization:
         except AdmissibilityError as exc:
             raise SolverAbort(f"inadmissible state at t={t:.6g}: {exc}") from exc
 
-        R = F_q.reshape(m, E, -1) @ self._volume
-        R += F_hat[:, :-1].reshape(m, E, n) @ self._lift_left
-        R += F_hat[:, 1:].reshape(m, E, n) @ self._lift_right
+        R = F_q.reshape(elements + (-1,)) @ self._volume
+        subcells = elements + (self.n,)
+        R += F_hat[..., :-1].reshape(subcells) @ self._lift_left
+        R += F_hat[..., 1:].reshape(subcells) @ self._lift_right
         if self.law.has_source():
             S_q = self.law.source(u_q, geom=self.geom_q)
-            R += (S_q.reshape(m, E, -1) @ self._source) * self._half_h
+            R += (S_q.reshape(elements + (-1,)) @ self._source) * self._half_h
         return R
 
     def solve_mass(self, R: np.ndarray) -> np.ndarray:

@@ -160,17 +160,21 @@ def test_shock_relaxation_differences_an_inadmissible_probe_backwards(monkeypatc
     class ProbeRejecting(harness.Discretization):
         def residual(self, U, t):
             states.append(U.copy())
-            if len(states) == 10:       # a forward probe of the first Jacobian
+            if U.ndim == 4 and sum(V.ndim == 4 for V in states) == 1:   # the first probe stack
                 raise SolverAbort("inadmissible state at t=0: non-positive pressure")
             return super().residual(U, t)
 
     monkeypatch.setattr(harness, "Discretization", ProbeRejecting)
     _, _, state = build_problem(RunConfig(case="nozzle"))
-    # after the 3 stages of the march, the first Newton residual, then the
-    # probes: the rejected one is followed by its mirror image
-    forward, backward = states[9] - states[3], states[10] - states[3]
-    assert np.count_nonzero(forward) == 1
-    assert np.array_equal(np.sign(backward), -np.sign(forward))
+    # the rejected stack of forward probes is followed by its mirror image;
+    # the Newton iterate is the last single state before it
+    first = next(i for i, V in enumerate(states) if V.ndim == 4)
+    iterate = states[first - 1][:, None]
+    forward, backward = states[first] - iterate, states[first + 1] - iterate
+    assert forward.shape == backward.shape == (3, 36, 1, 12)
+    for f, b in zip(np.moveaxis(forward, 1, 0), np.moveaxis(backward, 1, 0)):
+        assert np.count_nonzero(f) == np.count_nonzero(b) == 1
+        assert np.array_equal(np.sign(b), -np.sign(f))
     assert np.max(np.abs(state.U - plain.U)) <= 1e-9 * np.max(np.abs(plain.U))
 
 

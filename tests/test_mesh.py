@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,21 @@ def test_nonuniform_boundaries_accepted():
     mesh = Mesh(element_boundaries=np.array([0.0, 0.1, 0.5, 1.0]), n_sub=2)
     assert mesh.n_elements == 3
     np.testing.assert_allclose(mesh.widths, [0.1, 0.4, 0.5])
+
+
+def test_meshes_compare_and_hash_by_identity():
+    mesh, twin = build_uniform_mesh(0.0, 1.0, 4, 2), build_uniform_mesh(0.0, 1.0, 4, 2)
+    assert mesh == mesh and mesh != twin
+    assert {mesh, twin, mesh} == {mesh, twin}
+
+    @lru_cache(maxsize=None)
+    def last_face(m: Mesh) -> float:
+        calls.append(m)
+        return float(m.faces[-1])
+
+    calls = []
+    assert last_face(mesh) == last_face(mesh) == last_face(twin) == 1.0
+    assert calls == [mesh, twin]
 
 
 @pytest.mark.parametrize(

@@ -373,6 +373,46 @@ def test_operators_match_einsum_residual(law_name, periodic, p, n):
                                rtol=1e-12, atol=1e-12 * np.max(np.abs(U)))
 
 
+def batched_case(law_name, kind, rng):
+    """`operator_case`'s law, uneven mesh and state with `kind` boundaries at
+    both ends, and a stack (m, 4, E, dof) of perturbed copies of the state."""
+    disc, U = operator_case(law_name, True, 3, 5, rng)
+    inflow = (0.3,) if disc.law.m == 1 else tuple(euler_state_from_primitives(1.2, 0.5, 1.5, 1.4))
+    bc = BoundaryCondition(kind, state=inflow if kind == "prescribed" else None)
+    disc = Discretization(disc.mesh, disc.p, disc.law, bc, bc)
+    stack = U[:, None] * (1.0 + 0.01 * rng.standard_normal((U.shape[0], 4) + U.shape[1:]))
+    return disc, stack
+
+
+@pytest.mark.parametrize("law_name, kind", [
+    (law_name, kind) for law_name in ("convection", "burgers", "euler", "nozzle")
+    for kind in ("periodic", "prescribed", "wall")
+    if kind != "wall" or law_name in ("euler", "nozzle")     # a wall reflects a momentum
+])
+def test_batched_residual_matches_each_state(law_name, kind):
+    disc, stack = batched_case(law_name, kind, np.random.default_rng(11))
+    R = disc.residual(stack, 0.1)
+    R_each = np.stack([disc.residual(stack[:, b], 0.1) for b in range(stack.shape[1])], axis=1)
+    scale = np.max(np.abs(R_each))
+    assert R.shape == stack.shape
+    np.testing.assert_allclose(R, R_each, rtol=0, atol=1e-14 * scale)
+    rate_each = np.stack([disc.solve_mass(R_each[:, b]) for b in range(stack.shape[1])], axis=1)
+    np.testing.assert_allclose(disc.solve_mass(R_each), rate_each, rtol=0,
+                               atol=1e-14 * np.max(np.abs(rate_each)))
+
+
+def test_batched_farfield_ghost_raises():
+    # the farfield ghost works on the Python floats of one face: a batch of
+    # one is that face, a larger batch is refused, not read as one state
+    disc, U = operator_case("nozzle", False, 3, 5, np.random.default_rng(12))
+    stack = np.stack([U, 1.01 * U], axis=1)
+    np.testing.assert_array_equal(disc.residual(stack[:, :1], 0.0)[:, 0], disc.residual(U, 0.0))
+    with pytest.raises(ValueError, match="unpack"):
+        disc.residual(stack, 0.0)
+    with pytest.raises(ValueError, match="unpack"):
+        boundary_ghost(disc.bc_right, stack[..., -1, -1:], disc.law, side=1)
+
+
 def test_farfield_ghost_admissibility_loss_aborts():
     # admissible at every quadrature node, but the linear mode drives the
     # density at the left domain face negative: the farfield ghost refuses it
