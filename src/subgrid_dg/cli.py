@@ -122,7 +122,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "check-injectivity":
-        report = check_injectivity(args.p, args.r, args.d)
+        try:
+            report = check_injectivity(args.p, args.r, args.d)
+        except ValueError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
         print(json.dumps(dataclasses.asdict(report)))
         return EXIT_OK
 

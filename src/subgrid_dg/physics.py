@@ -396,7 +396,8 @@ def boundary_ghost(bc: BoundaryCondition, u_interior, law: ConservationLaw,
 
     A farfield ghost of a law posed in a duct is built from the state per
     unit area: ``area`` is the duct's area at the face, from
-    `boundary_area(law, x)` when not given.
+    `boundary_area(law, x)` when not given.  It takes one face's state; a
+    batch of more than one raises ValueError naming the side.
     """
     u_interior = _as_state(u_interior)
     if bc.kind == "periodic":
@@ -408,6 +409,9 @@ def boundary_ghost(bc: BoundaryCondition, u_interior, law: ConservationLaw,
     shape = (u_interior.shape[0],) + (1,) * (u_interior.ndim - 1)
     if bc.kind == "prescribed":
         return np.asarray(bc.state, dtype=float).reshape(shape)
+    if u_interior.size != u_interior.shape[0]:
+        raise ValueError(f"the {'left' if side < 0 else 'right'} farfield boundary takes "
+                         f"one state, not a batch of shape {u_interior.shape[1:]}")
     gamma_a = getattr(law, "gamma_a", 1.4)
     if area is None:
         area = boundary_area(law, x)

@@ -97,14 +97,9 @@ def project_penalized(f, space: ElementSpace, gamma: float, breakpoints=None) ->
     return u0 + rate[..., 0, :]
 
 
-def avg_matrix(space: ElementSpace) -> np.ndarray:
-    """(n, p+1) sub-cell averages of the full polynomial basis L_0..L_p."""
-    return space.ref.leg_sub_avg.T
-
-
 @lru_cache(maxsize=None)
 def average_fit(p: int, n: int) -> np.ndarray:
-    """pinv(avg_matrix): maps sub-cell averages to the L_0..L_p coefficients
+    """pinv(leg_sub_avg.T): maps sub-cell averages to the L_0..L_p coefficients
     of their least-squares polynomial fit (equal sub-cell measures, so no
     weights).  Averaging is rank deficient in 1D exactly when n < p + 1."""
     if n < p + 1:

@@ -1,7 +1,7 @@
 """Shock sensor and penalty: how far the field is from a pure polynomial
 that preserves the sub-cell averages.  One operator per (p, n),
-`_sensor_operator`, carries the whole sensor; `evaluate_field_sensor`
-applies it to all elements and `sensor_value` / `sensor_scale` read its rows.
+`_sensor_operator`, carries the whole sensor, and `evaluate_field_sensor`,
+its one reader, applies it to every element and component at once.
 """
 
 from __future__ import annotations
@@ -56,26 +56,6 @@ def _sensor_operator(p: int, n: int) -> np.ndarray:
     fit_residual = G @ average_fit(p, n) - np.eye(n)
     averages = np.hstack([leg_sub_avg[1:].T, np.eye(n)])   # (n, dof)
     return np.vstack([averages, fit_residual @ averages])
-
-
-def sensor_value(c: np.ndarray, space: ElementSpace) -> float:
-    """s_K: max sub-cell-average discrepancy between the field and its best
-    average-preserving polynomial surrogate."""
-    return float(np.max(np.abs(_sensor_operator(space.p, space.n)[space.n:] @ c)))
-
-
-def sensor_scale(c: np.ndarray, space: ElementSpace, s_eps: float = DEFAULT_S_EPS) -> float:
-    """s0_K: max absolute sub-cell average plus the zero-division guard."""
-    if s_eps <= 0:
-        raise ValueError("s_eps must be positive")
-    return float(np.max(np.abs(_sensor_operator(space.p, space.n)[: space.n] @ c))) + s_eps
-
-
-def penalty(s: float, s0: float, c_pen: float = DEFAULT_C_PEN, tau: float = 0.01) -> float:
-    """gamma_K = C_pen * max(0, s/s0 - tau)."""
-    if s0 <= 0:
-        raise ValueError("sensor scale must be positive")
-    return c_pen * max(0.0, s / s0 - tau)
 
 
 def evaluate_field_sensor(

@@ -56,9 +56,6 @@ class FieldState:
     U: np.ndarray    # (m, n_elements, dof)
     time: float
 
-    def copy(self) -> "FieldState":
-        return FieldState(U=self.U.copy(), time=self.time)
-
 
 @dataclass(frozen=True)
 class IMEXTableau:
@@ -299,11 +296,6 @@ def imex_step(
     U1[:, blk] += c * s3
     U1 += c * k3
     return FieldState(U=U1, time=t + dt)
-
-
-def explicit_step(disc: Discretization, state: FieldState, dt: float) -> FieldState:
-    """Explicit-only path of the same tableau (the Gamma = 0 limit)."""
-    return imex_step(disc, state, dt, np.zeros(disc.n_elements))
 
 
 @dataclass

@@ -178,6 +178,14 @@ def test_check_injectivity_command(capsys):
     assert report["dofs"] == 15
 
 
+@pytest.mark.parametrize("flags", [["--p", "-1", "--r", "2"], ["--p", "2", "--r", "-1"]])
+def test_check_injectivity_command_negative_degree_or_refinement_is_config_error(flags, capsys):
+    assert main(["check-injectivity", *flags, "--d", "1"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "config error: p and r must be non-negative" in captured.err
+    assert captured.out == ""
+
+
 def test_convergence_command(tmp_path, capsys):
     cfg = tmp_path / "conv.cfg"
     cfg.write_text("case = convection-gaussian\np = 1\nn = 2\n"

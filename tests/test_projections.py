@@ -14,7 +14,6 @@ from subgrid_dg.basis import (
 from subgrid_dg.projections import (
     NonInjectiveError,
     _quad_rhs,
-    avg_matrix,
     check_injectivity,
     project_avg_preserving,
     project_ho,
@@ -302,9 +301,10 @@ def test_avg_preserving_raises_when_rank_deficient():
         project_avg_preserving(np.zeros(space.dof), space)
 
 
-def test_avg_matrix_shape_and_constants():
+def test_subcell_average_matrix_shape_and_constants():
+    # G = leg_sub_avg.T, whose pseudo-inverse is `average_fit`
     space = ElementSpace(2, 5)
-    G = avg_matrix(space)
+    G = space.ref.leg_sub_avg.T
     assert G.shape == (5, 3)
     np.testing.assert_allclose(G[:, 0], 1.0)
 

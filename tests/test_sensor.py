@@ -4,23 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subgrid_dg.basis import ElementSpace
-from subgrid_dg.projections import NonInjectiveError, avg_matrix, project_l2, project_lo
-from subgrid_dg.sensor import (
-    DEFAULT_S_EPS,
-    SensorConfig,
-    default_tau,
-    evaluate_field_sensor,
-    penalty,
-    sensor_scale,
-    sensor_value,
-)
+from subgrid_dg.projections import NonInjectiveError, project_l2, project_lo
+from subgrid_dg.sensor import DEFAULT_S_EPS, SensorConfig, default_tau, evaluate_field_sensor
 
 
 def lstsq_sensor(c, space, s_eps):
     """Independent scalar sensor: fit L_0..L_p to the sub-cell averages of c
     by least squares and return (max fit residual, max |average| + s_eps)."""
     avgs = project_lo(c, space)
-    G = avg_matrix(space)
+    G = space.ref.leg_sub_avg.T  # (n, p+1) sub-cell averages of L_0..L_p
     fit, _, rank, _ = np.linalg.lstsq(G, avgs, rcond=1e-10)
     assert rank == space.p + 1
     return float(np.max(np.abs(G @ fit - avgs))), float(np.max(np.abs(avgs))) + s_eps
@@ -53,35 +45,50 @@ def test_subcell_averages_of_polynomial_are_invisible():
     poly[: space.p] = rng.standard_normal(space.p)
     c = np.zeros(space.dof)
     c[space.p:] = project_lo(poly, space)
-    assert sensor_value(c, space) < 1e-10
+    assert evaluate_field_sensor(c[None, None], space).s[0] < 1e-10
 
 
 def test_heaviside_triggers_sensor():
     space = ElementSpace(4, 9, 0.0, 1.0)
     c = project_l2(lambda x: np.where(x < 0.47, 1.0, 0.0), space, breakpoints=[0.47])
-    s = sensor_value(c, space)
-    s0 = sensor_scale(c, space)
-    assert s > default_tau(space.p) * s0
+    rep = evaluate_field_sensor(c[None, None], space)
+    assert rep.s[0] > default_tau(space.p) * rep.s0[0]
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.floats(min_value=1e-6, max_value=1e6))
 def test_sensor_ratio_scale_invariant(scale):
-    # s and s0 are both 1-homogeneous, so gamma depends only on the shape
+    # s and s0 are both 1-homogeneous, so gamma depends only on the shape;
+    # with three components the driving one is the same at every scale
     space = ElementSpace(3, 5)
+    config = SensorConfig(s_eps=1e-300)
     rng = np.random.default_rng(11)
-    c = rng.standard_normal(space.dof)
-    s1, s01 = sensor_value(c, space), sensor_scale(c, space, s_eps=1e-300)
-    s2, s02 = sensor_value(scale * c, space), sensor_scale(scale * c, space, s_eps=1e-300)
-    assert s2 / s02 == pytest.approx(s1 / s01, rel=1e-9)
+    for m in (1, 3):
+        U = rng.standard_normal((m, 6, space.dof))
+        r1 = evaluate_field_sensor(U, space, config)
+        r2 = evaluate_field_sensor(scale * U, space, config)
+        np.testing.assert_allclose(r2.s / r2.s0, r1.s / r1.s0, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(r2.gamma, r1.gamma, rtol=1e-9, atol=0)
 
 
 def test_penalty_formula():
-    assert penalty(0.0, 1.0, c_pen=100.0, tau=0.01) == 0.0
-    assert penalty(0.005, 1.0, c_pen=100.0, tau=0.01) == 0.0  # below threshold
-    assert penalty(0.03, 1.0, c_pen=100.0, tau=0.01) == pytest.approx(2.0)
+    # a p = 1, n = 3 element with sub-cell averages (1, 1 - 1.5 r, 1): the
+    # residual of their best linear fit is r (1, -2, 1) / 3, so s = r and
+    # s0 = 1 + s_eps
+    space = ElementSpace(1, 3)
+    config = SensorConfig(c_pen=100.0, tau=0.01, s_eps=1e-300)
+
+    def gamma(ratio):
+        c = np.array([0.0, 1.0, 1.0 - 1.5 * ratio, 1.0])
+        rep = evaluate_field_sensor(c[None, None], space, config)
+        assert rep.s[0] / rep.s0[0] == pytest.approx(ratio, rel=1e-12, abs=1e-15)
+        return rep.gamma[0]
+
+    assert gamma(0.0) == 0.0
+    assert gamma(0.005) == 0.0  # below threshold
+    assert gamma(0.03) == pytest.approx(2.0)
     with pytest.raises(ValueError):
-        penalty(1.0, 0.0)
+        SensorConfig(s_eps=0.0)  # s0 >= s_eps > 0: no zero scale reaches gamma
 
 
 def test_default_tau():
@@ -103,9 +110,10 @@ def test_sensor_config_validation():
 
 def test_sensor_scale_guard():
     space = ElementSpace(2, 3)
-    assert sensor_scale(np.zeros(space.dof), space, s_eps=1e-10) == pytest.approx(1e-10)
+    rep = evaluate_field_sensor(np.zeros((1, 1, space.dof)), space, SensorConfig(s_eps=1e-10))
+    assert rep.s0[0] == pytest.approx(1e-10)
     with pytest.raises(ValueError):
-        sensor_scale(np.zeros(space.dof), space, s_eps=0.0)
+        SensorConfig(s_eps=0.0)
 
 
 def test_field_sensor_p0_never_fires():
@@ -132,21 +140,23 @@ def test_field_sensor_takes_worst_component():
 @pytest.mark.parametrize("p,n", [(1, 2), (2, 3), (3, 5), (4, 8), (4, 9)])
 @pytest.mark.parametrize("m", [1, 3])
 def test_field_sensor_matches_scalar_sensor(p, n, m):
-    # the fused all-element sensor, and the scalar readers of its operator,
-    # against a least-squares fit of each element's sub-cell averages; some
-    # elements are pure polynomials, so both branches of gamma show up
+    # the all-element sensor, of all components and of each one alone,
+    # against a least-squares fit of each element's sub-cell averages and
+    # gamma = c_pen max(0, s/s0 - tau); some elements are pure polynomials,
+    # so both branches of gamma show up
     space = ElementSpace(p, n)
     config = SensorConfig(c_pen=1e3, s_eps=1e-10)
     rng = np.random.default_rng(10 * p + n + m)
     U = rng.standard_normal((m, 12, space.dof))
     U[:, ::3] = polynomial_states(rng, 4 * m, space)[0].reshape(m, 4, space.dof)
     rep = evaluate_field_sensor(U, space, config)
+    each = [evaluate_field_sensor(U[c:c + 1], space, config) for c in range(m)]
     tau = config.tau_for(p)
     for e in range(U.shape[1]):
         s, s0 = np.array([lstsq_sensor(U[c, e], space, config.s_eps) for c in range(m)]).T
         for c in range(m):
-            assert sensor_value(U[c, e], space) == pytest.approx(s[c], rel=1e-9, abs=1e-13)
-            assert sensor_scale(U[c, e], space, config.s_eps) == pytest.approx(s0[c], rel=1e-12)
+            assert each[c].s[e] == pytest.approx(s[c], rel=1e-9, abs=1e-13)
+            assert each[c].s0[e] == pytest.approx(s0[c], rel=1e-12)
         if np.max(s / s0) < 1e-10:
             # a pure polynomial in every component: which component drives
             # is decided by round-off, and nothing is penalized
@@ -155,7 +165,7 @@ def test_field_sensor_matches_scalar_sensor(p, n, m):
         c = int(np.argmax(s / s0))
         assert rep.s[e] == pytest.approx(s[c], rel=1e-9)
         assert rep.s0[e] == pytest.approx(s0[c], rel=1e-12)
-        expected = penalty(s[c], s0[c], config.c_pen, tau)
+        expected = config.c_pen * max(0.0, s[c] / s0[c] - tau)
         assert rep.gamma[e] == pytest.approx(expected, rel=1e-9)
 
 
