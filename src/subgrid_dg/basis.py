@@ -25,17 +25,9 @@ def legendre_eval(i: int, x) -> np.ndarray | float:
     return npleg.legval(x, coeffs)
 
 
-def legendre_deriv(i: int, x) -> np.ndarray | float:
-    """Derivative of the i-th Legendre polynomial on [-1, 1]."""
-    coeffs = np.zeros(i + 1)
-    coeffs[i] = 1.0
-    return npleg.legval(x, npleg.legder(coeffs))
-
-
 def gauss_rule(q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], exact up to degree 2q-1."""
-    if q < 1:
-        raise ValueError("quadrature point count must be positive")
+    """Gauss-Legendre nodes and weights on [-1, 1], exact up to degree 2q-1;
+    numpy's ValueError for q < 1."""
     return npleg.leggauss(q)
 
 
@@ -74,7 +66,6 @@ def reference_element(p: int, n: int) -> ReferenceElement:
     if n < 1:
         raise ValueError("sub-cell count must be >= 1")
     q = p + 2
-    dof = p + n
 
     g, w = gauss_rule(q)
     edges = reference_subcell_edges(n)
@@ -83,41 +74,27 @@ def reference_element(p: int, n: int) -> ReferenceElement:
     quad_ref = mid[:, None] + half * g[None, :]
     quad_w = np.broadcast_to(w[None, :] * half, (n, q)).copy()
 
-    # Legendre modes 0..p at quadrature nodes, faces, and their sub-cell averages
-    leg_q = np.empty((p + 1, n, q))
-    dleg_q = np.empty((p + 1, n, q))
-    leg_face = np.empty((p + 1, n + 1))
-    for i in range(p + 1):
-        leg_q[i] = legendre_eval(i, quad_ref)
-        dleg_q[i] = legendre_deriv(i, quad_ref)
-        leg_face[i] = legendre_eval(i, edges)
-    # average of L_i over sub-cell s: antiderivative ratio, done by quadrature
+    # Legendre modes 0..p at the quadrature nodes and faces, one identity column of
+    # coefficients each: trailing zeros leave Clenshaw's recurrence exact
+    modes = np.eye(p + 1)
+    leg_q = npleg.legval(quad_ref, modes)                       # (p+1, n, q)
+    dleg_q = npleg.legval(quad_ref, npleg.legder(modes))
+    leg_face = npleg.legval(edges, modes)                       # (p+1, n+1)
     leg_sub_avg = np.einsum("isq,sq->is", leg_q, quad_w) / (2.0 / n)
 
-    phi = np.zeros((dof, n, q))
-    dphi = np.zeros((dof, n, q))
-    phi[:p] = leg_q[1:]
-    dphi[:p] = dleg_q[1:]
-    for j in range(n):
-        phi[p + j, j, :] = 1.0
-
-    mass = np.einsum("isq,jsq,sq->ij", phi, phi, quad_w)
-    mass = 0.5 * (mass + mass.T)
+    phi = np.concatenate([leg_q[1:], np.eye(n)[:, :, None].repeat(q, axis=2)])
+    dphi = np.concatenate([dleg_q[1:], np.zeros((n, n, q))])
+    mass = np.einsum("isq,jsq,sq->ij", phi, phi, quad_w)   # exactly symmetric
 
     # pi_ho coefficients of each basis function (zero-average Legendre modes)
     leg_norms = 2.0 / (2.0 * np.arange(1, p + 1) + 1.0)  # (L_i, L_i) on [-1, 1]
-    proj_ho = np.zeros((p, dof))
-    if p > 0:
-        inner = np.einsum("isq,jsq,sq->ij", leg_q[1:], phi, quad_w)  # (p, dof)
-        proj_ho = inner / leg_norms[:, None]
+    proj_ho = mass[:p] / leg_norms[:, None]       # mass[:p] = (L_i, phi_j), i = 1..p
     # Penalty mass: Gram matrix of the high-order component of the direct-sum
     # decomposition (polynomial coefficients only).  Penalizing the L2
     # projection pi_ho instead would leave oscillatory piecewise-constant /
     # polynomial combinations unpenalized and the large-gamma limit would not
     # be the monotone sub-cell-average representation.
-    mass_pp = np.zeros((dof, dof))
-    if p > 0:
-        mass_pp[:p, :p] = np.diag(leg_norms)
+    mass_pp = np.diag(np.concatenate([leg_norms, np.zeros(n)]))
 
     return ReferenceElement(
         p=p, n=n, n_quad=q,

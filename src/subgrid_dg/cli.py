@@ -30,7 +30,9 @@ EXIT_NONINJECTIVE = 4
 
 
 def _parse_bool(raw: str) -> bool:
-    return raw.strip().lower() in ("1", "true", "yes", "on")
+    """1/true/yes/on or 0/false/no/off in any case; another word is a KeyError."""
+    return {"1": True, "true": True, "yes": True, "on": True,
+            "0": False, "false": False, "no": False, "off": False}[raw.strip().lower()]
 
 
 def _parse_times(raw: str) -> tuple:
@@ -46,6 +48,10 @@ def _text_parser(hint):
 
 # every RunConfig field with the parser of its value in a config file or flag
 _FIELDS = {name: _text_parser(hint) for name, hint in typing.get_type_hints(RunConfig).items()}
+# every RunConfig field with the exact types of its JSON value (a bool is no int)
+_JSON_TYPES = {name: sum(({float: (int, float), tuple: (list,)}.get(t, (t,))
+                          for t in typing.get_args(hint) or (hint,)), ())
+               for name, hint in typing.get_type_hints(RunConfig).items()}
 
 
 def load_config(path: str) -> dict:
@@ -56,6 +62,9 @@ def load_config(path: str) -> dict:
         for key, val in json.loads(text).items():
             if key not in _FIELDS:
                 raise ValueError(f"unknown config key {key!r}")
+            if type(val) not in _JSON_TYPES[key] or (    # snapshot_times: a list of numbers
+                    type(val) is list and not all(type(v) in (int, float) for v in val)):
+                raise ValueError(f"config key {key!r} cannot take {val!r}")
             values[key] = tuple(val) if _FIELDS[key] is _parse_times else val
         return values
     for line_no, line in enumerate(text.splitlines(), 1):
@@ -67,7 +76,10 @@ def load_config(path: str) -> dict:
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in _FIELDS:
             raise ValueError(f"line {line_no}: unknown config key {key!r}")
-        values[key] = _FIELDS[key](raw)
+        try:
+            values[key] = _FIELDS[key](raw)
+        except (ValueError, KeyError):
+            raise ValueError(f"line {line_no}: config key {key!r} cannot take {raw!r}") from None
     return values
 
 

@@ -10,12 +10,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial import legendre as npleg
 
 from .basis import (
     ElementSpace,
     assemble_mass,
     gauss_rule,
-    legendre_eval,
     penalty_stage_rate,
     reference_element,
 )
@@ -48,13 +48,12 @@ def _quad_rhs(f, space: ElementSpace, breakpoints=None) -> np.ndarray:
     fv = np.asarray(f(xq.ravel()), dtype=float)
     fw = (0.5 * (c - a) * w) * fv.reshape(fv.shape[:-1] + xq.shape)
     xi = space.to_reference(xq)
-    # (..., pieces, p + 1): the Legendre moments 1..p, then the plain sum
-    sums = np.stack([np.sum(fw * legendre_eval(i, xi), axis=-1) for i in range(1, p + 1)]
-                    + [np.sum(fw, axis=-1)], axis=-1)
+    # (..., p + 1, pieces): the moments of the Legendre modes 0..p, mode 0 the plain sum
+    sums = np.sum(fw[..., None, :, :] * npleg.legval(xi, np.eye(p + 1)), axis=-1)
     b = np.zeros(fv.shape[:-1] + (space.dof,))
     for k, s in enumerate(owner):
-        b[..., :p] += sums[..., k, :p]
-        b[..., p + s] += sums[..., k, p]
+        b[..., :p] += sums[..., 1:, k]
+        b[..., p + s] += sums[..., 0, k]
     return b
 
 

@@ -50,10 +50,9 @@ class SensorReport:
 def _sensor_operator(p: int, n: int) -> np.ndarray:
     """(2n, dof) matrix mapping coefficients to the sub-cell averages (first
     n rows) and to the residual of the best average-preserving polynomial
-    fit of those averages (last n): res = (G pinv(G) - I) avg."""
-    leg_sub_avg = reference_element(p, n).leg_sub_avg
-    G = leg_sub_avg.T  # (n, p+1)
-    fit_residual = G @ average_fit(p, n) - np.eye(n)
+    fit of those averages (last n): res = (G pinv(G) - I) avg, G = leg_sub_avg.T."""
+    leg_sub_avg = reference_element(p, n).leg_sub_avg              # (p+1, n)
+    fit_residual = leg_sub_avg.T @ average_fit(p, n) - np.eye(n)
     averages = np.hstack([leg_sub_avg[1:].T, np.eye(n)])   # (n, dof)
     return np.vstack([averages, fit_residual @ averages])
 

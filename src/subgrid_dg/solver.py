@@ -151,15 +151,13 @@ class Discretization:
         self._trace_right = np.vstack([ref.leg_face[1:, 1:], np.eye(n)])
         # volume term: w_ref * d(phi)/d(xi) at the quadrature nodes, (n*q, dof)
         self._volume = (ref.dphi_ref * ref.quad_w[None]).reshape(dof, nq).T.copy()
-        # lift of the flux at each sub-cell's left / right face, (n, dof):
-        # an indicator sees its own sub-cell's faces; the polynomial modes,
-        # continuous across sub-cell faces, see only the element boundaries
-        self._lift_left = np.zeros((n, dof))
-        self._lift_left[:, p:] = np.eye(n)
-        self._lift_left[0, :p] = ref.leg_face[1:, 0]
-        self._lift_right = np.zeros((n, dof))
-        self._lift_right[:, p:] = -np.eye(n)
-        self._lift_right[-1, :p] = -ref.leg_face[1:, n]
+        # lift of the flux at each sub-cell's left / right face, (n, dof): the
+        # transposed traces, but the polynomial modes, continuous across
+        # sub-cell faces, see only the element boundaries
+        self._lift_left = self._trace_left.T.copy()
+        self._lift_left[1:, :p] = 0.0
+        self._lift_right = -self._trace_right.T.copy()
+        self._lift_right[:-1, :p] = 0.0
         # source: w_ref * phi at the quadrature nodes, times h/2 per element
         self._source = (ref.phi * ref.quad_w[None]).reshape(dof, nq).T.copy()
         self._half_h = (self.h / 2.0)[:, None]
@@ -344,9 +342,12 @@ def advance(
             drift = float(np.linalg.norm(new.U - current.U)) / step
             # a NaN or inf in the new state makes the drift non-finite, so
             # the state is scanned only then (a finite state can overflow it)
-            if not math.isfinite(drift) and not np.isfinite(new.U).all():
+            if not math.isfinite(drift) and not (finite := np.isfinite(new.U)).all():
+                bad = int(np.argmin(finite.all(axis=(0, 2))))   # first non-finite element
+                xl, xr = disc.mesh.element_bounds(bad)
                 raise SolverAbort(
-                    f"non-finite state after step {traj.n_steps + 1} at t={new.time:.6g}"
+                    f"non-finite state after step {traj.n_steps + 1} at t={new.time:.6g} "
+                    f"in element {bad} on x in [{xl:.6g}, {xr:.6g}]"
                 )
             traj.step_diffs.append(drift)
             traj.n_steps += 1

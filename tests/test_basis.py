@@ -104,6 +104,32 @@ def test_penalty_mass_ignores_piecewise_constant_part():
     assert np.all(assemble_penalty_mass(space) @ c == 0.0)
 
 
+@pytest.mark.parametrize("p", range(9))
+def test_reference_tables_equal_per_mode_oracles(p):
+    # every Legendre table of the reference element, bit for bit against one
+    # mode at a time; the indicators are 1 on their own sub-cell, else 0
+    for n in range(1, 13):
+        ref = reference_element(p, n)
+        x, edges = ref.quad_ref, ref.sub_edges
+        for i in range(1, p + 1):
+            assert np.array_equal(ref.phi[i - 1], legendre_eval(i, x))
+            e_i = np.eye(i + 1)[i]            # L_i alone: no trailing zeros
+            assert np.array_equal(ref.dphi_ref[i - 1], npleg.legval(x, npleg.legder(e_i)))
+        for i in range(p + 1):
+            assert np.array_equal(ref.leg_face[i], legendre_eval(i, edges))
+            avg = np.einsum("sq,sq->s", legendre_eval(i, x), ref.quad_w) / (2.0 / n)
+            assert np.array_equal(ref.leg_sub_avg[i], avg)
+        assert np.array_equal(ref.phi[p:], np.eye(n)[:, :, None] * np.ones_like(x))
+        assert not ref.dphi_ref[p:].any()
+        shapes = [(p + n, n, p + 2), (p + n, n, p + 2), (p + 1, n + 1), (p + 1, n),
+                  (p + n, p + n), (p + n, p + n), (p, p + n)]
+        tables = ["phi", "dphi_ref", "leg_face", "leg_sub_avg", "mass", "mass_pp", "proj_ho"]
+        assert [getattr(ref, t).shape for t in tables] == shapes
+        if p == 0:                     # nothing polynomial to project or penalize
+            assert ref.proj_ho.shape == (0, n)
+            assert not ref.mass_pp.any()
+
+
 def test_reference_element_sub_averages():
     ref = reference_element(2, 4)
     # averages of L_0 are 1; averages of L_1 = x over [-1+k/2, -1/2+k/2]

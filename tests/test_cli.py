@@ -57,6 +57,57 @@ def test_load_config_rejects_unknown_key(tmp_path):
         load_config(str(path))
 
 
+TINY_JSON = {"case": "burgers", "p": 1, "n": 2, "n_elements": 4, "t_final": 0.01}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("entropy_fix", "false"), ("entropy_fix", 0), ("entropy_fix", None),
+    ("p", "1"), ("p", 1.5), ("p", True), ("t_final", "0.01"), ("t_final", False),
+    ("case", 3), ("output_dir", 3), ("snapshot_times", 0.005), ("snapshot_times", [0.005, "x"]),
+])
+def test_run_command_json_value_of_another_type_is_config_error(tmp_path, capsys, key, value):
+    # a JSON value must have its field's type already: a string that reads as
+    # one, or a bool for a number, is not converted
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({**TINY_JSON, key: value}))
+    assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"config error: config key {key!r} cannot take {value!r}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("key, raw", [
+    ("entropy_fix", "flase"), ("entropy_fix", "2"), ("p", "1.5"), ("t_final", "soon"),
+    ("snapshot_times", "0.005, x"),
+])
+def test_run_command_text_value_that_does_not_parse_is_config_error(tmp_path, capsys, key, raw):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"case = burgers\n{key} = {raw}\n")
+    assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"config error: line 2: config key {key!r} cannot take {raw!r}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("words, value", [(("1", "true", "Yes", " ON "), True),
+                                          (("0", "FALSE", "no", "off"), False)])
+def test_load_config_bool_words(tmp_path, words, value):
+    path = tmp_path / "run.cfg"
+    for word in words:
+        path.write_text(f"case = burgers\nentropy_fix = {word}\n")
+        assert load_config(str(path))["entropy_fix"] is value
+
+
+def test_load_config_json_takes_its_own_types(tmp_path):
+    path = tmp_path / "run.json"
+    for flag in (True, False):
+        values = {**TINY_JSON, "entropy_fix": flag, "dt": 1, "tau": None,
+                  "snapshot_times": [0.005, 1e-3], "output_dir": None}
+        path.write_text(json.dumps(values))
+        assert load_config(str(path)) == {**values, "snapshot_times": (0.005, 1e-3)}
+        RunConfig(**load_config(str(path)))
+
+
 # a value for every RunConfig field, none of them its default, as a flag or
 # config-file text would give it
 FIELD_VALUES = {

@@ -673,6 +673,54 @@ def test_large_penalty_contracts_polynomial_modes():
     )
 
 
+# every law and boundary kind of N1_CASES but the nozzle's: its source
+# quadrature (p + 2 points a sub-cell) differs between p = 0 and p > 0
+LIMIT_CASES = [name for name in N1_CASES if not name.startswith("nozzle")]
+
+
+def limit_step(name, dt, gamma, p=2, E=4, n=3):
+    """One imex_step of dt times the domain length from piecewise-constant data
+    with gamma forced in every element, and the p = 0 step from the same cell
+    values, both over the data's scale: (max |polynomial coefficient| of the
+    new state, max |its sub-cell averages - the p = 0 state|)."""
+    law, (a, b), bc_left, bc_right, base = N1_CASES[name]
+    mesh = build_uniform_mesh(a, b, E, n)
+    rng = np.random.default_rng(5)
+    cells = base[:, None, None] * (1.0 + 0.2 * rng.standard_normal((law.m, E, n)))
+    dg = Discretization(mesh, p, law, bc_left, bc_right)
+    U = np.concatenate([np.zeros((law.m, E, p)), cells], axis=2)
+    new = imex_step(dg, FieldState(U, 0.0), dt * (b - a), np.full(E, gamma)).U
+    fv = Discretization(mesh, 0, law, bc_left, bc_right)
+    ref = imex_step(fv, FieldState(cells, 0.0), dt * (b - a), np.zeros(E)).U
+    scale = np.abs(cells).max()
+    return (np.abs(new[..., :p]).max() / scale,
+            np.abs(dg.subcell_averages(new) - ref).max() / scale)
+
+
+@pytest.mark.parametrize("name", LIMIT_CASES)
+def test_large_penalty_step_is_the_subcell_fv_step(name):
+    # gamma -> infinity leaves the p = 0 scheme on the same sub-grid: the
+    # sub-cell averages of a penalized step reach the p = 0 step as O(1/gamma)
+    gaps = [limit_step(name, 1e-3, gamma)[1] for gamma in (1e6, 1e9, 1e12)]
+    assert gaps[0] < 1e-5
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert 800 < coarse / fine < 1250, gaps
+
+
+@pytest.mark.parametrize("name", LIMIT_CASES)
+def test_large_penalty_step_leaves_a_dt_squared_polynomial_residue(name):
+    # ARS(2,2,2)'s explicit weights b_hat are not the last row of A_hat, so the
+    # new state is not its filtered last stage: in the limit its polynomial
+    # part is that of dt (-delta k1 + (delta - alpha) k2 + alpha k3), whose
+    # weights sum to 0, so it is O(dt^2) and does not depend on gamma
+    dts = (1e-4, 5e-5, 2.5e-5)
+    residue = {(dt, gamma): limit_step(name, dt, gamma)[0] for dt in dts for gamma in (1e13, 1e16)}
+    for dt in dts:
+        assert residue[dt, 1e13] == pytest.approx(residue[dt, 1e16], rel=1e-3)
+    for coarse, fine in zip(dts, dts[1:]):
+        assert 3.5 < residue[coarse, 1e16] / residue[fine, 1e16] < 4.5, residue
+
+
 @pytest.mark.parametrize("penalized", [False, True])
 def test_imex_step_returns_fresh_arrays(penalized):
     disc = make_convection_disc()
@@ -753,12 +801,13 @@ def test_advance_aborts_on_injected_non_finite_value(monkeypatch, bad):
         new = imex_step(disc, state, dt, gammas)
         steps.append(new)
         if len(steps) == 3:
-            new.U[0, 2, 1] = bad
+            new.U[0, 2, 1] = new.U[0, 3, 0] = bad       # the first is element 2
         return new
 
     monkeypatch.setattr(solver, "imex_step", poisoned)
-    with pytest.raises(SolverAbort, match=r"non-finite state after step 3 at t=0\.03\b"):
+    with pytest.raises(SolverAbort, match=r"non-finite state after step 3 at t=0\.03\b") as err:
         advance(disc, state, dt=1e-2, t_final=0.1)
+    assert str(err.value).endswith("in element 2 on x in [0.5, 0.75]")
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
