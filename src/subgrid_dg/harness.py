@@ -68,6 +68,10 @@ class RunConfig:
         if self.case not in CASES:
             raise ValueError(f"unknown case {self.case!r}; choose from {CASES}")
         self.sensor_config    # validates c_pen, tau and s_eps
+        if self.dt is not None and not 0.0 < self.dt < np.inf:
+            raise ValueError(f"need dt > 0 and a finite t_final: dt = {self.dt} is not finite and > 0")
+        if not 0.0 < self.cfl < np.inf:
+            raise ValueError(f"cfl must be finite and > 0: {self.cfl}")
         if self.force_gamma_value is not None and not 0.0 <= self.force_gamma_value < np.inf:
             raise ValueError(f"force_gamma_value must be finite and >= 0: {self.force_gamma_value}")
         if self.force_gamma_element is not None and self.force_gamma_element < 0:

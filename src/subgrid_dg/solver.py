@@ -14,6 +14,12 @@ sub-cell face flux is computed once and shared.  Surface contributions of
 the continuous polynomial test modes telescope across interior sub-cell
 faces, so they only see the element-boundary fluxes.
 
+For periodic linear convection that whole chain is linear and couples an
+element only to itself and its upwind neighbour, so `residual` applies it as
+one precomputed pair, U @ B_self + U[upwind] @ B_nbr (Hesthaven & Warburton,
+2008, ch. 4).  The pair is built by the first residual; every other law or
+boundary takes the chain above.
+
 The Discretization also holds the law's geometry (`law.geometry`, e.g. the
 nozzle's A and (dA/dx)/A) at the quadrature nodes only, and the duct area at
 the two domain ends for the ghosts, so a step evaluates no geometry.
@@ -29,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +45,7 @@ from .physics import (
     AdmissibilityError,
     BoundaryCondition,
     ConservationLaw,
+    Convection,
     boundary_area,
     boundary_ghost,
 )
@@ -165,6 +173,26 @@ class Discretization:
         self._mass_inv_t = np.linalg.inv(ref.mass).T.copy()
         self._inv_half_h = (2.0 / self.h)[:, None]
 
+    @cached_property
+    def _linear_pair(self):
+        """(B_self, B_nbr, upwind) of periodic linear convection, whose residual
+        is U @ B_self + U[..., upwind, :] @ B_nbr; None for any other law or
+        boundary.  Built by the first residual, so no set-up computes it."""
+        if not (self.periodic and isinstance(self.law, Convection)):
+            return None
+        beta, n = self.law.beta, self.n
+        volume = self._phi @ self._volume
+        if beta >= 0:   # each face flux is beta times the trace from its left
+            T, step = self._trace_right, -1
+            B_self = volume + T @ self._lift_right + T @ np.eye(n, k=1) @ self._lift_left
+            B_nbr = T[:, n - 1:] @ self._lift_left[:1]
+        else:           # ... from its right
+            T, step = self._trace_left, 1
+            B_self = volume + T @ self._lift_left + T @ np.eye(n, k=-1) @ self._lift_right
+            B_nbr = T[:, :1] @ self._lift_right[-1:]
+        upwind = (np.arange(self.n_elements) + step) % self.n_elements
+        return beta * B_self, beta * B_nbr, upwind
+
     # -- spatial operator ---------------------------------------------------
 
     def eval_at_quad(self, U: np.ndarray) -> np.ndarray:
@@ -197,6 +225,11 @@ class Discretization:
     def residual(self, U: np.ndarray, t: float) -> np.ndarray:
         """R(U) of M dU/dt = R(U) - penalty for states U (m, *batch, E, dof): batch
         axes after the component axis stack states (not at a farfield boundary)."""
+        if (pair := self._linear_pair) is not None:
+            B_self, B_nbr, upwind = pair
+            R = U @ B_self
+            R += U[..., upwind, :] @ B_nbr
+            return R
         elements = U.shape[:-1]
         try:
             u_q = self.eval_at_quad(U)
@@ -319,8 +352,8 @@ def advance(
 ) -> Trajectory:
     """Fixed-step march to t_final; steps are shortened to land exactly on
     snapshot times and on t_final.  Gamma is recomputed once per step."""
-    if not (dt > 0 and state.time < t_final < math.inf):
-        raise ValueError("need dt > 0 and a finite t_final beyond the current time")
+    if not (0 < dt < math.inf and state.time < t_final < math.inf):
+        raise ValueError("need dt > 0 and a finite t_final beyond the current time, and a finite dt")
     eps = 1e-12 * max(1.0, abs(t_final))
     marks = sorted({float(ts) for ts in snapshot_times if state.time < ts <= t_final})
     traj = Trajectory()

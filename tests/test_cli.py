@@ -205,6 +205,20 @@ def test_run_command_non_finite_end_time_or_step_is_config_error(flags, capsys):
     assert "need dt > 0 and a finite t_final" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--dt", "inf"], "need dt > 0 and a finite t_final: dt = inf is not finite and > 0"),
+    (["--cfl", "inf"], "cfl must be finite and > 0: inf"),
+])
+def test_run_command_infinite_step_or_cfl_is_config_error(flags, message, capsys, tmp_path):
+    # an infinite step would run one giant step and write "dt": Infinity
+    code = main(["run", "--case", "convection-gaussian", "--t-final", "0.5",
+                 "--output-dir", str(tmp_path), *flags])
+    assert code == EXIT_CONFIG
+    out = capsys.readouterr()
+    assert message in out.err and out.out == ""
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_command_solver_abort_exit_code(capsys):
     code = main(["run", "--case", "burgers", "--p", "1", "--n", "2",

@@ -325,13 +325,13 @@ def einsum_solve_mass(disc, R):
     return out * (2.0 / disc.h)[None, :, None]
 
 
-def operator_case(law_name, periodic, p, n, rng):
+def operator_case(law_name, periodic, p, n, rng, beta=-0.7, n_elements=6):
     """A Discretization on an uneven mesh and a random admissible state."""
-    edges = np.cumsum(np.r_[0.0, rng.uniform(0.5, 1.5, 6)])
+    edges = np.cumsum(np.r_[0.0, rng.uniform(0.5, 1.5, n_elements)])
     mesh = Mesh(element_boundaries=edges / edges[-1], n_sub=n)
     pbc = BoundaryCondition("periodic")
     if law_name in ("convection", "burgers"):
-        law = Convection(beta=-0.7) if law_name == "convection" else Burgers()
+        law = Convection(beta=beta) if law_name == "convection" else Burgers()
         bcs = (pbc, pbc) if periodic else (
             BoundaryCondition("prescribed", state=(0.3,)),
             BoundaryCondition("prescribed", state=(-0.2,)))
@@ -370,6 +370,43 @@ def test_operators_match_einsum_residual(law_name, periodic, p, n):
     u_q = disc.eval_at_quad(U)
     np.testing.assert_allclose(u_q, np.einsum("med,dsq->mesq", U, disc.ref.phi),
                                rtol=1e-12, atol=1e-12 * np.max(np.abs(U)))
+
+
+@pytest.mark.parametrize("n_elements", [6, 1])
+@pytest.mark.parametrize("p,n", [(0, 5), (1, 1), (4, 8)])
+@pytest.mark.parametrize("beta", [0.7, 0.0, -0.7])
+def test_periodic_convection_pair_matches_einsum_residual(beta, p, n, n_elements):
+    # the precomputed (B_self, B_nbr) pair in both upwind directions and at
+    # beta = 0; with one element, that element is its own upwind neighbour
+    rng = np.random.default_rng(7 * p + n + n_elements)
+    disc, U = operator_case("convection", True, p, n, rng, beta=beta, n_elements=n_elements)
+    R_ref = einsum_residual(disc, U, 0.1)
+    R = disc.residual(U, 0.1)
+    assert disc._linear_pair is not None
+    atol = 1e-12 * np.max(np.abs(R_ref))
+    np.testing.assert_allclose(R, R_ref, rtol=1e-12, atol=atol)
+    if beta == 0.0:
+        assert not R.any()
+    disc._linear_pair = None    # the general chain that every other law takes
+    np.testing.assert_allclose(disc.residual(U, 0.1), R, rtol=1e-12, atol=atol)
+
+
+def test_only_periodic_convection_takes_the_linear_pair():
+    # a periodic convection residual evaluates no quadrature values, face
+    # traces or fluxes, and the pair is built by the first residual, not
+    # by the Discretization
+    disc, U = operator_case("convection", True, 2, 3, np.random.default_rng(6))
+    assert "_linear_pair" not in vars(disc)
+    calls = []
+    for owner, name in ((disc, "eval_at_quad"), (disc, "face_traces"), (disc.law, "fluxes")):
+        setattr(owner, name, lambda *a, _name=name, **kw: calls.append(_name))
+    disc.residual(U, 0.0)
+    assert calls == [] and "_linear_pair" in vars(disc)
+    for law_name, periodic in [("convection", False), ("burgers", True), ("euler", True),
+                               ("nozzle", False)]:
+        disc, U = operator_case(law_name, periodic, 2, 3, np.random.default_rng(6))
+        disc.residual(U, 0.0)
+        assert disc._linear_pair is None
 
 
 def batched_case(law_name, kind, rng):
@@ -758,7 +795,8 @@ def test_step_validation():
     state = project_initial(disc, lambda x: gaussian_profile(x)[None])
     with pytest.raises(ValueError):
         imex_step(disc, state, 0.0, np.zeros(disc.n_elements))
-    for dt, t_final in [(-1.0, 1.0), (1e-3, 0.0), (1e-3, np.nan), (1e-3, np.inf), (np.nan, 0.1)]:
+    for dt, t_final in [(-1.0, 1.0), (1e-3, 0.0), (1e-3, np.nan), (1e-3, np.inf), (np.nan, 0.1),
+                        (np.inf, 0.1)]:
         with pytest.raises(ValueError, match="need dt > 0 and a finite t_final"):
             advance(disc, state, dt=dt, t_final=t_final)
 
