@@ -35,8 +35,7 @@ class ConservationLaw:
     points computes it once; only `source` uses them.
     """
 
-    m: int = 1
-    name: str = "law"
+    m = 1           # state components; `m` and `name` are class constants
 
     def geometry(self, x):
         """Per-point data at x that the law's calls take as `geom`: for a
@@ -74,9 +73,8 @@ class ConservationLaw:
 class Convection(ConservationLaw):
     """Scalar linear convection with constant velocity beta."""
 
+    name = "convection"
     beta: float = 1.0
-    m: int = 1
-    name: str = "convection"
 
     def flux(self, u, x=None):
         return self.beta * _as_state(u)
@@ -89,12 +87,10 @@ class Convection(ConservationLaw):
         return abs(self.beta)
 
 
-@dataclass
 class Burgers(ConservationLaw):
     """Inviscid Burgers equation, F(u) = u^2 / 2."""
 
-    m: int = 1
-    name: str = "burgers"
+    name = "burgers"
 
     def flux(self, u, x=None):
         u = _as_state(u)
@@ -199,13 +195,12 @@ def _roe(uL, uR, FL, FR, sideL, sideR, gamma_a, entropy_fix):
     return out
 
 
-@dataclass
 class Euler1D(ConservationLaw):
     """1D compressible Euler equations for an ideal gas."""
 
-    gamma_a: float = 1.4
-    m: int = 3
-    name: str = "euler1d"
+    m = 3
+    name = "euler1d"
+    gamma_a = 1.4
 
     def primitives(self, u):
         rho, vel, _, p = _euler_primitives(_as_state(u), self.gamma_a)
@@ -260,7 +255,6 @@ def nozzle_area(x) -> tuple[np.ndarray, np.ndarray]:
     return A, dA
 
 
-@dataclass
 class NozzleEuler(Euler1D):
     """Quasi-1D Euler flow in a duct of area A(x): area-weighted state
     u = A (rho, rho v, rho E), momentum source p dA/dx.
@@ -275,7 +269,7 @@ class NozzleEuler(Euler1D):
     only the source and the farfield ghost.
     """
 
-    name: str = "nozzle"
+    name = "nozzle"
 
     def geometry(self, x):
         """(A, (dA/dx) / A) at x."""
@@ -412,22 +406,18 @@ def boundary_ghost(bc: BoundaryCondition, u_interior, law: ConservationLaw,
     if u_interior.size != u_interior.shape[0]:
         raise ValueError(f"the {'left' if side < 0 else 'right'} farfield boundary takes "
                          f"one state, not a batch of shape {u_interior.shape[1:]}")
-    gamma_a = getattr(law, "gamma_a", 1.4)
     if area is None:
         area = boundary_area(law, x)
     u_int = [v / area for v in u_interior.ravel().tolist()]
-    ghost = _characteristic_farfield(u_int, _farfield_primitives(tuple(bc.farfield), gamma_a),
-                                     side, gamma_a, x)
+    far = _farfield_primitives(tuple(bc.farfield), law.gamma_a)
+    ghost = _characteristic_farfield(u_int, far, side, law.gamma_a, x)
     return np.array([v * area for v in ghost]).reshape(shape)
 
 
+_LAWS = {law.name: law for law in (Convection, Burgers, Euler1D, NozzleEuler)}
+
+
 def make_law(name: str, **kwargs) -> ConservationLaw:
-    laws = {
-        "convection": Convection,
-        "burgers": Burgers,
-        "euler1d": Euler1D,
-        "nozzle": NozzleEuler,
-    }
-    if name not in laws:
-        raise ValueError(f"unknown conservation law {name!r}")
-    return laws[name](**kwargs)
+    if name not in _LAWS:
+        raise ValueError(f"unknown conservation law {name!r}; valid: {', '.join(_LAWS)}")
+    return _LAWS[name](**kwargs)

@@ -17,8 +17,8 @@ faces, so they only see the element-boundary fluxes.
 For periodic linear convection that whole chain is linear and couples an
 element only to itself and its upwind neighbour, so `residual` applies it as
 one precomputed pair, U @ B_self + U[upwind] @ B_nbr (Hesthaven & Warburton,
-2008, ch. 4).  The pair is built by the first residual; every other law or
-boundary takes the chain above.
+2008, ch. 4), read off the chain above by the first residual; every other
+law or boundary takes the chain.
 
 The Discretization also holds the law's geometry (`law.geometry`, e.g. the
 nozzle's A and (dA/dx)/A) at the quadrature nodes only, and the duct area at
@@ -46,6 +46,7 @@ from .physics import (
     BoundaryCondition,
     ConservationLaw,
     Convection,
+    Euler1D,
     boundary_area,
     boundary_ghost,
 )
@@ -118,6 +119,13 @@ class Discretization:
     ):
         if (bc_left.kind == "periodic") != (bc_right.kind == "periodic"):
             raise ValueError("periodic boundaries must be applied to both ends")
+        for end, bc in (("left", bc_left), ("right", bc_right)):
+            if bc.kind in ("wall", "farfield") and not isinstance(law, Euler1D):
+                raise ValueError(f"the {end} {bc.kind} boundary needs an Euler law, "
+                                 f"not {law.name!r}")
+            if bc.kind == "prescribed" and (k := np.size(bc.state)) != law.m:
+                raise ValueError(f"the {end} prescribed boundary state has {k} components; "
+                                 f"{law.name!r} has {law.m}")
         self.mesh = mesh
         self.law = law
         self.bc_left = bc_left
@@ -177,21 +185,18 @@ class Discretization:
     def _linear_pair(self):
         """(B_self, B_nbr, upwind) of periodic linear convection, whose residual
         is U @ B_self + U[..., upwind, :] @ B_nbr; None for any other law or
-        boundary.  Built by the first residual, so no set-up computes it."""
+        boundary.  Row i of each is the chain's response to basis function i in
+        element 0, read in element 0 and in the one downwind (zero if E = 1)."""
         if not (self.periodic and isinstance(self.law, Convection)):
             return None
-        beta, n = self.law.beta, self.n
-        volume = self._phi @ self._volume
-        if beta >= 0:   # each face flux is beta times the trace from its left
-            T, step = self._trace_right, -1
-            B_self = volume + T @ self._lift_right + T @ np.eye(n, k=1) @ self._lift_left
-            B_nbr = T[:, n - 1:] @ self._lift_left[:1]
-        else:           # ... from its right
-            T, step = self._trace_left, 1
-            B_self = volume + T @ self._lift_left + T @ np.eye(n, k=-1) @ self._lift_right
-            B_nbr = T[:, :1] @ self._lift_right[-1:]
-        upwind = (np.arange(self.n_elements) + step) % self.n_elements
-        return beta * B_self, beta * B_nbr, upwind
+        E, dof, i = self.n_elements, self.dof, np.arange(self.dof)
+        step = -1 if self.law.beta >= 0 else 1      # the upwind element of e is e + step
+        probes = np.zeros((1, dof, E, dof))
+        probes[0, i, 0, i] = 1.0
+        R = self._residual_chain(probes, 0.0)[0]
+        B_self = R[:, 0].copy()
+        B_nbr = R[:, -step % E].copy() if E > 1 else np.zeros_like(B_self)
+        return B_self, B_nbr, (np.arange(E) + step) % E
 
     # -- spatial operator ---------------------------------------------------
 
@@ -230,6 +235,10 @@ class Discretization:
             R = U @ B_self
             R += U[..., upwind, :] @ B_nbr
             return R
+        return self._residual_chain(U, t)
+
+    def _residual_chain(self, U: np.ndarray, t: float) -> np.ndarray:
+        """`residual` of any law: traces and fluxes, then volume, lift, source."""
         elements = U.shape[:-1]
         try:
             u_q = self.eval_at_quad(U)

@@ -313,6 +313,27 @@ def test_any_nonpositive_corner_cases():
     assert _any_nonpositive(np.float64(-1.0)) and not _any_nonpositive(np.float64(1.0))
 
 
+LAWS = (Convection, Burgers, Euler1D, NozzleEuler)
+
+
+def test_law_facts_are_class_constants():
+    # m, name and gamma_a belong to the law, so no constructor takes them;
+    # make_law finds each law under its class's name
+    for build in (lambda: Convection(m=3), lambda: Burgers(name="x"),
+                  lambda: Euler1D(gamma_a=1.67), lambda: make_law("euler1d", m=1)):
+        with pytest.raises(TypeError):
+            build()
+    for law in LAWS:
+        assert type(make_law(law.name)) is law
+    assert make_law("convection", beta=-2.0).beta == -2.0
+
+
+def test_unknown_law_error_lists_the_valid_names():
+    names = ", ".join(law.name for law in LAWS)
+    with pytest.raises(ValueError, match=f"unknown conservation law 'euler'; valid: {names}$"):
+        make_law("euler")
+
+
 @settings(max_examples=300, deadline=None)
 @given(law_name=st.sampled_from(["convection", "burgers", "euler1d", "nozzle"]),
        shape=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4)),

@@ -372,7 +372,7 @@ def test_operators_match_einsum_residual(law_name, periodic, p, n):
                                rtol=1e-12, atol=1e-12 * np.max(np.abs(U)))
 
 
-@pytest.mark.parametrize("n_elements", [6, 1])
+@pytest.mark.parametrize("n_elements", [6, 2, 1])
 @pytest.mark.parametrize("p,n", [(0, 5), (1, 1), (4, 8)])
 @pytest.mark.parametrize("beta", [0.7, 0.0, -0.7])
 def test_periodic_convection_pair_matches_einsum_residual(beta, p, n, n_elements):
@@ -392,16 +392,20 @@ def test_periodic_convection_pair_matches_einsum_residual(beta, p, n, n_elements
 
 
 def test_only_periodic_convection_takes_the_linear_pair():
-    # a periodic convection residual evaluates no quadrature values, face
-    # traces or fluxes, and the pair is built by the first residual, not
-    # by the Discretization
+    # the first periodic convection residual builds the pair with one
+    # evaluation of the general chain, so the Discretization does not; later
+    # residuals evaluate no quadrature values, face traces or fluxes
     disc, U = operator_case("convection", True, 2, 3, np.random.default_rng(6))
     assert "_linear_pair" not in vars(disc)
     calls = []
     for owner, name in ((disc, "eval_at_quad"), (disc, "face_traces"), (disc.law, "fluxes")):
-        setattr(owner, name, lambda *a, _name=name, **kw: calls.append(_name))
-    disc.residual(U, 0.0)
-    assert calls == [] and "_linear_pair" in vars(disc)
+        real = getattr(owner, name)
+        setattr(owner, name, lambda *a, _real=real, _name=name, **kw:
+                calls.append(_name) or _real(*a, **kw))
+    R = disc.residual(U, 0.0)
+    assert calls == ["eval_at_quad", "face_traces", "fluxes"] and "_linear_pair" in vars(disc)
+    calls.clear()
+    assert np.array_equal(disc.residual(U, 0.0), R) and calls == []
     for law_name, periodic in [("convection", False), ("burgers", True), ("euler", True),
                                ("nozzle", False)]:
         disc, U = operator_case(law_name, periodic, 2, 3, np.random.default_rng(6))
@@ -541,6 +545,22 @@ def test_periodic_bc_must_be_paired():
     with pytest.raises(ValueError):
         Discretization(mesh, 1, Convection(), BoundaryCondition("periodic"),
                        BoundaryCondition("wall"))
+
+
+@pytest.mark.parametrize("law, bc_left, bc_right, message", [
+    (Burgers(), BoundaryCondition("wall"), BoundaryCondition("prescribed", state=(0.5,)),
+     "the left wall boundary needs an Euler law, not 'burgers'"),
+    (Convection(), BoundaryCondition("prescribed", state=(0.5,)),
+     BoundaryCondition("farfield", farfield=NOZZLE_OUTLET),
+     "the right farfield boundary needs an Euler law, not 'convection'"),
+    (Burgers(), BoundaryCondition("prescribed", state=(1.0, 0.0, 2.5)),
+     BoundaryCondition("prescribed", state=(0.5,)),
+     "the left prescribed boundary state has 3 components; 'burgers' has 1"),
+], ids=["wall-on-burgers", "farfield-on-convection", "euler-state-on-burgers"])
+def test_boundary_the_law_cannot_take_is_refused(law, bc_left, bc_right, message):
+    # refused when the Discretization is built, not at the first residual
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Discretization(build_uniform_mesh(0.0, 1.0, 4, 2), 1, law, bc_left, bc_right)
 
 
 # -- time stepping -------------------------------------------------------------
