@@ -1,7 +1,7 @@
 """1D discontinuous Galerkin solver on a combined polynomial / sub-cell
 constant space with sensor-driven penalization of the polynomial modes."""
 
-from .basis import ElementSpace, assemble_mass, assemble_penalty_mass, gauss_rule
+from .basis import assemble_mass, assemble_penalty_mass, gauss_rule
 from .mesh import Mesh, build_uniform_mesh
 from .physics import BoundaryCondition, make_law
 from .projections import (
@@ -19,7 +19,7 @@ from .solver import Discretization, FieldState, SolverAbort, advance, ars222, im
 from .harness import RunConfig, convergence_study, error_norm, fv_reference, run_case
 
 __all__ = [
-    "ElementSpace", "Mesh", "build_uniform_mesh",
+    "Mesh", "build_uniform_mesh",
     "assemble_mass", "assemble_penalty_mass", "gauss_rule",
     "BoundaryCondition", "make_law",
     "InjectivityReport", "NonInjectiveError", "check_injectivity",

@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .mesh import reference_subcell_edges
+from .mesh import Mesh, reference_subcell_edges
 
 
 def legendre_eval(i: int, x) -> np.ndarray | float:
@@ -131,57 +131,34 @@ def penalty_stage_rate(p: int, n: int, U: np.ndarray, gammas: np.ndarray,
     return -((U @ MW) * (glam / (1.0 + c * glam))) @ W.T
 
 
-@dataclass(frozen=True)
-class ElementSpace:
-    """Discretization descriptor for one element [x_left, x_right]."""
-
-    p: int
-    n: int
-    x_left: float = -1.0
-    x_right: float = 1.0
-
-    def __post_init__(self):
-        if self.x_right <= self.x_left:
-            raise ValueError("element must have positive width")
-        # trigger validation of (p, n)
-        reference_element(self.p, self.n)
-
-    @property
-    def ref(self) -> ReferenceElement:
-        return reference_element(self.p, self.n)
-
-    @property
-    def dof(self) -> int:
-        return self.p + self.n
-
-    @property
-    def width(self) -> float:
-        return self.x_right - self.x_left
-
-    def to_reference(self, x):
-        return 2.0 * (np.asarray(x, dtype=float) - self.x_left) / self.width - 1.0
-
-    def to_physical(self, xi):
-        return self.x_left + 0.5 * (np.asarray(xi, dtype=float) + 1.0) * self.width
+def element_reference(mesh: Mesh, p: int) -> ReferenceElement:
+    """The reference element of a one-element mesh at degree p; ValueError
+    for a mesh of any other size."""
+    if mesh.n_elements != 1:
+        raise ValueError(f"a single-element function takes a one-element mesh, "
+                         f"not {mesh.n_elements} elements")
+    return reference_element(p, mesh.n_sub)
 
 
-def basis_eval(space: ElementSpace, i: int, x) -> np.ndarray | float:
-    """Value of local basis function i at physical coordinate(s) x."""
-    if not 0 <= i < space.dof:
-        raise IndexError(f"basis index {i} out of range for dof={space.dof}")
-    xi = space.to_reference(x)
-    if i < space.p:
+def basis_eval(mesh: Mesh, p: int, i: int, x) -> np.ndarray | float:
+    """Value of local basis function i of a one-element mesh at physical
+    coordinate(s) x."""
+    n = element_reference(mesh, p).n
+    if not 0 <= i < p + n:
+        raise IndexError(f"basis index {i} out of range for dof={p + n}")
+    xi = mesh.reference_coords(np.asarray(x, dtype=float)[None])[0]
+    if i < p:
         return legendre_eval(i + 1, xi)
-    sub = np.clip(np.floor((xi + 1.0) * space.n / 2.0), 0, space.n - 1)   # x's sub-cell
-    return np.where(sub == i - space.p, 1.0, 0.0)
+    sub = np.clip(np.floor((xi + 1.0) * n / 2.0), 0, n - 1)   # x's sub-cell
+    return np.where(sub == i - p, 1.0, 0.0)
 
 
-def assemble_mass(space: ElementSpace) -> np.ndarray:
-    """Element mass matrix M_ij = (phi_j, phi_i)_K."""
-    return space.ref.mass * (space.width / 2.0)
+def assemble_mass(mesh: Mesh, p: int) -> np.ndarray:
+    """Mass matrix M_ij = (phi_j, phi_i)_K of a one-element mesh."""
+    return element_reference(mesh, p).mass * (mesh.widths[0] / 2.0)
 
 
-def assemble_penalty_mass(space: ElementSpace) -> np.ndarray:
-    """Singular penalty mass matrix acting on the polynomial coefficients:
-    the Legendre Gram block in the upper-left corner, zero elsewhere."""
-    return space.ref.mass_pp * (space.width / 2.0)
+def assemble_penalty_mass(mesh: Mesh, p: int) -> np.ndarray:
+    """Singular penalty mass matrix of a one-element mesh: the Legendre Gram
+    block of the polynomial coefficients in the upper-left corner, else zero."""
+    return element_reference(mesh, p).mass_pp * (mesh.widths[0] / 2.0)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import ElementSpace, penalty_stage_rate
+from .basis import penalty_stage_rate
 from .mesh import Mesh, build_uniform_mesh
 from .physics import (
     BoundaryCondition,
@@ -347,9 +347,8 @@ def project_initial(disc: Discretization, f, breakpoints=()) -> FieldState:
     mesh = disc.mesh
     inside = [b for b in breakpoints if mesh.a < b < mesh.b and b not in disc.xfaces]
     for e in np.unique(mesh.element_of(inside)):
-        xl, xr = mesh.element_bounds(int(e))
-        space = ElementSpace(disc.p, disc.n, xl, xr)
-        U[:, e] = project_l2(lambda x: np.atleast_2d(f(x)), space, breakpoints)
+        element = Mesh(np.array(mesh.element_bounds(int(e))), disc.n)
+        U[:, e] = project_l2(lambda x: np.atleast_2d(f(x)), element, disc.p, breakpoints)
     # Gibbs undershoot in a jump-straddling element can leave the projected
     # state unphysical; fall back to sub-cell averages there (the sensor
     # would penalize the polynomial part away regardless).
@@ -441,15 +440,16 @@ def build_problem(config: RunConfig):
     return config, disc, _relax_shock_element(disc, u0, x_shock)
 
 
-def default_dt(disc: Discretization, U0: np.ndarray, cfl: float) -> float:
-    """Explicit CFL estimate on the sub-cell width and the initial wave speed.
+def _cfl_dt(cfl: float, h_sub: float, p: int, wave_speed: float) -> float:
+    """The explicit CFL step cfl h_sub / ((2p+1) lambda), lambda floored at
+    1e-12.  The polynomial modes tighten the stable step by roughly
+    1/(2p+1), the usual scaling for explicit RK-DG schemes."""
+    return cfl * h_sub / ((2 * p + 1) * max(wave_speed, 1e-12))
 
-    The polynomial modes tighten the stable step by roughly 1/(2p+1), the
-    usual scaling for explicit RK-DG schemes.
-    """
-    h_sub = float(np.min(disc.h)) / disc.n
-    lam = max(disc.max_wave_speed(U0), 1e-12)
-    return cfl * h_sub / (lam * (2 * disc.p + 1))
+
+def default_dt(disc: Discretization, U0: np.ndarray, cfl: float) -> float:
+    """The CFL step (`_cfl_dt`) on the smallest sub-cell and the initial wave speed."""
+    return _cfl_dt(cfl, float(np.min(disc.h)) / disc.n, disc.p, disc.max_wave_speed(U0))
 
 
 def run_case(config: RunConfig) -> RunResult:
@@ -539,11 +539,10 @@ def spatial_accuracy_dt_rule(coarsest_elements: int):
         cfg = _filled(cfg)
         a, b = _CASES[cfg.case].domain
         _, disc, state0 = build_problem(replace(cfg, n_elements=coarsest_elements))
-        wave_speed = max(disc.max_wave_speed(state0.U), 1e-12)
+        wave_speed = disc.max_wave_speed(state0.U)
 
         def stable_dt(n_elements: int) -> float:
-            h = (b - a) / n_elements
-            return cfg.cfl * (h / cfg.n) / ((2 * cfg.p + 1) * wave_speed)
+            return _cfl_dt(cfg.cfl, (b - a) / n_elements / cfg.n, cfg.p, wave_speed)
 
         exponent = 0.5 * (cfg.p + 1)
         c = stable_dt(coarsest_elements) / ((b - a) / coarsest_elements) ** exponent

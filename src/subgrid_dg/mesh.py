@@ -1,7 +1,7 @@
-"""1D element partitions with a uniform sub-grid inside each element.  The
-Mesh owns the coordinates (`nodes`, `faces`, `element_of`), computed once for
-every operator to read, as in the `StartUp1D` grid of Hesthaven & Warburton,
-Nodal Discontinuous Galerkin Methods, 2008."""
+"""1D element partitions with a uniform sub-grid inside each element.  The Mesh
+owns every coordinate map (`nodes`, `reference_coords`, `faces`, `element_of`),
+as in the `StartUp1D` grid of Hesthaven & Warburton, Nodal Discontinuous
+Galerkin Methods, 2008; a local projection takes a one-element mesh."""
 
 from __future__ import annotations
 
@@ -64,6 +64,13 @@ class Mesh:
         per_element = (-1,) + (1,) * xi.ndim
         return (self.element_boundaries[:-1].reshape(per_element)
                 + 0.5 * (xi + 1.0) * self.widths.reshape(per_element))
+
+    def reference_coords(self, x) -> np.ndarray:
+        """2 (x - x_e)/h_e - 1, the inverse of `nodes`: row e of x on element e."""
+        x = np.asarray(x, dtype=float)
+        per_element = (-1,) + (1,) * (x.ndim - 1)
+        return (2.0 * (x - self.element_boundaries[:-1].reshape(per_element))
+                / self.widths.reshape(per_element) - 1.0)
 
     @cached_property
     def faces(self) -> np.ndarray:

@@ -377,6 +377,13 @@ def _farfield_abort(what: str, side: int, x) -> AdmissibilityError:
         f"non-positive {what} of the interior trace at the {where} farfield boundary{at}")
 
 
+def check_boundary_law(bc: BoundaryCondition, law: ConservationLaw, end: str) -> None:
+    """A wall or farfield ghost is an Euler state: ValueError naming the end,
+    the kind and the law for those boundaries on any other law."""
+    if bc.kind in ("wall", "farfield") and not isinstance(law, Euler1D):
+        raise ValueError(f"the {end} {bc.kind} boundary needs an Euler law, not {law.name!r}")
+
+
 def boundary_area(law: ConservationLaw, x) -> float:
     """Area of the law's duct at the point x (1 without x or duct)."""
     geom = None if x is None else law.geometry(x)
@@ -388,7 +395,8 @@ def boundary_ghost(bc: BoundaryCondition, u_interior, law: ConservationLaw,
                    side: int = 1, area: float | None = None) -> np.ndarray:
     """Ghost state seen across a domain boundary face.
 
-    A farfield ghost of a law posed in a duct is built from the state per
+    A wall or farfield ghost needs an Euler law (`check_boundary_law`).  A
+    farfield ghost of a law posed in a duct is built from the state per
     unit area: ``area`` is the duct's area at the face, from
     `boundary_area(law, x)` when not given.  It takes one face's state; a
     batch of more than one raises ValueError naming the side.
@@ -396,6 +404,7 @@ def boundary_ghost(bc: BoundaryCondition, u_interior, law: ConservationLaw,
     u_interior = _as_state(u_interior)
     if bc.kind == "periodic":
         raise ValueError("periodic boundaries are handled by wrap-around, not ghosts")
+    check_boundary_law(bc, law, "left" if side < 0 else "right")
     if bc.kind == "wall":
         ghost = u_interior.copy()
         ghost[1] = -ghost[1]

@@ -1,7 +1,11 @@
 """Local projections onto the combined space and the injectivity checker.
 
 Coefficient vectors follow the basis ordering of `basis`: p zero-average
-Legendre modes first, then the n sub-cell indicator coefficients.
+Legendre modes first, then the n sub-cell indicator coefficients.  A
+projection of a function (`project_l2`, `project_penalized`) reads its
+element's geometry and takes a one-element `Mesh` and the degree p; a map
+between coefficients (`project_lo`, `project_ho`, `project_avg_preserving`)
+reads only the reference element and takes (p, n).
 """
 
 from __future__ import annotations
@@ -13,12 +17,13 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 
 from .basis import (
-    ElementSpace,
     assemble_mass,
+    element_reference,
     gauss_rule,
     penalty_stage_rate,
     reference_element,
 )
+from .mesh import Mesh
 
 RANK_TOL = 1e-10         # relative singular-value cutoff for injectivity
 
@@ -27,8 +32,9 @@ class NonInjectiveError(ValueError):
     """Sub-cell averaging is rank deficient on the polynomial space."""
 
 
-def _quad_rhs(f, space: ElementSpace, breakpoints=None) -> np.ndarray:
-    """Inner products (f, phi_i)_K via per-sub-cell Gauss quadrature.
+def _quad_rhs(f, mesh: Mesh, p: int, breakpoints=None) -> np.ndarray:
+    """Inner products (f, phi_i)_K via per-sub-cell Gauss quadrature on K, the
+    one element of `mesh`.
 
     `breakpoints` lists known discontinuity locations of f; sub-cells that
     straddle one are integrated piecewise so the rule never crosses a jump.
@@ -36,9 +42,9 @@ def _quad_rhs(f, space: ElementSpace, breakpoints=None) -> np.ndarray:
     returning shape (m, q) at q points, and the result then has shape
     (m, dof).  The pieces' sums are added in order, piece by piece.
     """
-    ref, p = space.ref, space.p
+    ref = element_reference(mesh, p)
     g, w = gauss_rule(ref.n_quad)
-    edges = space.to_physical(ref.sub_edges)
+    edges = mesh.nodes(ref.sub_edges)[0]
     inside = [] if breakpoints is None else [
         float(c) for c in breakpoints if edges[0] < c < edges[-1] and c not in edges]
     cuts = np.sort(np.concatenate([edges, inside]))
@@ -47,42 +53,42 @@ def _quad_rhs(f, space: ElementSpace, breakpoints=None) -> np.ndarray:
     xq = 0.5 * (a + c) + 0.5 * (c - a) * g
     fv = np.asarray(f(xq.ravel()), dtype=float)
     fw = (0.5 * (c - a) * w) * fv.reshape(fv.shape[:-1] + xq.shape)
-    xi = space.to_reference(xq)
+    xi = mesh.reference_coords(xq[None])[0]
     # (..., p + 1, pieces): the moments of the Legendre modes 0..p, mode 0 the plain sum
     sums = np.sum(fw[..., None, :, :] * npleg.legval(xi, np.eye(p + 1)), axis=-1)
-    b = np.zeros(fv.shape[:-1] + (space.dof,))
+    b = np.zeros(fv.shape[:-1] + (ref.dof,))
     for k, s in enumerate(owner):
         b[..., :p] += sums[..., 1:, k]
         b[..., p + s] += sums[..., 0, k]
     return b
 
 
-def project_l2(f, space: ElementSpace, breakpoints=None) -> np.ndarray:
-    """L2 projection of f onto the combined local space; solves M c = b.
-    A vector-valued f (shape (m, q) at q points) gives shape (m, dof)."""
-    b = _quad_rhs(f, space, breakpoints)
-    return np.linalg.solve(assemble_mass(space), b[..., None])[..., 0]
+def project_l2(f, mesh: Mesh, p: int, breakpoints=None) -> np.ndarray:
+    """L2 projection of f onto the degree-p space of the one element of
+    `mesh`; solves M c = b.  A vector-valued f gives shape (m, dof)."""
+    b = _quad_rhs(f, mesh, p, breakpoints)
+    return np.linalg.solve(assemble_mass(mesh, p), b[..., None])[..., 0]
 
 
-def project_ho(c: np.ndarray, space: ElementSpace) -> np.ndarray:
+def project_ho(c: np.ndarray, p: int, n: int) -> np.ndarray:
     """Coefficients (Legendre modes 1..p) of the zero-average polynomial
-    L2 projection of the function represented by c."""
+    L2 projection of the function represented by c in the (p, n) space."""
     c = np.asarray(c, dtype=float)
-    if c.shape[-1] != space.dof:
-        raise ValueError("coefficient length does not match space dof")
-    return c @ space.ref.proj_ho.T
+    if c.shape[-1] != p + n:
+        raise ValueError(f"coefficient length {c.shape[-1]} is not p + n = {p + n}")
+    return c @ reference_element(p, n).proj_ho.T
 
 
-def project_lo(c: np.ndarray, space: ElementSpace) -> np.ndarray:
-    """Sub-cell averages of the function represented by c."""
+def project_lo(c: np.ndarray, p: int, n: int) -> np.ndarray:
+    """Sub-cell averages of the function represented by c in the (p, n) space."""
     c = np.asarray(c, dtype=float)
-    if c.shape[-1] != space.dof:
-        raise ValueError("coefficient length does not match space dof")
-    poly_avg = c[..., : space.p] @ space.ref.leg_sub_avg[1:]
-    return poly_avg + c[..., space.p:]
+    if c.shape[-1] != p + n:
+        raise ValueError(f"coefficient length {c.shape[-1]} is not p + n = {p + n}")
+    poly_avg = c[..., :p] @ reference_element(p, n).leg_sub_avg[1:]
+    return poly_avg + c[..., p:]
 
 
-def project_penalized(f, space: ElementSpace, gamma: float, breakpoints=None) -> np.ndarray:
+def project_penalized(f, mesh: Mesh, p: int, gamma: float, breakpoints=None) -> np.ndarray:
     """Penalized L2 projection: solves (M + gamma * M_pp) u = b as the L2
     projection u_0 plus the penalty filter of u_0 at stage weight 1
     (`penalty_stage_rate`).  gamma = 0 is exactly project_l2; gamma ->
@@ -91,8 +97,8 @@ def project_penalized(f, space: ElementSpace, gamma: float, breakpoints=None) ->
     """
     if gamma < 0:
         raise ValueError("penalty parameter must be non-negative")
-    u0 = project_l2(f, space, breakpoints)
-    rate = penalty_stage_rate(space.p, space.n, u0[..., None, :], np.array([gamma]), 1.0)
+    u0 = project_l2(f, mesh, p, breakpoints)
+    rate = penalty_stage_rate(p, mesh.n_sub, u0[..., None, :], np.array([gamma]), 1.0)
     return u0 + rate[..., 0, :]
 
 
@@ -106,10 +112,10 @@ def average_fit(p: int, n: int) -> np.ndarray:
     return np.linalg.pinv(reference_element(p, n).leg_sub_avg.T)
 
 
-def project_avg_preserving(c: np.ndarray, space: ElementSpace) -> np.ndarray:
+def project_avg_preserving(c: np.ndarray, p: int, n: int) -> np.ndarray:
     """Best full polynomial (L_0..L_p coefficients) matching the sub-cell
-    averages of c in the least-squares sense; see `average_fit`."""
-    return project_lo(c, space) @ average_fit(space.p, space.n).T
+    averages of c in the (p, n) space by least squares; see `average_fit`."""
+    return project_lo(c, p, n) @ average_fit(p, n).T
 
 
 @dataclass(frozen=True)

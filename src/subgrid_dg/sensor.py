@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import ElementSpace, reference_element
+from .basis import reference_element
 from .projections import average_fit
 
 DEFAULT_C_PEN = 1.0e7
@@ -57,30 +57,28 @@ def _sensor_operator(p: int, n: int) -> np.ndarray:
     return np.vstack([averages, fit_residual @ averages])
 
 
-def evaluate_field_sensor(
-    U: np.ndarray,
-    space: ElementSpace,
-    config: SensorConfig = SensorConfig(),
-) -> SensorReport:
-    """Per-element sensor over a global state U of shape (m, n_elements, dof).
+def evaluate_field_sensor(U: np.ndarray, p: int, n: int,
+                          config: SensorConfig = SensorConfig()) -> SensorReport:
+    """Per-element sensor over a global state U of shape (m, n_elements, p + n)
+    of degree p with n sub-cells; it reads no geometry.
 
     For systems the component with the largest ratio s/s0 drives the single
     element penalty.  With p = 0 there is nothing to penalize and gamma = 0.
     """
     U = np.asarray(U, dtype=float)
     m, n_el, dof = U.shape
-    if dof != space.dof:
-        raise ValueError("state dof does not match space")
-    if space.p == 0:
+    if dof != p + n:
+        raise ValueError(f"state dof {dof} does not match p + n = {p + n}")
+    if p == 0:
         zero = np.zeros(n_el)
         return SensorReport(s=zero, s0=np.full(n_el, config.s_eps), gamma=zero.copy())
 
     # |sub-cell averages| and |fit residuals| of all components and elements
     # at once, sub-cells leading so that the maxima over them run along
     # contiguous rows: peaks is (2, m, n_el)
-    both = np.abs(_sensor_operator(space.p, space.n) @ U.reshape(-1, dof).T)
-    peaks = both.reshape(2, space.n, m, n_el).max(axis=1)
-    tau = config.tau_for(space.p)
+    both = np.abs(_sensor_operator(p, n) @ U.reshape(-1, dof).T)
+    peaks = both.reshape(2, n, m, n_el).max(axis=1)
+    tau = config.tau_for(p)
     if m == 1:
         s = peaks[1, 0]
         s0 = peaks[0, 0] + config.s_eps

@@ -39,16 +39,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import ElementSpace, penalty_stage_rate, reference_element
+from .basis import penalty_stage_rate, reference_element
 from .mesh import Mesh
 from .physics import (
     AdmissibilityError,
     BoundaryCondition,
     ConservationLaw,
     Convection,
-    Euler1D,
     boundary_area,
     boundary_ghost,
+    check_boundary_law,
 )
 from .projections import project_lo
 from .sensor import SensorConfig, SensorReport, evaluate_field_sensor
@@ -105,7 +105,7 @@ _A_32, _A_HAT_32 = float(_ARS222.A[2, 1]), float(_ARS222.A_hat[2, 1])
 
 
 class Discretization:
-    """Mesh + space + law + boundary conditions, with cached geometry."""
+    """Mesh + degree + law + boundary conditions, with cached geometry."""
 
     def __init__(
         self,
@@ -120,9 +120,7 @@ class Discretization:
         if (bc_left.kind == "periodic") != (bc_right.kind == "periodic"):
             raise ValueError("periodic boundaries must be applied to both ends")
         for end, bc in (("left", bc_left), ("right", bc_right)):
-            if bc.kind in ("wall", "farfield") and not isinstance(law, Euler1D):
-                raise ValueError(f"the {end} {bc.kind} boundary needs an Euler law, "
-                                 f"not {law.name!r}")
+            check_boundary_law(bc, law, end)
             if bc.kind == "prescribed" and (k := np.size(bc.state)) != law.m:
                 raise ValueError(f"the {end} prescribed boundary state has {k} components; "
                                  f"{law.name!r} has {law.m}")
@@ -139,7 +137,6 @@ class Discretization:
         self.ref = reference_element(p, self.n)
         self.dof = self.ref.dof
         self.n_elements = mesh.n_elements
-        self.space = ElementSpace(p, self.n)
 
         self.h = mesh.widths
         # physical quadrature nodes/weights, shape (E, n, q)
@@ -264,7 +261,7 @@ class Discretization:
 
     def subcell_averages(self, U: np.ndarray) -> np.ndarray:
         """(m, E, n) sub-cell averages of the field."""
-        return project_lo(U, self.space)
+        return project_lo(U, self.p, self.n)
 
     def total_mass(self, U: np.ndarray) -> np.ndarray:
         """Integral of each component over the domain."""
@@ -290,7 +287,7 @@ class Discretization:
         return np.array([self.quad_norm(u_q, kind) for u_q in self.eval_at_quad(U)])
 
     def evaluate_sensor(self, U: np.ndarray) -> SensorReport:
-        return evaluate_field_sensor(U, self.space, self.sensor_config)
+        return evaluate_field_sensor(U, self.p, self.n, self.sensor_config)
 
     def max_wave_speed(self, U: np.ndarray) -> float:
         return self.law.max_wave_speed(self.eval_at_quad(U))

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from subgrid_dg.basis import ElementSpace
+from subgrid_dg.basis import reference_element
 from subgrid_dg.harness import (
     RunConfig,
     build_problem,
@@ -24,6 +24,7 @@ from subgrid_dg.harness import (
     run_case,
     spatial_accuracy_dt_rule,
 )
+from subgrid_dg.mesh import Mesh
 from subgrid_dg.projections import (
     check_injectivity,
     project_l2,
@@ -92,27 +93,27 @@ def test_criterion_02_discontinuous_convergence():
 
 
 def test_criterion_03_projection_suite():
-    space = ElementSpace(4, 8, -0.3, 1.7)
+    mesh, p, n = Mesh(np.array([-0.3, 1.7]), 8), 4, 8
     f = lambda x: np.sin(3.0 * x) + 0.4 * x**2
 
     # average preservation: sub-cell averages of the projection vs exact ones
     from subgrid_dg.basis import gauss_rule
 
-    c = project_l2(f, space)
+    c = project_l2(f, mesh, p)
     g, w = gauss_rule(30)
-    edges = space.to_physical(space.ref.sub_edges)
+    edges = mesh.nodes(reference_element(p, n).sub_edges)[0]
     exact = np.array([
         0.5 * np.sum(w * f(0.5 * (edges[s] + edges[s + 1])
                            + 0.5 * (edges[s + 1] - edges[s]) * g))
-        for s in range(space.n)
+        for s in range(n)
     ])
-    avg_err = float(np.max(np.abs(project_lo(c, space) - exact)))
+    avg_err = float(np.max(np.abs(project_lo(c, p, n) - exact)))
 
     # idempotence: re-projecting a member of the space returns it unchanged
     from subgrid_dg.basis import basis_eval
 
-    u = lambda x: sum(c[i] * basis_eval(space, i, x) for i in range(space.dof))
-    idem_err = float(np.max(np.abs(project_l2(u, space) - c)))
+    u = lambda x: sum(c[i] * basis_eval(mesh, p, i, x) for i in range(p + n))
+    idem_err = float(np.max(np.abs(project_l2(u, mesh, p) - c)))
 
     orders = {}
     for p, n in [(1, 3), (2, 4), (3, 5), (4, 6)]:
@@ -131,24 +132,24 @@ def test_criterion_03_projection_suite():
 
 
 def test_criterion_04_penalty_limit():
-    space = ElementSpace(4, 8, 0.0, 1.0)
+    mesh, p, n = Mesh(np.array([0.0, 1.0]), 8), 4, 8
     f = lambda x: np.where(x < 0.47, 1.0, 0.0)
     cut = [0.47]
 
-    leg_norms = 2.0 / (2.0 * np.arange(1, space.p + 1) + 1.0)
+    leg_norms = 2.0 / (2.0 * np.arange(1, p + 1) + 1.0)
     ho_norms = []
     for gamma in [0.0, 0.05, 0.5, 5.0, 50.0, 5e3, 5e6, 1e12]:
-        cg = project_penalized(f, space, gamma, breakpoints=cut)
-        ho = project_ho(cg, space)
+        cg = project_penalized(f, mesh, p, gamma, breakpoints=cut)
+        ho = project_ho(cg, p, n)
         ho_norms.append(float(np.sqrt(np.sum(ho**2 * leg_norms))))
     monotone = all(b <= a + 1e-12 for a, b in zip(ho_norms[:-1], ho_norms[1:]))
 
-    c_inf = project_penalized(f, space, 1e12, breakpoints=cut)
-    avgs = project_lo(project_l2(f, space, breakpoints=cut), space)
-    rel = float(np.max(np.abs(project_lo(c_inf, space) - avgs)) / np.max(np.abs(avgs)))
-    half = space.width / 2.0
-    poly_energy = float(np.sum(c_inf[: space.p] ** 2 * leg_norms) * half)
-    M = space.ref.mass * half
+    c_inf = project_penalized(f, mesh, p, 1e12, breakpoints=cut)
+    avgs = project_lo(project_l2(f, mesh, p, breakpoints=cut), p, n)
+    rel = float(np.max(np.abs(project_lo(c_inf, p, n) - avgs)) / np.max(np.abs(avgs)))
+    half = mesh.widths[0] / 2.0
+    poly_energy = float(np.sum(c_inf[:p] ** 2 * leg_norms) * half)
+    M = reference_element(p, n).mass * half
     total_energy = float(c_inf @ M @ c_inf)
     energy_frac = poly_energy / total_energy
 
@@ -162,34 +163,34 @@ def test_criterion_04_penalty_limit():
 
 
 def test_criterion_05_sensor_properties():
-    space = ElementSpace(4, 9, 0.0, 1.0)
+    mesh, p, n = Mesh(np.array([0.0, 1.0]), 9), 4, 9
     rng = np.random.default_rng(2024)
 
     # 1000 random pure polynomials (poly modes + constant indicator part)
-    U = np.zeros((1, 1000, space.dof))
-    U[0, :, : space.p] = rng.standard_normal((1000, space.p))
-    U[0, :, space.p:] = rng.standard_normal((1000, 1))
-    rep = evaluate_field_sensor(U, space, SensorConfig())
+    U = np.zeros((1, 1000, p + n))
+    U[0, :, :p] = rng.standard_normal((1000, p))
+    U[0, :, p:] = rng.standard_normal((1000, 1))
+    rep = evaluate_field_sensor(U, p, n, SensorConfig())
     poly_quiet = bool(np.all(rep.s < 1e-10 * rep.s0))
 
     # piecewise-constant state carrying sub-cell averages of a degree-4 polynomial
-    poly = np.zeros(space.dof)
-    poly[: space.p] = rng.standard_normal(space.p)
-    c_pc = np.zeros(space.dof)
-    c_pc[space.p:] = project_lo(poly, space)
-    pc_s = evaluate_field_sensor(c_pc[None, None], space).s[0]
+    poly = np.zeros(p + n)
+    poly[:p] = rng.standard_normal(p)
+    c_pc = np.zeros(p + n)
+    c_pc[p:] = project_lo(poly, p, n)
+    pc_s = evaluate_field_sensor(c_pc[None, None], p, n).s[0]
     pc_quiet = pc_s < 1e-10
 
-    c_h = project_l2(lambda x: np.where(x < 0.47, 1.0, 0.0), space, breakpoints=[0.47])
-    h = evaluate_field_sensor(c_h[None, None], space)
+    c_h = project_l2(lambda x: np.where(x < 0.47, 1.0, 0.0), mesh, p, breakpoints=[0.47])
+    h = evaluate_field_sensor(c_h[None, None], p, n)
     h_s, h_s0 = h.s[0], h.s0[0]
-    heaviside_fires = h_s > default_tau(space.p) * h_s0
+    heaviside_fires = h_s > default_tau(p) * h_s0
 
     ok = poly_quiet and pc_quiet and heaviside_fires
     detail = (
         f"1000 pure polynomials all below 1e-10*s0: {poly_quiet}; "
         f"averaged-polynomial state s={pc_s:.1e} < 1e-10; "
-        f"step profile fires: s/s0={h_s / h_s0:.3f} > tau={default_tau(space.p)}"
+        f"step profile fires: s/s0={h_s / h_s0:.3f} > tau={default_tau(p)}"
     )
     report(5, ok, detail)
 

@@ -3,7 +3,6 @@ import pytest
 from numpy.polynomial import legendre as npleg
 
 from subgrid_dg.basis import (
-    ElementSpace,
     assemble_mass,
     assemble_penalty_mass,
     basis_eval,
@@ -11,19 +10,21 @@ from subgrid_dg.basis import (
     legendre_eval,
     reference_element,
 )
+from subgrid_dg.mesh import Mesh
 
 
-def brute_force_mass(space, n_quad=20):
+def brute_force_mass(mesh, p, n_quad=20):
     """Independent Gram matrix oracle: high-order Gauss rule on every sub-cell,
     basis values taken from the scalar point-evaluation routine."""
     g, w = gauss_rule(n_quad)
-    edges = space.to_physical(space.ref.sub_edges)
-    M = np.zeros((space.dof, space.dof))
-    for s in range(space.n):
+    n = mesh.n_sub
+    edges = mesh.nodes(reference_element(p, n).sub_edges)[0]
+    M = np.zeros((p + n, p + n))
+    for s in range(n):
         xl, xr = edges[s], edges[s + 1]
         xq = 0.5 * (xl + xr) + 0.5 * (xr - xl) * g
         wq = 0.5 * (xr - xl) * w
-        vals = np.array([basis_eval(space, i, xq) for i in range(space.dof)])
+        vals = np.array([basis_eval(mesh, p, i, xq) for i in range(p + n)])
         M += (vals * wq) @ vals.T
     return M
 
@@ -54,9 +55,9 @@ def test_legendre_normalization_and_orthogonality():
 
 @pytest.mark.parametrize("p,n", [(0, 1), (0, 4), (1, 1), (1, 2), (2, 3), (3, 5), (4, 8)])
 def test_mass_matrix_against_brute_force(p, n):
-    space = ElementSpace(p, n, 0.3, 1.1)
-    M = assemble_mass(space)
-    np.testing.assert_allclose(M, brute_force_mass(space), atol=1e-12)
+    mesh = Mesh(np.array([0.3, 1.1]), n)
+    M = assemble_mass(mesh, p)
+    np.testing.assert_allclose(M, brute_force_mass(mesh, p), atol=1e-12)
     # symmetric positive definite
     np.testing.assert_allclose(M, M.T, atol=1e-14)
     assert np.all(np.linalg.eigvalsh(M) > 0)
@@ -65,26 +66,26 @@ def test_mass_matrix_against_brute_force(p, n):
 def test_mass_matrix_hand_computed_p1_n2():
     # On [-1, 1] with basis (x, 1_{[-1,0)}, 1_{[0,1]}):
     # (x, x) = 2/3, (x, 1_left) = -1/2, (x, 1_right) = 1/2, indicators orthonormal.
-    space = ElementSpace(1, 2)
+    mesh = Mesh(np.array([-1.0, 1.0]), 2)
     expected = np.array([
         [2.0 / 3.0, -0.5, 0.5],
         [-0.5, 1.0, 0.0],
         [0.5, 0.0, 1.0],
     ])
-    np.testing.assert_allclose(assemble_mass(space), expected, atol=1e-14)
+    np.testing.assert_allclose(assemble_mass(mesh, 1), expected, atol=1e-14)
 
 
 def test_mass_scales_with_element_width():
-    ref = assemble_mass(ElementSpace(2, 3))
-    phys = assemble_mass(ElementSpace(2, 3, 0.0, 0.5))
+    ref = assemble_mass(Mesh(np.array([-1.0, 1.0]), 3), 2)
+    phys = assemble_mass(Mesh(np.array([0.0, 0.5]), 3), 2)
     np.testing.assert_allclose(phys, 0.25 * ref, atol=1e-14)
 
 
 @pytest.mark.parametrize("p,n", [(1, 2), (2, 3), (4, 8), (4, 9)])
 def test_penalty_mass_structure(p, n):
-    space = ElementSpace(p, n, 0.0, 1.0)
-    Mpp = assemble_penalty_mass(space)
-    half = space.width / 2.0
+    mesh = Mesh(np.array([0.0, 1.0]), n)
+    Mpp = assemble_penalty_mass(mesh, p)
+    half = mesh.widths[0] / 2.0
     # Legendre Gram block in the polynomial corner, zero elsewhere
     np.testing.assert_allclose(
         Mpp[:p, :p], half * np.diag(2.0 / (2.0 * np.arange(1, p + 1) + 1.0))
@@ -98,10 +99,10 @@ def test_penalty_mass_structure(p, n):
 
 
 def test_penalty_mass_ignores_piecewise_constant_part():
-    space = ElementSpace(3, 4)
-    c = np.zeros(space.dof)
-    c[space.p:] = np.array([1.0, -2.0, 0.5, 3.0])
-    assert np.all(assemble_penalty_mass(space) @ c == 0.0)
+    p, n = 3, 4
+    c = np.zeros(p + n)
+    c[p:] = np.array([1.0, -2.0, 0.5, 3.0])
+    assert np.all(assemble_penalty_mass(Mesh(np.array([-1.0, 1.0]), n), p) @ c == 0.0)
 
 
 @pytest.mark.parametrize("p", range(9))
@@ -138,31 +139,31 @@ def test_reference_element_sub_averages():
 
 
 def test_quadrature_covers_element():
-    space = ElementSpace(3, 5, -2.0, 4.0)
-    assert space.ref.quad_w.sum() == pytest.approx(2.0)
-    xq = space.to_physical(space.ref.quad_ref)
-    assert xq.min() > space.x_left
-    assert xq.max() < space.x_right
+    mesh, ref = Mesh(np.array([-2.0, 4.0]), 5), reference_element(3, 5)
+    assert ref.quad_w.sum() == pytest.approx(2.0)
+    xq = mesh.nodes(ref.quad_ref)[0]
+    assert xq.min() > mesh.a
+    assert xq.max() < mesh.b
     # nodes of sub-cell s stay inside sub-cell s
-    edges = space.to_physical(space.ref.sub_edges)
-    for s in range(space.n):
+    edges = mesh.nodes(ref.sub_edges)[0]
+    for s in range(ref.n):
         assert np.all(xq[s] > edges[s])
         assert np.all(xq[s] < edges[s + 1])
 
 
 def test_basis_eval_indicators_partition_unity():
-    space = ElementSpace(2, 3, 0.0, 1.0)
+    mesh, p = Mesh(np.array([0.0, 1.0]), 3), 2
     x = np.linspace(0.01, 0.99, 97)
-    total = sum(basis_eval(space, space.p + j, x) for j in range(space.n))
+    total = sum(basis_eval(mesh, p, p + j, x) for j in range(mesh.n_sub))
     np.testing.assert_allclose(total, 1.0)
 
 
 def test_basis_eval_matches_cached_quad_values():
-    space = ElementSpace(3, 4, 0.2, 0.9)
-    xq = space.to_physical(space.ref.quad_ref)
-    for i in range(space.dof):
+    mesh, ref = Mesh(np.array([0.2, 0.9]), 4), reference_element(3, 4)
+    xq = mesh.nodes(ref.quad_ref)[0]
+    for i in range(ref.dof):
         np.testing.assert_allclose(
-            basis_eval(space, i, xq), space.ref.phi[i], atol=1e-13
+            basis_eval(mesh, 3, i, xq), ref.phi[i], atol=1e-13
         )
 
 
@@ -172,6 +173,6 @@ def test_invalid_space_parameters_rejected():
     with pytest.raises(ValueError):
         reference_element(2, 0)
     with pytest.raises(ValueError):
-        ElementSpace(2, 3, 1.0, 1.0)
+        Mesh(np.array([1.0, 1.0]), 3)
     with pytest.raises(IndexError):
-        basis_eval(ElementSpace(1, 2), 3, 0.0)
+        basis_eval(Mesh(np.array([-1.0, 1.0]), 2), 1, 3, 0.0)

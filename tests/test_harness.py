@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subgrid_dg import harness
-from subgrid_dg.basis import ElementSpace, penalty_stage_rate
+from subgrid_dg.basis import penalty_stage_rate
 from subgrid_dg.harness import (
     NOZZLE_INLET,
     NOZZLE_OUTLET,
@@ -308,15 +308,15 @@ def project_initial_per_element(disc, f, breakpoints):
     U = np.zeros((m, disc.n_elements, disc.dof))
     for e in range(disc.n_elements):
         xl, xr = disc.mesh.element_bounds(e)
-        space = ElementSpace(disc.p, disc.n, xl, xr)
+        element = Mesh(np.array([xl, xr]), disc.n)
         local = [b for b in breakpoints if xl < b < xr]
         for c in range(m):
-            U[c, e] = project_l2(lambda x, c=c: np.atleast_2d(f(x))[c], space,
+            U[c, e] = project_l2(lambda x, c=c: np.atleast_2d(f(x))[c], element, disc.p,
                                  breakpoints=local)
-        vals = np.einsum("md,dsq->msq", U[:, e], space.ref.phi)
+        vals = np.einsum("md,dsq->msq", U[:, e], disc.ref.phi)
         if not np.all(disc.law.admissible(vals)):
             for c in range(m):
-                U[c, e, disc.p:] = project_lo(U[c, e], space)
+                U[c, e, disc.p:] = project_lo(U[c, e], disc.p, disc.n)
                 U[c, e, :disc.p] = 0.0
     return U
 

@@ -52,6 +52,19 @@ def test_nodes_and_faces_are_the_element_maps(p, n):
     assert mesh.nodes(np.zeros((2, 3))).shape == (5, 2, 3)
 
 
+@pytest.mark.parametrize("p, n", [(0, 1), (2, 5), (4, 8)])
+def test_reference_coords_inverts_nodes(p, n):
+    # every node maps back to its reference point within 4 ulp of [-1, 1]
+    # (the round-off of x - x_e grows with |x| / h_e, at most 7 here), row e
+    # of the result on element e
+    mesh = Mesh(element_boundaries=NONUNIFORM, n_sub=n)
+    ref = reference_element(p, n)
+    for xi in (ref.quad_ref, ref.sub_edges, np.linspace(-1.0, 1.0, 1001)):
+        back = mesh.reference_coords(mesh.nodes(xi))
+        assert back.shape == (5,) + xi.shape
+        assert np.max(np.abs(back - xi)) <= 4 * np.spacing(1.0)
+
+
 def test_element_of_takes_half_open_intervals_and_b_in_the_last():
     mesh = Mesh(element_boundaries=NONUNIFORM, n_sub=3)
     assert mesh.element_of(-1.0) == 0

@@ -602,6 +602,18 @@ def test_periodic_ghost_rejected():
         boundary_ghost(BoundaryCondition("periodic"), np.zeros((3, 1)), Euler1D())
 
 
+@pytest.mark.parametrize("law", [Burgers(), Convection()], ids=["burgers", "convection"])
+@pytest.mark.parametrize("bc, side, end", [
+    (BoundaryCondition("wall"), -1, "left"),
+    (BoundaryCondition("farfield", farfield=(1.0, 1.0, 0.45)), 1, "right"),
+], ids=["wall", "farfield"])
+def test_ghost_refuses_a_wall_or_farfield_on_a_non_euler_law(law, bc, side, end):
+    # the same refusal as a Discretization's, not a bare IndexError or AttributeError
+    with pytest.raises(ValueError, match=f"^the {end} {bc.kind} boundary needs an "
+                                         f"Euler law, not '{law.name}'$"):
+        boundary_ghost(bc, np.array([[0.5]]), law, side=side)
+
+
 def test_subsonic_outflow_ghost_pins_farfield_pressure():
     law = Euler1D()
     bc = BoundaryCondition("farfield", farfield=(1.0, 1.0, 0.45))

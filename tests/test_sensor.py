@@ -3,35 +3,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subgrid_dg.basis import ElementSpace
+from subgrid_dg.basis import reference_element
+from subgrid_dg.mesh import Mesh
 from subgrid_dg.projections import NonInjectiveError, project_l2, project_lo
 from subgrid_dg.sensor import DEFAULT_S_EPS, SensorConfig, default_tau, evaluate_field_sensor
 
 
-def lstsq_sensor(c, space, s_eps):
+def lstsq_sensor(c, p, n, s_eps):
     """Independent scalar sensor: fit L_0..L_p to the sub-cell averages of c
     by least squares and return (max fit residual, max |average| + s_eps)."""
-    avgs = project_lo(c, space)
-    G = space.ref.leg_sub_avg.T  # (n, p+1) sub-cell averages of L_0..L_p
+    avgs = project_lo(c, p, n)
+    G = reference_element(p, n).leg_sub_avg.T  # (n, p+1) sub-cell averages of L_0..L_p
     fit, _, rank, _ = np.linalg.lstsq(G, avgs, rcond=1e-10)
-    assert rank == space.p + 1
+    assert rank == p + 1
     return float(np.max(np.abs(G @ fit - avgs))), float(np.max(np.abs(avgs))) + s_eps
 
 
-def polynomial_states(rng, count, space):
+def polynomial_states(rng, count, p, n):
     """States representing pure polynomials: random zero-average Legendre
     coefficients plus a constant carried by the indicator block."""
-    U = np.zeros((1, count, space.dof))
-    U[0, :, : space.p] = rng.standard_normal((count, space.p))
-    U[0, :, space.p:] = rng.standard_normal((count, 1))
+    U = np.zeros((1, count, p + n))
+    U[0, :, :p] = rng.standard_normal((count, p))
+    U[0, :, p:] = rng.standard_normal((count, 1))
     return U
 
 
 def test_pure_polynomials_are_invisible():
-    space = ElementSpace(4, 9)
     rng = np.random.default_rng(42)
-    U = polynomial_states(rng, 1000, space)
-    rep = evaluate_field_sensor(U, space, SensorConfig())
+    U = polynomial_states(rng, 1000, 4, 9)
+    rep = evaluate_field_sensor(U, 4, 9, SensorConfig())
     assert np.all(rep.s < 1e-10 * rep.s0)
     assert np.all(rep.gamma == 0.0)
 
@@ -39,20 +39,20 @@ def test_pure_polynomials_are_invisible():
 def test_subcell_averages_of_polynomial_are_invisible():
     # piecewise-constant state whose values are sub-cell averages of a
     # degree-4 polynomial: the average-preserving fit reproduces it exactly
-    space = ElementSpace(4, 9)
+    p, n = 4, 9
     rng = np.random.default_rng(1)
-    poly = np.zeros(space.dof)
-    poly[: space.p] = rng.standard_normal(space.p)
-    c = np.zeros(space.dof)
-    c[space.p:] = project_lo(poly, space)
-    assert evaluate_field_sensor(c[None, None], space).s[0] < 1e-10
+    poly = np.zeros(p + n)
+    poly[:p] = rng.standard_normal(p)
+    c = np.zeros(p + n)
+    c[p:] = project_lo(poly, p, n)
+    assert evaluate_field_sensor(c[None, None], p, n).s[0] < 1e-10
 
 
 def test_heaviside_triggers_sensor():
-    space = ElementSpace(4, 9, 0.0, 1.0)
-    c = project_l2(lambda x: np.where(x < 0.47, 1.0, 0.0), space, breakpoints=[0.47])
-    rep = evaluate_field_sensor(c[None, None], space)
-    assert rep.s[0] > default_tau(space.p) * rep.s0[0]
+    mesh = Mesh(np.array([0.0, 1.0]), 9)
+    c = project_l2(lambda x: np.where(x < 0.47, 1.0, 0.0), mesh, 4, breakpoints=[0.47])
+    rep = evaluate_field_sensor(c[None, None], 4, 9)
+    assert rep.s[0] > default_tau(4) * rep.s0[0]
 
 
 @settings(max_examples=40, deadline=None)
@@ -60,13 +60,12 @@ def test_heaviside_triggers_sensor():
 def test_sensor_ratio_scale_invariant(scale):
     # s and s0 are both 1-homogeneous, so gamma depends only on the shape;
     # with three components the driving one is the same at every scale
-    space = ElementSpace(3, 5)
     config = SensorConfig(s_eps=1e-300)
     rng = np.random.default_rng(11)
     for m in (1, 3):
-        U = rng.standard_normal((m, 6, space.dof))
-        r1 = evaluate_field_sensor(U, space, config)
-        r2 = evaluate_field_sensor(scale * U, space, config)
+        U = rng.standard_normal((m, 6, 3 + 5))
+        r1 = evaluate_field_sensor(U, 3, 5, config)
+        r2 = evaluate_field_sensor(scale * U, 3, 5, config)
         np.testing.assert_allclose(r2.s / r2.s0, r1.s / r1.s0, rtol=1e-9, atol=0)
         np.testing.assert_allclose(r2.gamma, r1.gamma, rtol=1e-9, atol=0)
 
@@ -75,12 +74,11 @@ def test_penalty_formula():
     # a p = 1, n = 3 element with sub-cell averages (1, 1 - 1.5 r, 1): the
     # residual of their best linear fit is r (1, -2, 1) / 3, so s = r and
     # s0 = 1 + s_eps
-    space = ElementSpace(1, 3)
     config = SensorConfig(c_pen=100.0, tau=0.01, s_eps=1e-300)
 
     def gamma(ratio):
         c = np.array([0.0, 1.0, 1.0 - 1.5 * ratio, 1.0])
-        rep = evaluate_field_sensor(c[None, None], space, config)
+        rep = evaluate_field_sensor(c[None, None], 1, 3, config)
         assert rep.s[0] / rep.s0[0] == pytest.approx(ratio, rel=1e-12, abs=1e-15)
         return rep.gamma[0]
 
@@ -103,23 +101,20 @@ def test_sensor_config_validation():
         with pytest.raises(ValueError):
             SensorConfig(**bad)
     # a zero state is a zero sensor with a finite normalization, never NaN
-    space = ElementSpace(2, 4)
-    rep = evaluate_field_sensor(np.zeros((1, 3, space.dof)), space, SensorConfig(tau=0.0))
+    rep = evaluate_field_sensor(np.zeros((1, 3, 2 + 4)), 2, 4, SensorConfig(tau=0.0))
     assert np.all(rep.gamma == 0.0) and np.all(rep.s0 == DEFAULT_S_EPS)
 
 
 def test_sensor_scale_guard():
-    space = ElementSpace(2, 3)
-    rep = evaluate_field_sensor(np.zeros((1, 1, space.dof)), space, SensorConfig(s_eps=1e-10))
+    rep = evaluate_field_sensor(np.zeros((1, 1, 2 + 3)), 2, 3, SensorConfig(s_eps=1e-10))
     assert rep.s0[0] == pytest.approx(1e-10)
     with pytest.raises(ValueError):
         SensorConfig(s_eps=0.0)
 
 
 def test_field_sensor_p0_never_fires():
-    space = ElementSpace(0, 5)
-    U = np.random.default_rng(0).standard_normal((1, 7, space.dof))
-    rep = evaluate_field_sensor(U, space)
+    U = np.random.default_rng(0).standard_normal((1, 7, 0 + 5))
+    rep = evaluate_field_sensor(U, 0, 5)
     assert np.all(rep.gamma == 0.0)
     assert np.all(rep.s == 0.0)
 
@@ -127,12 +122,12 @@ def test_field_sensor_p0_never_fires():
 def test_field_sensor_takes_worst_component():
     # component 0 smooth, component 1 oscillatory: the element's penalty is
     # driven by the oscillatory component
-    space = ElementSpace(2, 4, 0.0, 1.0)
-    smooth = project_l2(lambda x: 1.0 + 0.1 * x, space)
-    rough = project_l2(lambda x: np.where(x < 0.55, 1.0, -1.0), space, breakpoints=[0.55])
+    mesh = Mesh(np.array([0.0, 1.0]), 4)
+    smooth = project_l2(lambda x: 1.0 + 0.1 * x, mesh, 2)
+    rough = project_l2(lambda x: np.where(x < 0.55, 1.0, -1.0), mesh, 2, breakpoints=[0.55])
     U = np.stack([smooth[None], rough[None]])  # (m=2, E=1, dof)
-    rep = evaluate_field_sensor(U, space, SensorConfig(c_pen=1.0, tau=0.01))
-    only_rough = evaluate_field_sensor(rough[None, None], space, SensorConfig(c_pen=1.0, tau=0.01))
+    rep = evaluate_field_sensor(U, 2, 4, SensorConfig(c_pen=1.0, tau=0.01))
+    only_rough = evaluate_field_sensor(rough[None, None], 2, 4, SensorConfig(c_pen=1.0, tau=0.01))
     assert rep.gamma[0] == pytest.approx(only_rough.gamma[0])
     assert rep.gamma[0] > 0.0
 
@@ -144,16 +139,15 @@ def test_field_sensor_matches_scalar_sensor(p, n, m):
     # against a least-squares fit of each element's sub-cell averages and
     # gamma = c_pen max(0, s/s0 - tau); some elements are pure polynomials,
     # so both branches of gamma show up
-    space = ElementSpace(p, n)
     config = SensorConfig(c_pen=1e3, s_eps=1e-10)
     rng = np.random.default_rng(10 * p + n + m)
-    U = rng.standard_normal((m, 12, space.dof))
-    U[:, ::3] = polynomial_states(rng, 4 * m, space)[0].reshape(m, 4, space.dof)
-    rep = evaluate_field_sensor(U, space, config)
-    each = [evaluate_field_sensor(U[c:c + 1], space, config) for c in range(m)]
+    U = rng.standard_normal((m, 12, p + n))
+    U[:, ::3] = polynomial_states(rng, 4 * m, p, n)[0].reshape(m, 4, p + n)
+    rep = evaluate_field_sensor(U, p, n, config)
+    each = [evaluate_field_sensor(U[c:c + 1], p, n, config) for c in range(m)]
     tau = config.tau_for(p)
     for e in range(U.shape[1]):
-        s, s0 = np.array([lstsq_sensor(U[c, e], space, config.s_eps) for c in range(m)]).T
+        s, s0 = np.array([lstsq_sensor(U[c, e], p, n, config.s_eps) for c in range(m)]).T
         for c in range(m):
             assert each[c].s[e] == pytest.approx(s[c], rel=1e-9, abs=1e-13)
             assert each[c].s0[e] == pytest.approx(s0[c], rel=1e-12)
@@ -170,12 +164,10 @@ def test_field_sensor_matches_scalar_sensor(p, n, m):
 
 
 def test_field_sensor_rejects_mismatched_dof():
-    space = ElementSpace(2, 3)
     with pytest.raises(ValueError):
-        evaluate_field_sensor(np.zeros((1, 2, 4)), space)
+        evaluate_field_sensor(np.zeros((1, 2, 4)), 2, 3)
 
 
 def test_sensor_undefined_when_averaging_not_injective():
-    space = ElementSpace(3, 2)
     with pytest.raises(NonInjectiveError):
-        evaluate_field_sensor(np.zeros((1, 2, space.dof)), space)
+        evaluate_field_sensor(np.zeros((1, 2, 3 + 2)), 3, 2)
