@@ -222,17 +222,16 @@ class Euler1D(ConservationLaw):
         return _roe(uL, uR, FL, FR, sideL, sideR, self.gamma_a, entropy_fix)
 
     def fluxes(self, u_q, uL, uR, entropy_fix: bool = False):
-        """One `_euler_side` pass over the columns [u_q | uL | uR]."""
-        if uL.ndim > 2:     # faces of a stack of states, (3, *batch, F): flattened
-            F_q, F_hat = self.fluxes(u_q, uL.reshape(3, -1), uR.reshape(3, -1), entropy_fix)
-            return F_q, F_hat.reshape(uL.shape)
-        nq, nf = u_q[0].size, uL.shape[1]
-        F, *side = _euler_side(np.concatenate([u_q.reshape(3, nq), uL, uR], axis=1),
+        """One `_euler_side` pass over the columns [u_q | uL | uR]; the faces
+        of a stack of states, (3, *batch, F), are flattened into columns."""
+        nq, nf = u_q[0].size, uL[0].size
+        uL_f, uR_f = uL.reshape(3, nf), uR.reshape(3, nf)
+        F, *side = _euler_side(np.concatenate([u_q.reshape(3, nq), uL_f, uR_f], axis=1),
                                self.gamma_a)
         L, R = slice(nq, nq + nf), slice(nq + nf, None)
-        F_hat = _roe(uL, uR, F[:, L], F[:, R], [a[L] for a in side], [a[R] for a in side],
+        F_hat = _roe(uL_f, uR_f, F[:, L], F[:, R], [a[L] for a in side], [a[R] for a in side],
                      self.gamma_a, entropy_fix)
-        return F[:, :nq].reshape(u_q.shape), F_hat
+        return F[:, :nq].reshape(u_q.shape), F_hat.reshape(uL.shape)
 
     def max_wave_speed(self, u, x=None):
         u = _as_state(u)

@@ -24,11 +24,12 @@ The Discretization also holds the law's geometry (`law.geometry`, e.g. the
 nozzle's A and (dA/dx)/A) at the quadrature nodes only, and the duct area at
 the two domain ends for the ghosts, so a step evaluates no geometry.
 
-`imex_step` is ARS(2,2,2) (Ascher, Ruuth & Spiteri, 1997) written out as its
-three stages.  It keeps the implicit stage rates on the slice of elements
-from the first to the last penalized one and does no implicit work when none
-is penalized.  A stage's penalty solve is a closed-form filter of the
-polynomial modes in the penalty eigenbasis (`basis.penalty_stage_rate`).
+`imex_step` is ARS(2,2,2) (Ascher, Ruuth & Spiteri, 1997): its three stages
+written once, for penalized and unpenalized steps alike.  `Discretization.rate`,
+M^{-1} R(U), is the one stage rate.  Implicit stage rates are kept on the slice
+of elements from the first to the last penalized one, none if none is.  A
+stage's penalty solve is a closed-form filter of the polynomial modes in the
+penalty eigenbasis (`basis.penalty_stage_rate`).
 """
 
 from __future__ import annotations
@@ -257,6 +258,10 @@ class Discretization:
         """Apply M^{-1} elementwise: the physical mass is (h/2) * M_ref."""
         return (R @ self._mass_inv_t) * self._inv_half_h
 
+    def rate(self, U: np.ndarray, t: float) -> np.ndarray:
+        """The explicit stage rate M^{-1} R(U), for states U (m, *batch, E, dof)."""
+        return self.solve_mass(self.residual(U, t))
+
     # -- diagnostics ----------------------------------------------------------
 
     def subcell_averages(self, U: np.ndarray) -> np.ndarray:
@@ -299,38 +304,37 @@ def imex_step(
     dt: float,
     gammas: np.ndarray,
 ) -> FieldState:
-    """One ARS(2,2,2) step with the penalty frozen at the given gammas; per
-    earlier stage, the implicit rate is added before the explicit one."""
+    """One ARS(2,2,2) step with the penalty frozen at the given gammas, one per
+    element; per earlier stage, the implicit rate is added before the explicit one."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    t, U0 = state.time, state.U
-    k1 = disc.solve_mass(disc.residual(U0, t))
-    U2 = U0 + (dt * _ALPHA) * k1
-    U3 = U0 + (dt * _DELTA) * k1
+    if np.shape(gammas) != (disc.n_elements,):
+        raise ValueError(f"gammas of shape {np.shape(gammas)}, not ({disc.n_elements},)")
+    t, U0, c = state.time, state.U, dt * _ALPHA
+    # implicit stage rates are zero where gamma = 0, so they are kept and added
+    # on the block from the first to the last penalized element only, if any
     active = np.flatnonzero(gammas > 0.0)
-    if not active.size:
-        k2 = disc.solve_mass(disc.residual(U2, t))
-        U3 += (dt * _A_HAT_32) * k2
-        k3 = disc.solve_mass(disc.residual(U3, t))
-        U1 = U0 + (dt * _A_32) * k2
-        U1 += (dt * _ALPHA) * k3
-        return FieldState(U=U1, time=t + dt)
-    # implicit stage rates are zero where gamma = 0, so they are kept and
-    # added on the slice from the first to the last penalized element only
-    blk = slice(active[0], active[-1] + 1)
-    g, c = gammas[blk], dt * _ALPHA
-    s2 = penalty_stage_rate(disc.p, disc.n, U2[:, blk], g, c)
-    U2[:, blk] += c * s2
-    k2 = disc.solve_mass(disc.residual(U2, t))
-    U3[:, blk] += (dt * _A_32) * s2
+    blk = slice(active[0], active[-1] + 1) if active.size else None
+    k1 = disc.rate(U0, t)
+    U2 = U0 + c * k1
+    U3 = U0 + (dt * _DELTA) * k1
+    if blk:
+        s2 = penalty_stage_rate(disc.p, disc.n, U2[:, blk], gammas[blk], c)
+        U2[:, blk] += c * s2
+    k2 = disc.rate(U2, t)
+    if blk:
+        U3[:, blk] += (dt * _A_32) * s2
     U3 += (dt * _A_HAT_32) * k2
-    s3 = penalty_stage_rate(disc.p, disc.n, U3[:, blk], g, c)
-    U3[:, blk] += c * s3
-    k3 = disc.solve_mass(disc.residual(U3, t))
+    if blk:
+        s3 = penalty_stage_rate(disc.p, disc.n, U3[:, blk], gammas[blk], c)
+        U3[:, blk] += c * s3
+    k3 = disc.rate(U3, t)
     U1 = U0.copy()
-    U1[:, blk] += (dt * _A_32) * s2
+    if blk:
+        U1[:, blk] += (dt * _A_32) * s2
     U1 += (dt * _A_32) * k2
-    U1[:, blk] += c * s3
+    if blk:
+        U1[:, blk] += c * s3
     U1 += c * k3
     return FieldState(U=U1, time=t + dt)
 
@@ -357,27 +361,30 @@ def advance(
     on_step=None,
 ) -> Trajectory:
     """Fixed-step march to t_final; steps are shortened to land exactly on
-    snapshot times and on t_final.  Gamma is recomputed once per step."""
+    snapshot times and on t_final, each recorded once.  Gamma is recomputed
+    once per step; `force_gamma` = (element, value) sets one element's."""
     if not (0 < dt < math.inf and state.time < t_final < math.inf):
         raise ValueError("need dt > 0 and a finite t_final beyond the current time, and a finite dt")
+    if force_gamma is not None:
+        forced, value = int(force_gamma[0]), float(force_gamma[1])
+        if not 0 <= forced < disc.n_elements:
+            raise ValueError(f"force_gamma_element {forced} is not one of the {disc.n_elements} "
+                             f"elements (0 to {disc.n_elements - 1})")
     eps = 1e-12 * max(1.0, abs(t_final))
     marks = sorted({float(ts) for ts in snapshot_times if state.time < ts <= t_final})
     traj = Trajectory()
 
-    def record(st: FieldState, rep: SensorReport):
-        traj.states.append(st)
-        traj.sensors.append(rep)
+    def sensor(U: np.ndarray) -> SensorReport:
+        rep = disc.evaluate_sensor(U)
+        if force_gamma is not None:
+            rep.gamma[forced] = value       # each report's gamma is a fresh array
+        return rep
 
     current = state
-    rep = disc.evaluate_sensor(current.U)
-    record(current, _with_forced(rep, force_gamma))
-    next_marks = marks + [t_final]
-    for mark in next_marks:
+    for mark in [state.time] + marks + [t_final]:
         while current.time < mark - eps:
             step = min(dt, mark - current.time)
-            rep = disc.evaluate_sensor(current.U)
-            rep = _with_forced(rep, force_gamma)
-            new = imex_step(disc, current, step, rep.gamma)
+            new = imex_step(disc, current, step, sensor(current.U).gamma)
             drift = float(np.linalg.norm(new.U - current.U)) / step
             # a NaN or inf in the new state makes the drift non-finite, so
             # the state is scanned only then (a finite state can overflow it)
@@ -393,14 +400,7 @@ def advance(
             if on_step is not None:
                 on_step(new, traj)
             current = new
-        record(current, _with_forced(disc.evaluate_sensor(current.U), force_gamma))
+        if not traj.states or current is not traj.states[-1]:   # a step since the last record
+            traj.states.append(current)
+            traj.sensors.append(sensor(current.U))
     return traj
-
-
-def _with_forced(rep: SensorReport, force_gamma) -> SensorReport:
-    if force_gamma is None:
-        return rep
-    idx, value = force_gamma
-    gamma = rep.gamma.copy()
-    gamma[int(idx)] = float(value)
-    return SensorReport(s=rep.s, s0=rep.s0, gamma=gamma)

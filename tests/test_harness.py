@@ -438,9 +438,17 @@ def test_forced_value_without_element_is_rejected():
         RunConfig(case="convection-heaviside", force_gamma_value=5.0)
 
 
-def test_convergence_study_requires_three_levels():
-    with pytest.raises(ValueError):
-        convergence_study(RunConfig(case="convection-gaussian"), [8, 16])
+def test_convergence_study_requires_three_levels(monkeypatch):
+    # a repeated or falling level gives no order (log(h/h) = 0): refused
+    # before a level runs
+    monkeypatch.setattr(harness, "run_case", lambda cfg: pytest.fail("a level ran"))
+    for levels, message in [
+        ([8, 16], "need at least 3 refinement levels"),
+        ([8, 8, 16], r"refinement levels must strictly increase: \[8, 8, 16\]"),
+        ([16, 8, 32], r"refinement levels must strictly increase: \[16, 8, 32\]"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            convergence_study(RunConfig(case="convection-gaussian", p=1, n=2), levels)
 
 
 @pytest.mark.parametrize("case, t_final", [

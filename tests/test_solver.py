@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -413,6 +415,19 @@ def test_only_periodic_convection_takes_the_linear_pair():
         assert disc._linear_pair is None
 
 
+@pytest.mark.parametrize("periodic", [True, False])
+@pytest.mark.parametrize("law_name", ["convection", "burgers", "euler", "nozzle"])
+def test_rate_is_mass_solve_of_residual(law_name, periodic):
+    # bit for bit, on one state and on a stack of perturbed copies; a farfield
+    # ghost takes one state, so the nozzle's farfield stack is one deep
+    rng = np.random.default_rng(9)
+    disc, U = operator_case(law_name, periodic, 2, 3, rng)
+    depth = 1 if law_name == "nozzle" and not periodic else 3
+    stack = U[:, None] * (1.0 + 0.01 * rng.standard_normal((U.shape[0], depth) + U.shape[1:]))
+    for V in (U, stack):
+        assert np.array_equal(disc.rate(V, 0.1), disc.solve_mass(disc.residual(V, 0.1)))
+
+
 def batched_case(law_name, kind, rng):
     """`operator_case`'s law, uneven mesh and state with `kind` boundaries at
     both ends, and a stack (m, 4, E, dof) of perturbed copies of the state."""
@@ -779,6 +794,25 @@ def test_large_penalty_step_leaves_a_dt_squared_polynomial_residue(name):
 
 
 @pytest.mark.parametrize("penalized", [False, True])
+def test_imex_step_takes_three_stage_rates(penalized):
+    # one `rate` per stage, each one `residual`, with and without a
+    # penalized block
+    disc = make_convection_disc()
+    state = project_initial(disc, lambda x: gaussian_profile(x)[None])
+    gammas = np.zeros(disc.n_elements)
+    if penalized:
+        gammas[[2, 5]] = 1e3
+    expected = imex_step(disc, state, 1e-3, gammas).U
+    calls = []
+    for name in ("rate", "residual"):
+        real = getattr(disc, name)
+        setattr(disc, name, lambda *a, _real=real, _name=name, **kw:
+                calls.append(_name) or _real(*a, **kw))
+    assert np.array_equal(imex_step(disc, state, 1e-3, gammas).U, expected)
+    assert calls == ["rate", "residual"] * 3
+
+
+@pytest.mark.parametrize("penalized", [False, True])
 def test_imex_step_returns_fresh_arrays(penalized):
     disc = make_convection_disc()
     state = project_initial(disc, lambda x: gaussian_profile(x)[None])
@@ -815,6 +849,12 @@ def test_step_validation():
     state = project_initial(disc, lambda x: gaussian_profile(x)[None])
     with pytest.raises(ValueError):
         imex_step(disc, state, 0.0, np.zeros(disc.n_elements))
+    # one gamma per element: a longer array would drop penalties, a shorter
+    # one leave elements unpenalized
+    for shape in [(disc.n_elements + 3,), (2,), (1, disc.n_elements)]:
+        with pytest.raises(ValueError, match=rf"gammas of shape {re.escape(str(shape))}, "
+                                             rf"not \({disc.n_elements},\)"):
+            imex_step(disc, state, 1e-3, np.full(shape, 1e3))
     for dt, t_final in [(-1.0, 1.0), (1e-3, 0.0), (1e-3, np.nan), (1e-3, np.inf), (np.nan, 0.1),
                         (np.inf, 0.1)]:
         with pytest.raises(ValueError, match="need dt > 0 and a finite t_final"):
@@ -822,14 +862,23 @@ def test_step_validation():
 
 
 def test_advance_hits_snapshot_times_exactly():
+    # a mark at t_final, or within the step tolerance of another, is the same
+    # state: it is recorded, and its sensor evaluated, once
     disc = make_convection_disc(n_elements=4, p=1, n=2)
     state = project_initial(disc, lambda x: gaussian_profile(x)[None])
-    traj = advance(disc, state, dt=7e-3, t_final=0.1, snapshot_times=(0.03, 0.05))
-    times = [st.time for st in traj.states]
-    assert times == pytest.approx([0.0, 0.03, 0.05, 0.1], abs=1e-12)
-    assert traj.final.time == pytest.approx(0.1)
-    assert len(traj.sensors) == len(traj.states)
-    assert len(traj.step_diffs) == traj.n_steps
+    sensor_calls = []
+    real = disc.evaluate_sensor
+    disc.evaluate_sensor = lambda U: sensor_calls.append(U) or real(U)
+    for snapshot_times in [(0.03, 0.05), (0.03, 0.05, 0.1), (0.03, 0.03 + 1e-15, 0.05)]:
+        sensor_calls.clear()
+        traj = advance(disc, state, dt=7e-3, t_final=0.1, snapshot_times=snapshot_times)
+        times = [st.time for st in traj.states]
+        assert times == pytest.approx([0.0, 0.03, 0.05, 0.1], abs=1e-12)
+        assert len({id(st) for st in traj.states}) == 4
+        assert traj.final.time == pytest.approx(0.1)
+        assert len(traj.sensors) == len(traj.states)
+        assert len(traj.step_diffs) == traj.n_steps
+        assert len(sensor_calls) == traj.n_steps + 4    # each step's state, and each record
 
 
 def test_advance_forced_gamma_recorded():
@@ -838,6 +887,17 @@ def test_advance_forced_gamma_recorded():
     traj = advance(disc, state, dt=5e-3, t_final=0.02, force_gamma=(2, 123.0))
     for rep in traj.sensors:
         assert rep.gamma[2] == 123.0
+
+
+@pytest.mark.parametrize("element", [4, -1])
+def test_advance_refuses_forced_element_off_the_mesh(monkeypatch, element):
+    # element 4 is past the last of 4; -1 would index the last one
+    disc = make_convection_disc(n_elements=4, p=1, n=2)
+    state = project_initial(disc, lambda x: gaussian_profile(x)[None])
+    monkeypatch.setattr(solver, "imex_step", lambda *a: pytest.fail("a step ran"))
+    with pytest.raises(ValueError, match=rf"force_gamma_element {element} is not one of the 4 "
+                                         r"elements \(0 to 3\)"):
+        advance(disc, state, dt=5e-3, t_final=0.02, force_gamma=(element, 5.0))
 
 
 def test_mass_conservation_burgers_with_active_sensor():
