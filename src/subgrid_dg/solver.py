@@ -306,15 +306,19 @@ def imex_step(
 ) -> FieldState:
     """One ARS(2,2,2) step with the penalty frozen at the given gammas, one per
     element; per earlier stage, the implicit rate is added before the explicit one."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and > 0: {dt}")
     if np.shape(gammas) != (disc.n_elements,):
         raise ValueError(f"gammas of shape {np.shape(gammas)}, not ({disc.n_elements},)")
-    t, U0, c = state.time, state.U, dt * _ALPHA
     # implicit stage rates are zero where gamma = 0, so they are kept and added
-    # on the block from the first to the last penalized element only, if any
-    active = np.flatnonzero(gammas > 0.0)
-    blk = slice(active[0], active[-1] + 1) if active.size else None
+    # on the block from the first to the last penalized element only, if any;
+    # a NaN, infinite or negative gamma is nonzero too, so it lies in the block
+    nonzero = np.flatnonzero(gammas)
+    blk = slice(nonzero[0], nonzero[-1] + 1) if nonzero.size else None
+    if blk and not (valid := (gammas[blk] >= 0.0) & (gammas[blk] < math.inf)).all():
+        bad = blk.start + int(np.argmin(valid))
+        raise ValueError(f"gamma of element {bad} must be finite and >= 0: {gammas[bad]}")
+    t, U0, c = state.time, state.U, dt * _ALPHA
     k1 = disc.rate(U0, t)
     U2 = U0 + c * k1
     U3 = U0 + (dt * _DELTA) * k1
@@ -361,8 +365,9 @@ def advance(
     on_step=None,
 ) -> Trajectory:
     """Fixed-step march to t_final; steps are shortened to land exactly on
-    snapshot times and on t_final, each recorded once.  Gamma is recomputed
-    once per step; `force_gamma` = (element, value) sets one element's."""
+    snapshot times and on t_final, each recorded once; a snapshot time outside
+    [start, t_final] is a ValueError.  Gamma is recomputed once per step;
+    `force_gamma` = (element, value) sets one element's."""
     if not (0 < dt < math.inf and state.time < t_final < math.inf):
         raise ValueError("need dt > 0 and a finite t_final beyond the current time, and a finite dt")
     if force_gamma is not None:
@@ -371,7 +376,12 @@ def advance(
             raise ValueError(f"force_gamma_element {forced} is not one of the {disc.n_elements} "
                              f"elements (0 to {disc.n_elements - 1})")
     eps = 1e-12 * max(1.0, abs(t_final))
-    marks = sorted({float(ts) for ts in snapshot_times if state.time < ts <= t_final})
+    times = [float(ts) for ts in snapshot_times]
+    for ts in times:
+        if not state.time <= ts <= t_final + eps:     # False for NaN
+            raise ValueError(f"snapshot time {ts} is not in [{state.time}, {t_final}]")
+    # the start is always recorded
+    marks = sorted({min(ts, t_final) for ts in times if ts > state.time})
     traj = Trajectory()
 
     def sensor(U: np.ndarray) -> SensorReport:

@@ -219,6 +219,16 @@ def test_run_command_infinite_step_or_cfl_is_config_error(flags, message, capsys
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("times", ["0.01,0.05", "nan", "-0.01"])
+def test_run_command_snapshot_time_outside_the_run_is_config_error(times, capsys, tmp_path):
+    code = main(["run", "--case", "burgers", "--p", "1", "--n", "2", "--n-elements", "4",
+                 "--t-final", "0.02", "--snapshot-times", times, "--output-dir", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    bad = times.split(",")[-1]
+    assert f"snapshot time {float(bad)} is not in [0.0, 0.02]" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_command_solver_abort_exit_code(capsys):
     code = main(["run", "--case", "burgers", "--p", "1", "--n", "2",

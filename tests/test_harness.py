@@ -29,9 +29,14 @@ from subgrid_dg.harness import (
     state_error_norm,
 )
 from subgrid_dg.mesh import Mesh, build_uniform_mesh
-from subgrid_dg.physics import BoundaryCondition, euler_state_from_primitives, nozzle_area
+from subgrid_dg.physics import (
+    BoundaryCondition,
+    Euler1D,
+    euler_state_from_primitives,
+    nozzle_area,
+)
 from subgrid_dg.projections import project_l2, project_lo
-from subgrid_dg.solver import Discretization, SolverAbort
+from subgrid_dg.solver import Discretization, SolverAbort, advance
 
 # The presets and defaults the README's case table lists:
 # case: (domain, p, n, n_elements, dt, t_final)
@@ -406,19 +411,29 @@ def test_default_dt_scaling():
         RunConfig(case="convection-gaussian", p=2, n=4, n_elements=8)
     )
     dt = default_dt(disc, state.U, cfl=0.3)
-    # cfl * h_sub / (wave speed * (2p + 1))
-    assert dt == pytest.approx(0.3 * (1.0 / 32.0) / 5.0)
+    # cfl * h_sub / (wave speed * KAPPA), whatever p >= 1 is
+    assert harness.KAPPA == 3.5
+    assert dt == pytest.approx(0.3 * (1.0 / 32.0) / 3.5)
     config2, disc2, state2 = build_problem(
         RunConfig(case="convection-gaussian", p=2, n=4, n_elements=16)
     )
     assert default_dt(disc2, state2.U, cfl=0.3) == pytest.approx(0.5 * dt)
+    config4, disc4, state4 = build_problem(
+        RunConfig(case="convection-gaussian", p=4, n=4, n_elements=8)
+    )
+    assert default_dt(disc4, state4.U, cfl=0.3) == dt
+    # p = 0 keeps the finite volume step cfl * h_sub / (wave speed)
+    config0, disc0, state0 = build_problem(
+        RunConfig(case="convection-gaussian", p=0, n=4, n_elements=8)
+    )
+    assert default_dt(disc0, state0.U, cfl=0.3) == pytest.approx(0.3 * (1.0 / 32.0))
 
 
 def test_spatial_accuracy_dt_rule():
     rule = spatial_accuracy_dt_rule(8)
     coarse = RunConfig(case="convection-gaussian", p=3, n=5, n_elements=8)
     fine = RunConfig(case="convection-gaussian", p=3, n=5, n_elements=32)
-    stable_coarse = 0.3 * ((1.0 / 8.0) / 5) / 7.0
+    stable_coarse = 0.3 * ((1.0 / 8.0) / 5) / 3.5
     assert rule(coarse) == pytest.approx(stable_coarse)
     # on finer grids the h^((p+1)/2) scaling is stricter than the CFL bound
     expected = stable_coarse * (8.0 / 32.0) ** 2.0
@@ -431,6 +446,33 @@ def test_spatial_accuracy_dt_rule_is_default_dt_at_the_coarsest_level(case):
     config, disc, state = build_problem(RunConfig(case=case))
     rule = spatial_accuracy_dt_rule(config.n_elements)
     assert rule(config) == pytest.approx(default_dt(disc, state.U, config.cfl), rel=1e-12)
+
+
+def entropy_wave(x, t):
+    """rho = 1 + 0.2 sin 2 pi (x - t) carried at v = p = 1: an exact Euler solution."""
+    x = np.asarray(x, dtype=float)
+    rho = 1.0 + 0.2 * np.sin(2.0 * np.pi * (x - t))
+    return euler_state_from_primitives(rho, np.ones_like(x), np.ones_like(x), harness.GAS_GAMMA)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_euler_entropy_wave_converges_at_order_p_plus_one(p):
+    # the nonlinear chain (primitives, Roe flux, admissibility) at n = p + 2 on
+    # 8, 16 and 32 periodic elements to t = 0.25; dt is the CFL step at E = 8
+    # scaled by h^((p+1)/2), as spatial_accuracy_dt_rule scales it, so the time
+    # error does not cap the density's order
+    n, errors = p + 2, []
+    periodic = BoundaryCondition("periodic")
+    for level in (8, 16, 32):
+        disc = Discretization(build_uniform_mesh(0.0, 1.0, level, n), p, Euler1D(),
+                              periodic, periodic)
+        state = project_initial(disc, lambda x: entropy_wave(x, 0.0))
+        if level == 8:
+            dt_coarse = harness._cfl_dt(0.3, 1.0 / (8 * n), p, disc.max_wave_speed(state.U))
+        final = advance(disc, state, dt_coarse * (8 / level) ** (0.5 * (p + 1)), 0.25).final
+        errors.append(error_norm(disc, final.U, lambda x: entropy_wave(x, 0.25)[0], "L2"))
+    order = np.log2(errors[1] / errors[2])
+    assert order >= p + 0.7, errors
 
 
 def test_forced_value_without_element_is_rejected():

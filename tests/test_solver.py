@@ -847,8 +847,9 @@ def test_advance_recorded_states_unchanged_by_later_steps():
 def test_step_validation():
     disc = make_convection_disc()
     state = project_initial(disc, lambda x: gaussian_profile(x)[None])
-    with pytest.raises(ValueError):
-        imex_step(disc, state, 0.0, np.zeros(disc.n_elements))
+    for dt in (0.0, -1e-3, np.nan, np.inf):
+        with pytest.raises(ValueError, match=rf"dt must be finite and > 0: {dt}"):
+            imex_step(disc, state, dt, np.zeros(disc.n_elements))
     # one gamma per element: a longer array would drop penalties, a shorter
     # one leave elements unpenalized
     for shape in [(disc.n_elements + 3,), (2,), (1, disc.n_elements)]:
@@ -861,6 +862,30 @@ def test_step_validation():
             advance(disc, state, dt=dt, t_final=t_final)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_imex_step_refuses_a_gamma_that_is_not_finite_and_non_negative(bad):
+    # a NaN gamma would step that element unpenalized, an infinite one fill it
+    # with NaN; the first bad element is named, also behind a penalized one
+    disc = make_convection_disc()
+    state = project_initial(disc, lambda x: gaussian_profile(x)[None])
+    gammas = np.zeros(disc.n_elements)
+    gammas[[3, 6]] = bad
+    gammas[1] = 5.0
+    with pytest.raises(ValueError, match=rf"gamma of element 3 must be finite and >= 0: {bad}"):
+        imex_step(disc, state, 1e-3, gammas)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.01, 0.1 + 1e-9])
+def test_advance_refuses_snapshot_time_outside_the_march(monkeypatch, bad):
+    # a time before the start, after the end or not finite is named, not
+    # dropped, before a step runs
+    disc = make_convection_disc(n_elements=4, p=1, n=2)
+    state = project_initial(disc, lambda x: gaussian_profile(x)[None])
+    monkeypatch.setattr(solver, "imex_step", lambda *a: pytest.fail("a step ran"))
+    with pytest.raises(ValueError, match=rf"snapshot time {bad} is not in \[0\.0, 0\.1\]"):
+        advance(disc, state, dt=7e-3, t_final=0.1, snapshot_times=(0.05, bad))
+
+
 def test_advance_hits_snapshot_times_exactly():
     # a mark at t_final, or within the step tolerance of another, is the same
     # state: it is recorded, and its sensor evaluated, once
@@ -869,7 +894,9 @@ def test_advance_hits_snapshot_times_exactly():
     sensor_calls = []
     real = disc.evaluate_sensor
     disc.evaluate_sensor = lambda U: sensor_calls.append(U) or real(U)
-    for snapshot_times in [(0.03, 0.05), (0.03, 0.05, 0.1), (0.03, 0.03 + 1e-15, 0.05)]:
+    # the start, and a time past t_final within the step tolerance, add no record
+    for snapshot_times in [(0.03, 0.05), (0.03, 0.05, 0.1), (0.03, 0.03 + 1e-15, 0.05),
+                           (0.0, 0.03, 0.05, 0.1 + 1e-14)]:
         sensor_calls.clear()
         traj = advance(disc, state, dt=7e-3, t_final=0.1, snapshot_times=snapshot_times)
         times = [st.time for st in traj.states]
