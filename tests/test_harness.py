@@ -625,6 +625,46 @@ def test_fv_reference_transports_profile(tmp_path, monkeypatch):
     assert centers[np.argmax(U[0])] == pytest.approx(0.75, abs=0.02)
 
 
+def test_fv_reference_stays_in_bounds_at_its_courant_number():
+    # upwind is monotone up to the Courant number 1: a heaviside carried once
+    # round the period keeps its values in [0, 1]
+    _, _, U = fv_reference("convection-heaviside", 64, t_final=1.0, cache=False)
+    assert U.min() >= -1e-12 and U.max() <= 1.0 + 1e-12
+
+
+def _roe_speed(uL, uR, gamma_a=1.4):
+    """The largest Roe-averaged |v~| + c~ over the faces (uL, uR)."""
+    sL, sR = np.sqrt(uL[0]), np.sqrt(uR[0])
+    vL, vR = uL[1] / uL[0], uR[1] / uR[0]
+    pL = (gamma_a - 1.0) * (uL[2] - 0.5 * uL[1] * vL)
+    pR = (gamma_a - 1.0) * (uR[2] - 0.5 * uR[1] * vR)
+    vt = (sL * vL + sR * vR) / (sL + sR)
+    Ht = ((uL[2] + pL) / sL + (uR[2] + pR) / sR) / (sL + sR)
+    return float(np.max(np.abs(vt) + np.sqrt((gamma_a - 1.0) * (Ht - 0.5 * vt * vt))))
+
+
+@pytest.mark.parametrize("case", ["shu-osher", "sod-like"])
+def test_fv_reference_step_holds_the_roe_speeds_it_reaches(monkeypatch, case):
+    # dt comes from the cells' largest |v| + c; the faces move at the
+    # Roe-averaged speeds, which must stay within the upwind limit 1 too
+    lams, speeds = [], []
+    wave_speed, roe_flux = Euler1D.max_wave_speed, Euler1D.roe_flux
+
+    def recording_wave_speed(law, u, x=None):
+        lams.append(wave_speed(law, u, x))
+        return lams[-1]
+
+    def recording_roe_flux(law, uL, uR, x=None, entropy_fix=False):
+        speeds.append(_roe_speed(uL, uR))
+        return roe_flux(law, uL, uR, x, entropy_fix)
+
+    monkeypatch.setattr(Euler1D, "max_wave_speed", recording_wave_speed)
+    monkeypatch.setattr(Euler1D, "roe_flux", recording_roe_flux)
+    fv_reference(case, 512, cache=False)
+    assert len(lams) == len(speeds) > 100
+    assert max(harness.FV_CFL * s / lam for s, lam in zip(speeds, lams)) <= 1.0
+
+
 def test_fv_reference_euler_shock_speed(tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     # pure shock tube: the jump between the two uniform states must travel at
@@ -728,6 +768,21 @@ def test_run_case_writes_outputs(tmp_path):
     assert len(sensors) == 3
     header = snapshots[0].read_text().splitlines()[0]
     assert header.split(",") == ["x", "u0", "s", "s0", "gamma"]
+
+
+def test_run_case_names_each_snapshot_by_its_exact_time(tmp_path):
+    # two marks that agree to 6 digits write two files, each named by the
+    # shortest text that reads back as its time
+    out = tmp_path / "out"
+    result = run_case(RunConfig(case="burgers", p=1, n=3, n_elements=4, t_final=0.01,
+                                snapshot_times=(0.0050000001, 0.0050000002),
+                                output_dir=str(out)))
+    times = [s.time for s in result.trajectory.states]
+    assert times == [0.0, 0.0050000001, 0.0050000002, 0.01]
+    for kind in ("snapshot", "sensor"):
+        assert sorted(p.name for p in out.glob(f"{kind}_t*.csv")) == sorted(
+            f"{kind}_t{t!r}.csv" for t in times)
+    assert (out / "snapshot_t0.0.csv").exists()
 
 
 def test_run_case_summary_fields():
