@@ -1,6 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 success, 2 config error, 3 solver abort, 4 non-injective (p, n).
+A config file that cannot be read or an output directory that cannot be made
+is a config error, found before any work; exit 1, a traceback, is a bug.
 """
 
 from __future__ import annotations
@@ -12,10 +14,13 @@ import sys
 import typing
 from pathlib import Path
 
+import numpy as np
+
 from .harness import (
     RunConfig,
     convergence_study,
     fv_reference,
+    make_output_dir,
     run_case,
     spatial_accuracy_dt_rule,
     write_convergence_csv,
@@ -56,7 +61,10 @@ _JSON_TYPES = {name: sum(({float: (int, float), tuple: (list,)}.get(t, (t,))
 
 def load_config(path: str) -> dict:
     """Flat key/value config: `key = value` lines or a flat JSON object."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ValueError(f"cannot read config file {path}: {exc.strerror}") from None
     values: dict = {}
     if text.lstrip().startswith("{"):
         for key, val in json.loads(text).items():
@@ -132,60 +140,30 @@ def main(argv=None) -> int:
     p_ref.add_argument("--output-dir", dest="output_dir", default=".")
 
     args = parser.parse_args(argv)
-
-    if args.command == "check-injectivity":
-        try:
-            report = check_injectivity(args.p, args.r, args.d)
-        except ValueError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        print(json.dumps(dataclasses.asdict(report)))
-        return EXIT_OK
-
-    if args.command == "reference":
-        try:
+    try:
+        if args.command == "check-injectivity":
+            print(json.dumps(dataclasses.asdict(check_injectivity(args.p, args.r, args.d))))
+        elif args.command == "reference":
+            out = make_output_dir(args.output_dir)
             _, x, U = fv_reference(args.case, args.cells, args.t_final)
-        except ValueError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        out = Path(args.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / f"reference_{args.case}_{args.cells}.csv"
-        import numpy as np
-
-        centers = 0.5 * (x[:-1] + x[1:])
-        data = np.column_stack([centers] + [U[c] for c in range(U.shape[0])])
-        header = "x," + ",".join(f"u{c}" for c in range(U.shape[0]))
-        np.savetxt(path, data, delimiter=",", header=header, comments="")
-        print(f"wrote {path}")
-        return EXIT_OK
-
-    try:
-        config = _build_run_config(args)
-    except (ValueError, TypeError, FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        if args.command == "run":
-            result = run_case(config)
-            print(json.dumps(result.summary, indent=2))
-            return EXIT_OK
-        if args.command == "convergence":
+            path = out / f"reference_{args.case}_{args.cells}.csv"
+            data = np.column_stack([0.5 * (x[:-1] + x[1:]), *U])
+            header = "x," + ",".join(f"u{c}" for c in range(U.shape[0]))
+            np.savetxt(path, data, delimiter=",", header=header, comments="")
+            print(f"wrote {path}")
+        elif args.command == "run":
+            print(json.dumps(run_case(_build_run_config(args)).summary, indent=2))
+        else:
+            config = _build_run_config(args)
             levels = [int(v) for v in args.levels.split(",")]
-            dt_rule = None
-            if config.dt is None:
-                dt_rule = spatial_accuracy_dt_rule(min(levels))
-            records = convergence_study(config, levels, norm_kind=args.norm,
-                                        dt_rule=dt_rule)
-            out_dir = Path(config.output_dir or ".")
-            out_dir.mkdir(parents=True, exist_ok=True)
-            write_convergence_csv(records, out_dir / "convergence.csv")
+            out = make_output_dir(config.output_dir or ".")
+            dt_rule = None if config.dt is not None else spatial_accuracy_dt_rule(min(levels))
+            records = convergence_study(config, levels, norm_kind=args.norm, dt_rule=dt_rule)
+            write_convergence_csv(records, out / "convergence.csv")
             for r in records:
                 order = "-" if r.observed_order is None else f"{r.observed_order:.3f}"
                 print(f"h={r.h:.6g}  error={r.error:.6e}  order={order}")
-            return EXIT_OK
-    except NonInjectiveError as exc:
+    except NonInjectiveError as exc:      # a ValueError, so caught first
         print(f"non-injective configuration: {exc}", file=sys.stderr)
         return EXIT_NONINJECTIVE
     except SolverAbort as exc:
@@ -194,7 +172,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    return EXIT_CONFIG
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -474,6 +474,8 @@ def run_case(config: RunConfig) -> RunResult:
 
     The summary's `setup_time_s` covers building the problem and choosing
     dt; `wall_time_s` covers the march alone."""
+    if config.output_dir is not None:       # refused before any work
+        make_output_dir(config.output_dir)
     setup_start = time.perf_counter()
     config, disc, state0 = build_problem(config)
     dt = config.dt if config.dt is not None else default_dt(disc, state0.U, config.cfl)
@@ -761,31 +763,33 @@ def _write_atomic(path: Path, **arrays) -> None:
 # -- output ---------------------------------------------------------------------
 
 
+def make_output_dir(path) -> Path:
+    """Directory `path`, made with its parents; one that cannot be is a ValueError."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot make output directory {path}: {exc.strerror}") from None
+    return Path(path)
+
+
 def write_outputs(result: RunResult) -> None:
-    out = Path(result.config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(result.config.output_dir)       # made by run_case before the run
     disc = result.disc
+    centers = 0.5 * (disc.xfaces[:-1] + disc.xfaces[1:])
+
+    def save(path, header, rows):
+        with open(path, "w", newline="") as fh:     # "\r\n" on every platform
+            np.savetxt(fh, rows, fmt="%.12g", delimiter=",", newline="\r\n",
+                       header=",".join(header + ["s", "s0", "gamma"]), comments="")
+
     for state, rep in zip(result.trajectory.states, result.trajectory.sensors):
         avg = disc.subcell_averages(state.U)        # (m, E, n)
         m, E, n = avg.shape
-        centers = 0.5 * (disc.xfaces[:-1] + disc.xfaces[1:]).reshape(E, n)
+        sensor = np.column_stack([rep.s, rep.s0, rep.gamma])
         tag = repr(float(state.time))    # shortest text that reads back as it
-        with open(out / f"snapshot_t{tag}.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x"] + [f"u{c}" for c in range(m)] + ["s", "s0", "gamma"])
-            for e in range(E):
-                for s in range(n):
-                    w.writerow(
-                        [f"{centers[e, s]:.12g}"]
-                        + [f"{avg[c, e, s]:.12g}" for c in range(m)]
-                        + [f"{rep.s[e]:.12g}", f"{rep.s0[e]:.12g}", f"{rep.gamma[e]:.12g}"]
-                    )
-        with open(out / f"sensor_t{tag}.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["element", "s", "s0", "gamma"])
-            for e in range(E):
-                w.writerow([e, f"{rep.s[e]:.12g}", f"{rep.s0[e]:.12g}",
-                            f"{rep.gamma[e]:.12g}"])
+        save(out / f"snapshot_t{tag}.csv", ["x"] + [f"u{c}" for c in range(m)],
+             np.column_stack([centers, *avg.reshape(m, E * n), sensor.repeat(n, axis=0)]))
+        save(out / f"sensor_t{tag}.csv", ["element"], np.column_stack([np.arange(E), sensor]))
     with open(out / "summary.json", "w") as fh:
         json.dump(result.summary, fh, indent=2)
 

@@ -3,8 +3,10 @@ import json
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from subgrid_dg import cli
+from subgrid_dg import cli, harness
 from subgrid_dg.cli import (
     EXIT_CONFIG,
     EXIT_NONINJECTIVE,
@@ -330,3 +332,77 @@ def test_reference_command_bad_cells_or_end_time_is_config_error(tmp_path, monke
     assert code == EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert not list(tmp_path.glob("reference_*.csv"))
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--case", "burgers"] + TINY,
+    ["convergence", "--case", "convection-gaussian", "--p", "1", "--n", "2",
+     "--levels", "8,16,32"],
+    ["reference", "--case", "sod-like", "--cells", "16", "--t-final", "0.01"],
+])
+@pytest.mark.parametrize("below_file", [False, True])
+def test_output_dir_that_cannot_be_made_is_config_error_before_any_work(
+        tmp_path, monkeypatch, capsys, command, below_file):
+    # a file in the directory's place, or a path below a file
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "sub" if below_file else blocker
+    calls = []
+
+    def recording(name, fn):
+        return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "build_problem", recording("build_problem",
+                                                            harness.build_problem))
+    for name in ("convergence_study", "fv_reference"):
+        monkeypatch.setattr(cli, name, recording(name, getattr(cli, name)))
+    assert main(command + ["--output-dir", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"config error: cannot make output directory {out}: " in captured.err
+    assert captured.out == ""
+    assert calls == []
+    assert blocker.read_text() == ""
+
+
+@pytest.mark.parametrize("name, reason", [("config-dir", "Is a directory"),
+                                          ("missing.cfg", "No such file or directory")])
+def test_run_command_config_file_that_cannot_be_read_is_config_error(tmp_path, capsys, name,
+                                                                     reason):
+    (tmp_path / "config-dir").mkdir()
+    path = tmp_path / name
+    assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"config error: cannot read config file {path}: {reason}" in captured.err
+    assert captured.out == ""
+
+
+def test_run_command_json_unknown_key_is_config_error(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({**TINY_JSON, "seed": 3}))
+    assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "config error: unknown config key 'seed'" in captured.err
+    assert captured.out == ""
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=2),
+    max_leaves=4)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=st.dictionaries(st.sampled_from(sorted(cli._FIELDS)), _JSON_VALUES),
+       text=st.booleans())
+def test_config_building_raises_only_value_error(tmp_path, monkeypatch, values, text):
+    # a config file of any keys and values, as JSON or as key = value text,
+    # builds a RunConfig or is a config error: it raises no TypeError
+    monkeypatch.setattr(cli, "run_case", lambda config: SimpleNamespace(summary={}))
+    path = tmp_path / "run.cfg"
+    if text:
+        path.write_text("".join(f"{k} = {json.dumps(v)}\n" for k, v in values.items()))
+    else:
+        path.write_text(json.dumps({"case": "burgers", **values}))
+    assert main(["run", "--config", str(path)]) in (EXIT_OK, EXIT_CONFIG)

@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -795,3 +796,58 @@ def test_run_case_summary_fields():
     assert isinstance(s["wall_time_s"], float) and s["wall_time_s"] > 0.0
     assert s["mass_drift_rel"] < 1e-12
     assert isinstance(s["steady"], bool)
+
+
+def test_run_case_output_files_are_the_csv_writer_rows(tmp_path):
+    # the oracle is a csv.writer loop that formats each value with "%.12g"
+    out = tmp_path / "out"
+    result = run_case(RunConfig(case="shu-osher", p=2, n=4, n_elements=8, t_final=0.002,
+                                snapshot_times=(0.001,), output_dir=str(out)))
+    disc = result.disc
+    states = result.trajectory.states
+    assert [s.time for s in states] == [0.0, 0.001, 0.002]
+    for state, rep in zip(states, result.trajectory.sensors):
+        avg = disc.subcell_averages(state.U)
+        m, E, n = avg.shape
+        assert m == 3
+        centers = 0.5 * (disc.xfaces[:-1] + disc.xfaces[1:]).reshape(E, n)
+        sensor = [[f"{v:.12g}" for v in (rep.s[e], rep.s0[e], rep.gamma[e])] for e in range(E)]
+        snapshot, per_element = tmp_path / "snapshot.csv", tmp_path / "sensor.csv"
+        with open(snapshot, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["x"] + [f"u{c}" for c in range(m)] + ["s", "s0", "gamma"])
+            for e in range(E):
+                for s in range(n):
+                    w.writerow([f"{centers[e, s]:.12g}"]
+                               + [f"{avg[c, e, s]:.12g}" for c in range(m)] + sensor[e])
+        with open(per_element, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["element", "s", "s0", "gamma"])
+            for e in range(E):
+                w.writerow([e] + sensor[e])
+        tag = repr(float(state.time))
+        assert (out / f"snapshot_t{tag}.csv").read_bytes() == snapshot.read_bytes()
+        assert (out / f"sensor_t{tag}.csv").read_bytes() == per_element.read_bytes()
+
+
+def test_fv_reference_interrupted_cache_write_leaves_no_file(tmp_path, monkeypatch):
+    # the write stops after a partial archive: the interrupt propagates, and
+    # neither the temporary file nor a file under the cache key is left
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    cache = tmp_path / "subgrid_dg"
+
+    def interrupted(fh, **arrays):
+        fh.write(b"PK\x03\x04 partial archive")
+        raise KeyboardInterrupt
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "savez_compressed", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            fv_reference("convection-gaussian", 64, t_final=0.25)
+    assert list(cache.iterdir()) == []
+    # the next call computes the reference again and caches it whole
+    _, _, U = fv_reference("convection-gaussian", 64, t_final=0.25)
+    (path,) = cache.iterdir()
+    assert path.name == f"fvref_{harness.SOURCE_DIGEST}_convection-gaussian_64_0.25.npz"
+    with np.load(path) as stored:
+        np.testing.assert_array_equal(stored["U"], U)
