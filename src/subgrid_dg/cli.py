@@ -34,12 +34,6 @@ EXIT_SOLVER = 3
 EXIT_NONINJECTIVE = 4
 
 
-def _parse_bool(raw: str) -> bool:
-    """1/true/yes/on or 0/false/no/off in any case; another word is a KeyError."""
-    return {"1": True, "true": True, "yes": True, "on": True,
-            "0": False, "false": False, "no": False, "off": False}[raw.strip().lower()]
-
-
 def _parse_times(raw: str) -> tuple:
     return tuple(float(v) for v in raw.replace(",", " ").split())
 
@@ -48,7 +42,7 @@ def _text_parser(hint):
     """Parser of a RunConfig field's text value, from its type hint: the
     hint's one type other than None."""
     kind = next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
-    return {bool: _parse_bool, tuple: _parse_times, str: str.strip}.get(kind, kind)
+    return {tuple: _parse_times, str: str.strip}.get(kind, kind)
 
 
 # every RunConfig field with the parser of its value in a config file or flag
@@ -62,18 +56,26 @@ _JSON_TYPES = {name: sum(({float: (int, float), tuple: (list,)}.get(t, (t,))
 def load_config(path: str) -> dict:
     """Flat key/value config: `key = value` lines or a flat JSON object."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot read config file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read config file {path}: {exc}") from None
     values: dict = {}
     if text.lstrip().startswith("{"):
         for key, val in json.loads(text).items():
             if key not in _FIELDS:
                 raise ValueError(f"unknown config key {key!r}")
-            if type(val) not in _JSON_TYPES[key] or (    # snapshot_times: a list of numbers
-                    type(val) is list and not all(type(v) in (int, float) for v in val)):
-                raise ValueError(f"config key {key!r} cannot take {val!r}")
-            values[key] = tuple(val) if _FIELDS[key] is _parse_times else val
+            parse = _FIELDS[key]
+            try:
+                if type(val) not in _JSON_TYPES[key] or (    # snapshot_times: a list of numbers
+                        type(val) is list and not all(type(v) in (int, float) for v in val)):
+                    raise TypeError
+                # a number as a float, so an integer too large for one is refused here
+                values[key] = (tuple(map(float, val)) if parse is _parse_times
+                               else float(val) if parse is float and val is not None else val)
+            except (TypeError, OverflowError):
+                raise ValueError(f"config key {key!r} cannot take {val!r}") from None
         return values
     for line_no, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -86,19 +88,15 @@ def load_config(path: str) -> dict:
             raise ValueError(f"line {line_no}: unknown config key {key!r}")
         try:
             values[key] = _FIELDS[key](raw)
-        except (ValueError, KeyError):
+        except ValueError:
             raise ValueError(f"line {line_no}: config key {key!r} cannot take {raw!r}") from None
     return values
 
 
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     """One flag per RunConfig field; values are parsed as config file values."""
-    for name, parse in _FIELDS.items():
-        flag = "--" + name.replace("_", "-")
-        if parse is _parse_bool:
-            parser.add_argument(flag, dest=name, action="store_true", default=None)
-        else:
-            parser.add_argument(flag, dest=name)
+    for name in _FIELDS:
+        parser.add_argument("--" + name.replace("_", "-"), dest=name)
 
 
 def _build_run_config(args) -> RunConfig:
@@ -106,7 +104,7 @@ def _build_run_config(args) -> RunConfig:
     for name, parse in _FIELDS.items():
         cli_val = getattr(args, name)
         if cli_val is not None:
-            values[name] = parse(cli_val) if isinstance(cli_val, str) else cli_val
+            values[name] = parse(cli_val)
     if "case" not in values:
         raise ValueError("a case must be given via config file or --case")
     return RunConfig(**values)

@@ -58,7 +58,6 @@ class RunConfig:
     tau: float | None = None
     s_eps: float = DEFAULT_S_EPS
     cfl: float = 0.3
-    entropy_fix: bool = False
     force_gamma_element: int | None = None
     force_gamma_value: float | None = None
     snapshot_times: tuple = ()
@@ -290,7 +289,7 @@ def _relax_shock_element(disc, state, x_shock) -> FieldState:
     traces = [BoundaryCondition("prescribed", state=tuple(u))
               for u in nozzle_initial(np.array([xl, xr])).T]
     disc1 = Discretization(Mesh(np.array([xl, xr]), disc.n), disc.p, disc.law, *traces,
-                           disc.sensor_config, disc.entropy_fix)
+                           disc.sensor_config)
 
     def penalty_rate(V, gamma):      # -M^-1 gamma M_pp V, the penalty filter at c = 0
         return penalty_stage_rate(disc1.p, disc1.n, V, gamma, 0.0)
@@ -397,20 +396,17 @@ _CASES = {
     "convection-gaussian": _GAUSSIAN,
     "convection-heaviside": replace(_GAUSSIAN, initial=lambda x: heaviside_profile(x)[None],
                                     breakpoints=(0.25, 0.75)),
-    "convection-recovery": _GAUSSIAN,
     "burgers": Case((0.0, 1.0), Burgers, _PERIODIC, _PERIODIC,
                     lambda x: burgers_profile(x)[None], (),
-                    dict(p=4, n=8, n_elements=9, dt=1e-3, t_final=0.88)),
+                    dict(p=4, n=8, n_elements=9, t_final=0.88)),
     # build_problem adds the shock position as a breakpoint and relaxes the
     # shock element
     "nozzle": Case((0.0, 1.0), NozzleEuler,
                    BoundaryCondition("farfield", farfield=NOZZLE_INLET),
                    BoundaryCondition("farfield", farfield=NOZZLE_OUTLET),
                    lambda x: nozzle_initial(x), (),
-                   dict(p=4, n=8, n_elements=9, dt=2e-4, t_final=0.4)),
+                   dict(p=4, n=8, n_elements=9, t_final=0.4)),
     "shu-osher": _SHU_OSHER,
-    "fv-comparison": replace(_SHU_OSHER, defaults=dict(p=0, n=5, n_elements=64, t_final=1.78),
-                             fv=False),
     "sod-like": replace(_SHU_OSHER, initial=sod_like_initial, defaults=dict(t_final=1.0),
                         dg=False),
 }
@@ -429,7 +425,7 @@ def build_problem(config: RunConfig):
     case = _CASES[config.case]
     mesh = build_uniform_mesh(*case.domain, config.n_elements, config.n)
     disc = Discretization(mesh, config.p, case.law(), case.bc_left, case.bc_right,
-                          config.sensor_config, config.entropy_fix)
+                          config.sensor_config)
     if config.case != "nozzle":
         return config, disc, project_initial(disc, case.initial, case.breakpoints)
     x_shock = _nozzle_steady_params()[-1]

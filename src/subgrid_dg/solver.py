@@ -24,9 +24,10 @@ The Discretization also holds the law's geometry (`law.geometry`, e.g. the
 nozzle's A and (dA/dx)/A) at the quadrature nodes only, and the duct area at
 the two domain ends for the ghosts, so a step evaluates no geometry.
 
-`imex_step` is ARS(2,2,2) (Ascher, Ruuth & Spiteri, 1997): its three stages
-written once, for penalized and unpenalized steps alike.  `Discretization.rate`,
-M^{-1} R(U), is the one stage rate.  Implicit stage rates are kept on the slice
+`imex_step` is ARS(2,3,2) (Ascher, Ruuth & Spiteri, 1997, section 2), whose
+explicit weights equal its implicit ones: its three stages written once, for
+penalized and unpenalized steps alike.  `Discretization.rate`, M^{-1} R(U),
+is the one stage rate.  Implicit stage rates are kept on the slice
 of elements from the first to the last penalized one, none if none is.  A
 stage's penalty solve is a closed-form filter of the polynomial modes in the
 penalty eigenbasis (`basis.penalty_stage_rate`).
@@ -82,7 +83,9 @@ class IMEXTableau:
 
 
 def ars222() -> IMEXTableau:
-    """ARS(2,2,2) with alpha = 1 - 1/sqrt(2), delta = -2 sqrt(2)/3."""
+    """ARS(2,3,2) with alpha = 1 - 1/sqrt(2), delta = -2 sqrt(2)/3 and b_hat = b
+    (Ascher, Ruuth & Spiteri, 1997, section 2; ARS(2,2,2) has delta = 1 - 1/(2
+    alpha) and b_hat = A_hat[2]).  Named `ars222` still: `perfbench/run.py` reads it."""
     alpha = 1.0 - 1.0 / np.sqrt(2.0)
     delta = -2.0 * np.sqrt(2.0) / 3.0
     A = np.array([
@@ -99,10 +102,10 @@ def ars222() -> IMEXTableau:
     return IMEXTableau(A=A, A_hat=A_hat, b=b, b_hat=b.copy())
 
 
-_ARS222 = ars222()
+_TABLEAU = ars222()
 # its coefficients as Python floats; alpha = A_hat[1, 0] = A[2, 2] and b = b_hat = A[2]
-_ALPHA, _DELTA = float(_ARS222.A[1, 1]), float(_ARS222.A_hat[2, 0])
-_A_32, _A_HAT_32 = float(_ARS222.A[2, 1]), float(_ARS222.A_hat[2, 1])
+_ALPHA, _DELTA = float(_TABLEAU.A[1, 1]), float(_TABLEAU.A_hat[2, 0])
+_A_32, _A_HAT_32 = float(_TABLEAU.A[2, 1]), float(_TABLEAU.A_hat[2, 1])
 
 
 class Discretization:
@@ -304,7 +307,7 @@ def imex_step(
     dt: float,
     gammas: np.ndarray,
 ) -> FieldState:
-    """One ARS(2,2,2) step with the penalty frozen at the given gammas, one per
+    """One ARS(2,3,2) step with the penalty frozen at the given gammas, one per
     element; per earlier stage, the implicit rate is added before the explicit one."""
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be finite and > 0: {dt}")

@@ -274,7 +274,7 @@ def shu_osher_errors():
     errors = {}
     for p in (0, 1, 2, 3):
         if p == 0:
-            cfg = RunConfig(case="fv-comparison")      # p=0, n=5: same sub-grid
+            cfg = RunConfig(case="shu-osher", p=0)     # p=0, n=5: same sub-grid
         else:
             cfg = RunConfig(case="shu-osher", p=p, n=p + 2)
         result = run_case(cfg)
@@ -374,10 +374,10 @@ def test_criterion_11_imex_order_and_explicit_limit():
 def test_criterion_12_polynomial_recovery_after_forced_penalty():
     snaps = (0.25,)
     forced = run_case(RunConfig(
-        case="convection-recovery", force_gamma_element=10,
+        case="convection-gaussian", force_gamma_element=10,
         force_gamma_value=1.0e7, snapshot_times=snaps,
     ))
-    unforced = run_case(RunConfig(case="convection-recovery"))
+    unforced = run_case(RunConfig(case="convection-gaussian"))
     disc = forced.disc
 
     energy = [disc.poly_energy(st.U)[0].sum() for st in forced.trajectory.states]

@@ -28,14 +28,12 @@ def test_load_config_key_value(tmp_path):
         case = burgers
         p = 3
         dt = 1e-3
-        entropy_fix = true
         snapshot_times = 0.1, 0.2
         """
     )
     values = load_config(str(path))
     assert values == {
-        "case": "burgers", "p": 3, "dt": 1e-3, "entropy_fix": True,
-        "snapshot_times": (0.1, 0.2),
+        "case": "burgers", "p": 3, "dt": 1e-3, "snapshot_times": (0.1, 0.2),
     }
 
 
@@ -63,7 +61,7 @@ TINY_JSON = {"case": "burgers", "p": 1, "n": 2, "n_elements": 4, "t_final": 0.01
 
 
 @pytest.mark.parametrize("key, value", [
-    ("entropy_fix", "false"), ("entropy_fix", 0), ("entropy_fix", None),
+    ("n_elements", 4.0), ("cfl", None), ("c_pen", "1e7"),
     ("p", "1"), ("p", 1.5), ("p", True), ("t_final", "0.01"), ("t_final", False),
     ("case", 3), ("output_dir", 3), ("snapshot_times", 0.005), ("snapshot_times", [0.005, "x"]),
 ])
@@ -79,7 +77,7 @@ def test_run_command_json_value_of_another_type_is_config_error(tmp_path, capsys
 
 
 @pytest.mark.parametrize("key, raw", [
-    ("entropy_fix", "flase"), ("entropy_fix", "2"), ("p", "1.5"), ("t_final", "soon"),
+    ("n_elements", "4.0"), ("cfl", "fast"), ("p", "1.5"), ("t_final", "soon"),
     ("snapshot_times", "0.005, x"),
 ])
 def test_run_command_text_value_that_does_not_parse_is_config_error(tmp_path, capsys, key, raw):
@@ -91,23 +89,42 @@ def test_run_command_text_value_that_does_not_parse_is_config_error(tmp_path, ca
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("words, value", [(("1", "true", "Yes", " ON "), True),
-                                          (("0", "FALSE", "no", "off"), False)])
-def test_load_config_bool_words(tmp_path, words, value):
+# dt, t_final, c_pen, tau, s_eps, cfl and force_gamma_value
+FLOAT_FIELDS = [name for name, parse in cli._FIELDS.items() if parse is float]
+
+
+@pytest.mark.parametrize("key", FLOAT_FIELDS + ["snapshot_times"])
+def test_run_command_json_number_too_large_for_a_float_is_config_error(tmp_path, capsys, key):
+    # a JSON integer is exact: one beyond the largest float would overflow
+    # (or pass a finiteness check as a Python int)
+    value = [0.005, 10 ** 400] if key == "snapshot_times" else 10 ** 400
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({**TINY_JSON, key: value}))
+    assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"config error: config key {key!r} cannot take {value!r}" in captured.err
+    assert captured.out == ""
+
+
+def test_run_command_config_file_that_is_not_utf8_is_config_error(tmp_path, capsys):
     path = tmp_path / "run.cfg"
-    for word in words:
-        path.write_text(f"case = burgers\nentropy_fix = {word}\n")
-        assert load_config(str(path))["entropy_fix"] is value
+    path.write_bytes(b"case = burgers\np = \xff\n")
+    assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert (f"config error: cannot read config file {path}: 'utf-8' codec can't decode byte "
+            "0xff in position 19") in captured.err
+    assert captured.out == ""
 
 
 def test_load_config_json_takes_its_own_types(tmp_path):
     path = tmp_path / "run.json"
-    for flag in (True, False):
-        values = {**TINY_JSON, "entropy_fix": flag, "dt": 1, "tau": None,
-                  "snapshot_times": [0.005, 1e-3], "output_dir": None}
-        path.write_text(json.dumps(values))
-        assert load_config(str(path)) == {**values, "snapshot_times": (0.005, 1e-3)}
-        RunConfig(**load_config(str(path)))
+    values = {**TINY_JSON, "dt": 1, "tau": None, "snapshot_times": [0.005, 1e-3],
+              "output_dir": None}
+    path.write_text(json.dumps(values))
+    loaded = load_config(str(path))
+    assert loaded == {**values, "snapshot_times": (0.005, 1e-3)}
+    assert type(loaded["dt"]) is float          # a JSON integer for a float field
+    RunConfig(**loaded)
 
 
 # a value for every RunConfig field, none of them its default, as a flag or
@@ -123,7 +140,6 @@ FIELD_VALUES = {
     "tau": (0.02, "0.02"),
     "s_eps": (1e-9, "1e-9"),
     "cfl": (0.2, "0.2"),
-    "entropy_fix": (True, "true"),
     "force_gamma_element": (1, "1"),
     "force_gamma_value": (5.0, "5"),
     "snapshot_times": ((0.1, 0.2), "0.1,0.2"),
@@ -138,9 +154,8 @@ def test_every_field_is_set_by_its_flag_and_by_a_config_file(tmp_path, monkeypat
                         lambda config: built.append(config) or SimpleNamespace(summary={}))
     expected = RunConfig(**{k: v for k, (v, _) in FIELD_VALUES.items()})
     flags = []
-    for name, (value, text) in FIELD_VALUES.items():
-        flag = "--" + name.replace("_", "-")
-        flags += [flag] if value is True else [flag, text]
+    for name, (_, text) in FIELD_VALUES.items():
+        flags += ["--" + name.replace("_", "-"), text]
     path = tmp_path / "run.cfg"
     path.write_text("".join(f"{name} = {text}\n" for name, (_, text) in FIELD_VALUES.items()))
     for argv in (["run"] + flags, ["run", "--config", str(path)]):

@@ -1,5 +1,7 @@
 import csv
 import json
+import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -44,11 +46,9 @@ from subgrid_dg.solver import Discretization, SolverAbort, advance
 README_PRESETS = {
     "convection-gaussian": ((0.0, 1.0), 4, 8, 16, None, 1.0),
     "convection-heaviside": ((0.0, 1.0), 4, 8, 16, None, 1.0),
-    "convection-recovery": ((0.0, 1.0), 4, 8, 16, None, 1.0),
-    "burgers": ((0.0, 1.0), 4, 8, 9, 1e-3, 0.88),
-    "nozzle": ((0.0, 1.0), 4, 8, 9, 2e-4, 0.4),
+    "burgers": ((0.0, 1.0), 4, 8, 9, None, 0.88),
+    "nozzle": ((0.0, 1.0), 4, 8, 9, None, 0.4),
     "shu-osher": ((-5.0, 5.0), 3, 5, 64, None, 1.78),
-    "fv-comparison": ((-5.0, 5.0), 0, 5, 64, None, 1.78),
 }
 
 
@@ -58,7 +58,7 @@ def test_run_config_validation():
     # exactly the README's presets; the FV-only one is not a DG run, and the
     # message names every DG preset
     assert harness.CASES == tuple(README_PRESETS)
-    with pytest.raises(ValueError, match="'fv-comparison'"):
+    with pytest.raises(ValueError, match=re.escape(f"choose from {harness.CASES}")):
         RunConfig(case="sod-like")
     cfg = RunConfig(case="burgers")
     assert cfg.force_gamma is None
@@ -115,7 +115,7 @@ def test_relaxed_shock_element_is_discrete_steady_state(overrides):
     traces = [BoundaryCondition("prescribed", state=tuple(nozzle_initial(np.array([x]))[:, 0]))
               for x in (xl, xr)]
     disc1 = Discretization(Mesh(np.array([xl, xr]), disc.n), disc.p, disc.law, *traces,
-                           disc.sensor_config, disc.entropy_fix)
+                           disc.sensor_config)
     U = state.U[:, element:element + 1]
     gamma = disc1.evaluate_sensor(U).gamma
     penalty_rate = penalty_stage_rate(disc1.p, disc1.n, U, gamma, 0.0)   # -M^-1 gamma M_pp U
@@ -327,7 +327,14 @@ def project_initial_per_element(disc, f, breakpoints):
     return U
 
 
-@pytest.mark.parametrize("case, overrides", [(c, {}) for c in harness.CASES] + [
+@pytest.mark.parametrize("case, overrides", [
+    ("convection-gaussian", {}),
+    ("convection-heaviside", {}),
+    ("convection-gaussian", dict(p=1, n=2)),      # the fewest sub-cells at p = 1
+    ("burgers", {}),
+    ("nozzle", {}),
+    ("shu-osher", {}),
+    ("shu-osher", dict(p=0)),                     # the FV scheme on the same sub-grid
     ("shu-osher", dict(p=1, n=3)),                # Gibbs fallback in the jump element
     ("shu-osher", dict(n_elements=47)),           # jump inside a sub-cell
     ("convection-heaviside", dict(n_elements=10, n=3)),   # both jumps inside sub-cells
@@ -495,7 +502,7 @@ def test_convergence_study_requires_three_levels(monkeypatch):
 
 
 @pytest.mark.parametrize("case, t_final", [
-    ("burgers", 0.1), ("nozzle", None), ("shu-osher", None), ("fv-comparison", None),
+    ("burgers", 0.1), ("nozzle", None), ("shu-osher", None),
     ("convection-gaussian", 0.5), ("convection-heaviside", 1.5), ("convection-gaussian", np.nan),
 ])
 def test_convergence_study_refuses_case_without_exact_end_state(monkeypatch, case, t_final):
@@ -515,6 +522,38 @@ def test_convergence_study_records():
     assert records[0].observed_order is None
     assert records[1].error < records[0].error
     assert records[2].observed_order is not None
+
+
+def test_convergence_study_records_an_aborted_level_as_nan_without_an_order(monkeypatch):
+    # a level whose run aborts has a NaN error; neither it nor the level
+    # after it has an order, and the study goes on
+    run = harness.run_case
+
+    def aborting_at_16(cfg):
+        if cfg.n_elements == 16:
+            raise SolverAbort("non-finite state")
+        return run(cfg)
+
+    monkeypatch.setattr(harness, "run_case", aborting_at_16)
+    records = convergence_study(RunConfig(case="convection-gaussian", p=1, n=2),
+                                [8, 16, 32, 64])
+    assert [np.isnan(r.error) for r in records] == [False, True, False, False]
+    assert [r.observed_order is None for r in records] == [True, True, True, False]
+    assert records[3].observed_order > 1.0
+
+
+def test_run_case_flags_the_first_step_of_a_steady_state(monkeypatch):
+    # a uniform state does not move, so it is steady from its first step;
+    # the convected Gaussian never is
+    cfg = RunConfig(case="convection-gaussian", p=1, n=2, n_elements=4, t_final=0.05)
+    moving = run_case(cfg).summary
+    assert (moving["steady"], moving["steady_time"]) == (False, None)
+    monkeypatch.setitem(harness._CASES, "convection-gaussian",
+                        replace(harness._CASES["convection-gaussian"],
+                                initial=lambda x: np.ones_like(x)[None]))
+    uniform = run_case(cfg).summary
+    assert uniform["n_steps"] > 1
+    assert (uniform["steady"], uniform["steady_time"]) == (True, uniform["dt"])
 
 
 def test_fv_reference_cache_and_sampler(tmp_path, monkeypatch):

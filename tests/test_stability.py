@@ -9,15 +9,17 @@ symbol G(theta) = sum_j S_j e^{-ij theta} has spectral radius at most 1 for
 every theta (theta and -theta give conjugate symbols, so [0, pi] suffices).
 
 A run's dt enters as its Courant number dt lambda / h_sub; the symbol
-depends on nothing else, since the operator scales as 1/h.  For shu-osher,
-an Euler preset, lambda is the largest wave speed of its initial state, and
-the convection symbol stands in for the step of its fastest characteristic.
+depends on nothing else, since the operator scales as 1/h.  For the
+presets of other laws (burgers, nozzle, shu-osher), lambda is the largest
+wave speed of the initial state, and the convection symbol stands in for
+the step of the fastest characteristic.
 """
 
 import numpy as np
 import pytest
 
 from subgrid_dg.harness import (
+    CASES,
     RunConfig,
     build_problem,
     default_dt,
@@ -64,9 +66,9 @@ def courant_number(disc, state, dt):
     return dt * disc.max_wave_speed(state.U) / (np.min(disc.h) / disc.n)
 
 
-def preset_courant(case):
-    """(p, n, Courant number) of a CFL preset."""
-    config, disc, state = build_problem(RunConfig(case=case))
+def preset_courant(case, **overrides):
+    """(p, n, Courant number) of a preset."""
+    config, disc, state = build_problem(RunConfig(case=case, **overrides))
     return config.p, config.n, courant_number(disc, state, default_dt(disc, state.U, config.cfl))
 
 
@@ -92,10 +94,11 @@ def check_stable(run, p, n, courant, gamma):
 
 
 @pytest.mark.parametrize("gamma", GAMMAS)
-@pytest.mark.parametrize("case", ["convection-gaussian", "convection-heaviside",
-                                  "convection-recovery", "shu-osher", "fv-comparison"])
-def test_step_is_stable_at_the_dt_of_each_cfl_preset(case, gamma):
-    check_stable(case, *preset_courant(case), gamma)
+@pytest.mark.parametrize("case, overrides", [pytest.param(c, {}, id=c) for c in CASES] + [
+    pytest.param("shu-osher", dict(p=0), id="shu-osher-p0"),   # the FV limit
+])
+def test_step_is_stable_at_the_dt_of_each_cfl_preset(case, overrides, gamma):
+    check_stable(case, *preset_courant(case, **overrides), gamma)
 
 
 @pytest.mark.parametrize("gamma", GAMMAS)
