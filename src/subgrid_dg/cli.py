@@ -34,15 +34,22 @@ EXIT_SOLVER = 3
 EXIT_NONINJECTIVE = 4
 
 
-def _parse_times(raw: str) -> tuple:
+def times(raw: str) -> tuple:   # named for argparse's "invalid times value" error
     return tuple(float(v) for v in raw.replace(",", " ").split())
+
+
+def levels(raw: str) -> list:
+    counts = [int(v) for v in raw.split(",")]
+    if min(counts) < 1:
+        raise ValueError(raw)
+    return counts
 
 
 def _text_parser(hint):
     """Parser of a RunConfig field's text value, from its type hint: the
     hint's one type other than None."""
     kind = next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
-    return {tuple: _parse_times, str: str.strip}.get(kind, kind)
+    return {tuple: times, str: str.strip}.get(kind, kind)
 
 
 # every RunConfig field with the parser of its value in a config file or flag
@@ -72,7 +79,7 @@ def load_config(path: str) -> dict:
                         type(val) is list and not all(type(v) in (int, float) for v in val)):
                     raise TypeError
                 # a number as a float, so an integer too large for one is refused here
-                values[key] = (tuple(map(float, val)) if parse is _parse_times
+                values[key] = (tuple(map(float, val)) if parse is times
                                else float(val) if parse is float and val is not None else val)
             except (TypeError, OverflowError):
                 raise ValueError(f"config key {key!r} cannot take {val!r}") from None
@@ -94,17 +101,14 @@ def load_config(path: str) -> dict:
 
 
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
-    """One flag per RunConfig field; values are parsed as config file values."""
-    for name in _FIELDS:
-        parser.add_argument("--" + name.replace("_", "-"), dest=name)
+    """One flag per RunConfig field, parsed as its config file value."""
+    for name, parse in _FIELDS.items():
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, type=parse)
 
 
 def _build_run_config(args) -> RunConfig:
     values = load_config(args.config) if args.config else {}
-    for name, parse in _FIELDS.items():
-        cli_val = getattr(args, name)
-        if cli_val is not None:
-            values[name] = parse(cli_val)
+    values.update((name, v) for name in _FIELDS if (v := getattr(args, name)) is not None)
     if "case" not in values:
         raise ValueError("a case must be given via config file or --case")
     return RunConfig(**values)
@@ -120,7 +124,7 @@ def main(argv=None) -> int:
 
     p_conv = sub.add_parser("convergence", help="run a mesh refinement study")
     p_conv.add_argument("--config")
-    p_conv.add_argument("--levels", required=True,
+    p_conv.add_argument("--levels", required=True, type=levels,
                         help="comma-separated element counts, e.g. 8,16,32,64")
     p_conv.add_argument("--norm", default="L2", choices=["L1", "L2"])
     _add_override_flags(p_conv)
@@ -153,10 +157,9 @@ def main(argv=None) -> int:
             print(json.dumps(run_case(_build_run_config(args)).summary, indent=2))
         else:
             config = _build_run_config(args)
-            levels = [int(v) for v in args.levels.split(",")]
             out = make_output_dir(config.output_dir or ".")
-            dt_rule = None if config.dt is not None else spatial_accuracy_dt_rule(min(levels))
-            records = convergence_study(config, levels, norm_kind=args.norm, dt_rule=dt_rule)
+            dt_rule = None if config.dt is not None else spatial_accuracy_dt_rule(min(args.levels))
+            records = convergence_study(config, args.levels, norm_kind=args.norm, dt_rule=dt_rule)
             write_convergence_csv(records, out / "convergence.csv")
             for r in records:
                 order = "-" if r.observed_order is None else f"{r.observed_order:.3f}"

@@ -455,8 +455,8 @@ FV_CFL = 0.8
 
 
 def _cfl_dt(cfl: float, h_sub: float, p: int, wave_speed: float) -> float:
-    """The explicit CFL step cfl h_sub / (kappa lambda), kappa = KAPPA for
-    p >= 1 and 1 at p = 0, lambda floored at 1e-12."""
+    """The CFL step cfl h_sub / (kappa lambda), kappa = KAPPA at p >= 1 and 1 at
+    p = 0, lambda floored at 1e-12, of DG runs (`default_dt`) and FV (`_fv_march`)."""
     return cfl * h_sub / ((KAPPA if p else 1.0) * max(wave_speed, 1e-12))
 
 
@@ -609,19 +609,18 @@ def convergence_study(base: RunConfig, refinements, norm_kind: str = "L2",
     return records
 
 
-def projection_convergence(p: int, n: int, refinements, profile=None,
-                           norm_kind: str = "L2") -> list[ErrorRecord]:
-    """Projection-only study: no time stepping, error of the global L2
-    projection of a smooth profile."""
-    f = profile if profile is not None else (lambda x: np.sin(2.0 * np.pi * x))
+def projection_convergence(p: int, n: int, refinements) -> list[ErrorRecord]:
+    """Projection-only study: no time stepping, L2 error of the global L2
+    projection of sin(2 pi x)."""
+    f = lambda x: np.sin(2.0 * np.pi * x)
     records: list[ErrorRecord] = []
     for n_el in refinements:
         mesh = build_uniform_mesh(0.0, 1.0, int(n_el), n)
         disc = Discretization(mesh, p, Convection(), _PERIODIC, _PERIODIC)
-        state = project_initial(disc, lambda x: np.asarray(f(x))[None])
-        err = error_norm(disc, state.U, f, norm_kind)
+        state = project_initial(disc, lambda x: f(x)[None])
+        err = error_norm(disc, state.U, f)
         h = 1.0 / n_el
-        records.append(ErrorRecord(h=h, p=p, n=n, norm_kind=norm_kind, error=err,
+        records.append(ErrorRecord(h=h, p=p, n=n, norm_kind="L2", error=err,
                                    observed_order=_observed_order(records, h, err)))
     return records
 
@@ -661,10 +660,8 @@ def _fv_cache_dir() -> Path:
 
 def _fv_march(name: str, cells: int, t_final: float):
     """First-order FV (piecewise constant, Roe flux, forward Euler) on a
-    preset's domain, law, boundaries and initial state.  dt = FV_CFL h /
-    lambda, lambda the cells' largest wave speed: Courant number 0.8 against
-    the upwind limit 1, realized at 0.800 on the Roe face speeds (see
-    FV_CFL).  A run's `cfl` is not read."""
+    preset's domain, law, boundaries and initial state, stepped at `_cfl_dt`
+    with p = 0 and cfl = FV_CFL (see there), not at a run's `cfl`."""
     case = _CASES[name]
     a, b = case.domain
     law = case.law()
@@ -686,8 +683,7 @@ def _fv_march(name: str, cells: int, t_final: float):
     h = (b - a) / cells
     t = 0.0
     while t < t_final - 1e-14:
-        lam = law.max_wave_speed(U)
-        dt = min(FV_CFL * h / lam, t_final - t)
+        dt = min(_cfl_dt(FV_CFL, h, 0, law.max_wave_speed(U)), t_final - t)
         if case.bc_left.kind == "periodic":
             buf[:, 0], buf[:, -1] = U[:, -1], U[:, 0]
         else:

@@ -30,9 +30,9 @@ class ConservationLaw:
     """Base interface: flux, Roe flux, wave speeds, optional source.
 
     A law whose terms depend on position builds its fixed per-point data
-    with `geometry(x)`.  Every call accepts the coordinates `x`, and the
-    source also that data as `geom` in place of `x`, so a caller with fixed
-    points computes it once; only `source` uses them.
+    with `geometry(x)`.  Only `source` reads position, from `x` or from that
+    data as `geom`, which a caller with fixed points computes once; the other
+    calls' `x` is unread, kept only because perfbench/ passes it.
     """
 
     m = 1           # state components; `m` and `name` are class constants
@@ -49,10 +49,10 @@ class ConservationLaw:
     def roe_flux(self, uL, uR, x=None, entropy_fix: bool = False) -> np.ndarray:
         raise NotImplementedError
 
-    def fluxes(self, u_q, uL, uR, entropy_fix: bool = False):
+    def fluxes(self, u_q, uL, uR):
         """(flux(u_q), roe_flux(uL, uR)) of quadrature states u_q (m, ...)
         and face states uL, uR (m, F): the two fluxes of one residual."""
-        return self.flux(u_q), self.roe_flux(uL, uR, entropy_fix=entropy_fix)
+        return self.flux(u_q), self.roe_flux(uL, uR)
 
     def max_wave_speed(self, u, x=None) -> float:
         raise NotImplementedError
@@ -221,7 +221,7 @@ class Euler1D(ConservationLaw):
         FR, *sideR = _euler_side(uR, self.gamma_a)
         return _roe(uL, uR, FL, FR, sideL, sideR, self.gamma_a, entropy_fix)
 
-    def fluxes(self, u_q, uL, uR, entropy_fix: bool = False):
+    def fluxes(self, u_q, uL, uR):
         """One `_euler_side` pass over the columns [u_q | uL | uR]; the faces
         of a stack of states, (3, *batch, F), are flattened into columns."""
         nq, nf = u_q[0].size, uL[0].size
@@ -230,10 +230,10 @@ class Euler1D(ConservationLaw):
                                self.gamma_a)
         L, R = slice(nq, nq + nf), slice(nq + nf, None)
         F_hat = _roe(uL_f, uR_f, F[:, L], F[:, R], [a[L] for a in side], [a[R] for a in side],
-                     self.gamma_a, entropy_fix)
+                     self.gamma_a, entropy_fix=False)
         return F[:, :nq].reshape(u_q.shape), F_hat.reshape(uL.shape)
 
-    def max_wave_speed(self, u, x=None):
+    def max_wave_speed(self, u, x=None):   # x unread, kept for perfbench's FV clock
         u = _as_state(u)
         # |v| + sqrt(gamma p / rho), in place in the fresh v and p arrays (a
         # point state is viewed as (3, 1), so that they are arrays)
@@ -395,10 +395,10 @@ def boundary_ghost(bc: BoundaryCondition, u_interior, law: ConservationLaw,
     """Ghost state seen across a domain boundary face.
 
     A wall or farfield ghost needs an Euler law (`check_boundary_law`).  A
-    farfield ghost of a law posed in a duct is built from the state per
-    unit area: ``area`` is the duct's area at the face, from
-    `boundary_area(law, x)` when not given.  It takes one face's state; a
-    batch of more than one raises ValueError naming the side.
+    farfield ghost of a law posed in a duct is built from the state per unit
+    area, ``area`` the duct's area at the face (`boundary_area(law, x)` when
+    not given).  It takes one face's state; a batch of more than one raises
+    ValueError naming the side.  ``t`` is unread: perfbench/micro.py passes it.
     """
     u_interior = _as_state(u_interior)
     if bc.kind == "periodic":

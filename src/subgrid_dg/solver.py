@@ -111,6 +111,8 @@ _A_32, _A_HAT_32 = float(_TABLEAU.A[2, 1]), float(_TABLEAU.A_hat[2, 1])
 class Discretization:
     """Mesh + degree + law + boundary conditions, with cached geometry."""
 
+    entropy_fix = False     # not a setting: kept only because perfbench/micro.py reads it
+
     def __init__(
         self,
         mesh: Mesh,
@@ -119,7 +121,6 @@ class Discretization:
         bc_left: BoundaryCondition,
         bc_right: BoundaryCondition,
         sensor_config: SensorConfig = SensorConfig(),
-        entropy_fix: bool = False,
     ):
         if (bc_left.kind == "periodic") != (bc_right.kind == "periodic"):
             raise ValueError("periodic boundaries must be applied to both ends")
@@ -133,7 +134,6 @@ class Discretization:
         self.bc_left = bc_left
         self.bc_right = bc_right
         self.sensor_config = sensor_config
-        self.entropy_fix = entropy_fix
         self.periodic = bc_left.kind == "periodic"
 
         self.p = p
@@ -244,7 +244,7 @@ class Discretization:
         try:
             u_q = self.eval_at_quad(U)
             uL, uR = self.face_traces(U, t)
-            F_q, F_hat = self.law.fluxes(u_q, uL, uR, entropy_fix=self.entropy_fix)
+            F_q, F_hat = self.law.fluxes(u_q, uL, uR)
         except AdmissibilityError as exc:
             raise SolverAbort(f"inadmissible state at t={t:.6g}: {exc}") from exc
 

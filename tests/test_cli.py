@@ -89,6 +89,31 @@ def test_run_command_text_value_that_does_not_parse_is_config_error(tmp_path, ca
     assert captured.out == ""
 
 
+# a flag value that does not parse, for every field whose parser can fail
+BAD_FLAG_VALUES = {
+    "p": "1.5", "n": "x", "n_elements": "4.0", "dt": "fast", "t_final": "soon", "c_pen": "1e7x",
+    "tau": "high", "s_eps": "tiny", "cfl": "fast", "force_gamma_element": "1.5",
+    "force_gamma_value": "x", "snapshot_times": "0.1,x",
+}
+STUDY = ["convergence", "--case", "convection-gaussian", "--p", "1", "--n", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    *(["run", "--case", "burgers", "--" + name.replace("_", "-"), raw]
+      for name, raw in BAD_FLAG_VALUES.items()),
+    STUDY + ["--levels", "8,16,x"], STUDY + ["--levels", "0,8,16"],
+], ids=lambda argv: f"{argv[-2]} {argv[-1]}")
+def test_flag_value_that_does_not_parse_exits_2_naming_the_flag(argv, capsys):
+    # argparse refuses it before any work: SystemExit(2), the flag named on stderr
+    assert set(BAD_FLAG_VALUES) == {n for n, parse in cli._FIELDS.items() if parse is not str.strip}
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"argument {argv[-2]}: invalid " in captured.err
+    assert captured.out == ""
+
+
 # dt, t_final, c_pen, tau, s_eps, cfl and force_gamma_value
 FLOAT_FIELDS = [name for name, parse in cli._FIELDS.items() if parse is float]
 
