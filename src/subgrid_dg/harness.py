@@ -434,14 +434,16 @@ def build_problem(config: RunConfig):
 
 
 # The step of the combined space is limited by its sub-cell width h_sub,
-# whatever p is: the von Neumann symbol of `imex_step` on periodic convection
-# (tests/test_stability.py) gives 0.42 h_sub/lambda unpenalized and 0.177 to
-# 0.180 h_sub/lambda with the penalty in every element, for p = 1..4 at n = 8
-# and at (p, n) = (3, 5); p = 0 has the FV limit, 1.256 h_sub/lambda.  KAPPA
-# puts the default cfl = 0.3 at 0.086 h_sub/lambda for p >= 1: 2x below the
-# penalized limit, and more than 2x below the Euler presets' aborts (0.2 to
-# 0.33 h_sub/lambda).
-KAPPA = 3.5
+# whatever p is.  `imex_step` ends on a penalty solve of the finished state,
+# so it is globally stiffly accurate (Ascher, Ruuth & Spiteri, Appl. Numer.
+# Math. 25, 1997, section 2; Boscarino, Pareschi & Russo, SIAM J. Sci. Comput.
+# 35, 2013), and the penalty no longer binds the step.  On periodic convection
+# (tests/test_stability.py), for p = 1..4 at n = 8 and at (p, n) = (3, 5), the
+# limit is 0.418 to 0.425 h_sub/lambda unpenalized, 1.256 (the FV limit of
+# p = 0) with the penalty in every element, and 0.424 to 0.446 with it in 1, 4
+# or 8 of 16 elements.  KAPPA puts the default cfl = 0.3 at 0.2 h_sub/lambda
+# for p >= 1, 2x below the smallest of these, 0.418.
+KAPPA = 1.5
 
 # The FV reference's Courant number.  Forward-Euler upwind (Roe) has the
 # symbol 1 - nu + nu e^{-i theta}, of modulus <= 1 exactly when nu <= 1, so

@@ -24,13 +24,16 @@ The Discretization also holds the law's geometry (`law.geometry`, e.g. the
 nozzle's A and (dA/dx)/A) at the quadrature nodes only, and the duct area at
 the two domain ends for the ghosts, so a step evaluates no geometry.
 
-`imex_step` is ARS(2,3,2) (Ascher, Ruuth & Spiteri, 1997, section 2), whose
-explicit weights equal its implicit ones: its three stages written once, for
-penalized and unpenalized steps alike.  `Discretization.rate`, M^{-1} R(U),
-is the one stage rate.  Implicit stage rates are kept on the slice
-of elements from the first to the last penalized one, none if none is.  A
-stage's penalty solve is a closed-form filter of the polynomial modes in the
-penalty eigenbasis (`basis.penalty_stage_rate`).
+`imex_step` is ARS(2,3,2) (Ascher, Ruuth & Spiteri, 1997, section 2) closed
+by a fourth, implicit-only stage that solves the penalty on the finished
+state, so the step is globally stiffly accurate (Boscarino, Pareschi & Russo,
+SIAM J. Sci. Comput. 35, 2013) and the penalty does not limit dt: its three
+rate stages and the closing solve are written once, for penalized and
+unpenalized steps alike.  `Discretization.rate`, M^{-1} R(U), is the one
+stage rate.  Implicit stage rates are kept on the slice of elements from the
+first to the last penalized one, none if none is.  A stage's penalty solve
+is a closed-form filter of the polynomial modes in the penalty eigenbasis
+(`basis.penalty_stage_rate`).
 """
 
 from __future__ import annotations
@@ -85,7 +88,11 @@ class IMEXTableau:
 def ars222() -> IMEXTableau:
     """ARS(2,3,2) with alpha = 1 - 1/sqrt(2), delta = -2 sqrt(2)/3 and b_hat = b
     (Ascher, Ruuth & Spiteri, 1997, section 2; ARS(2,2,2) has delta = 1 - 1/(2
-    alpha) and b_hat = A_hat[2]).  Named `ars222` still: `perfbench/run.py` reads it."""
+    alpha) and b_hat = A_hat[2]): the three rate stages of `imex_step`.  The
+    step is the 4-stage scheme that appends the implicit row (0, 1 - alpha, 0,
+    alpha) and the explicit row (0, 1 - alpha, alpha, 0), its weights; that
+    stage makes no rate call.  Named `ars222` still: `perfbench/run.py` reads
+    it, and counts `stages` residual calls a step."""
     alpha = 1.0 - 1.0 / np.sqrt(2.0)
     delta = -2.0 * np.sqrt(2.0) / 3.0
     A = np.array([
@@ -246,7 +253,7 @@ class Discretization:
             uL, uR = self.face_traces(U, t)
             F_q, F_hat = self.law.fluxes(u_q, uL, uR)
         except AdmissibilityError as exc:
-            raise SolverAbort(f"inadmissible state at t={t:.6g}: {exc}") from exc
+            raise SolverAbort(f"inadmissible state at t={t:.6g}: {exc}{self._where(u_q)}") from exc
 
         R = F_q.reshape(elements + (-1,)) @ self._volume
         subcells = elements + (self.n,)
@@ -256,6 +263,17 @@ class Discretization:
             S_q = self.law.source(u_q, geom=self.geom_q)
             R += (S_q.reshape(elements + (-1,)) @ self._source) * self._half_h
         return R
+
+    def _where(self, u_q: np.ndarray) -> str:
+        """' in element e on x in [xl, xr]' for the first element with an
+        inadmissible quadrature state, of any state of a batch; '' if there is
+        none (a face or ghost state failed).  Run only after a check failed."""
+        bad = (~self.law.admissible(u_q)).any(axis=(-2, -1)).reshape(-1, self.n_elements)
+        if not bad.any():
+            return ""
+        e = int(np.argmax(bad.any(axis=0)))
+        xl, xr = self.mesh.element_bounds(e)
+        return f" in element {e} on x in [{xl:.6g}, {xr:.6g}]"
 
     def solve_mass(self, R: np.ndarray) -> np.ndarray:
         """Apply M^{-1} elementwise: the physical mass is (h/2) * M_ref."""
@@ -307,8 +325,11 @@ def imex_step(
     dt: float,
     gammas: np.ndarray,
 ) -> FieldState:
-    """One ARS(2,3,2) step with the penalty frozen at the given gammas, one per
-    element; per earlier stage, the implicit rate is added before the explicit one."""
+    """One step with the penalty frozen at the given gammas, one per element: the
+    three rate stages of ARS(2,3,2) (`ars222`), then a penalty solve of the finished
+    state, so the step is globally stiffly accurate (Ascher, Ruuth & Spiteri, 1997;
+    Boscarino, Pareschi & Russo, 2013); per earlier stage, the implicit rate is
+    added before the explicit one."""
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be finite and > 0: {dt}")
     if np.shape(gammas) != (disc.n_elements,):
@@ -340,9 +361,9 @@ def imex_step(
     if blk:
         U1[:, blk] += (dt * _A_32) * s2
     U1 += (dt * _A_32) * k2
-    if blk:
-        U1[:, blk] += c * s3
     U1 += c * k3
+    if blk:     # the closing stage: the penalty solve on the finished state
+        U1[:, blk] += c * penalty_stage_rate(disc.p, disc.n, U1[:, blk], gammas[blk], c)
     return FieldState(U=U1, time=t + dt)
 
 

@@ -420,8 +420,8 @@ def test_default_dt_scaling():
     )
     dt = default_dt(disc, state.U, cfl=0.3)
     # cfl * h_sub / (wave speed * KAPPA), whatever p >= 1 is
-    assert harness.KAPPA == 3.5
-    assert dt == pytest.approx(0.3 * (1.0 / 32.0) / 3.5)
+    assert harness.KAPPA == 1.5
+    assert dt == pytest.approx(0.3 * (1.0 / 32.0) / 1.5)
     config2, disc2, state2 = build_problem(
         RunConfig(case="convection-gaussian", p=2, n=4, n_elements=16)
     )
@@ -441,7 +441,7 @@ def test_spatial_accuracy_dt_rule():
     rule = spatial_accuracy_dt_rule(8)
     coarse = RunConfig(case="convection-gaussian", p=3, n=5, n_elements=8)
     fine = RunConfig(case="convection-gaussian", p=3, n=5, n_elements=32)
-    stable_coarse = 0.3 * ((1.0 / 8.0) / 5) / 3.5
+    stable_coarse = 0.3 * ((1.0 / 8.0) / 5) / 1.5
     assert rule(coarse) == pytest.approx(stable_coarse)
     # on finer grids the h^((p+1)/2) scaling is stricter than the CFL bound
     expected = stable_coarse * (8.0 / 32.0) ** 2.0
@@ -835,6 +835,18 @@ def test_run_case_summary_fields():
     assert isinstance(s["wall_time_s"], float) and s["wall_time_s"] > 0.0
     assert s["mass_drift_rel"] < 1e-12
     assert isinstance(s["steady"], bool)
+
+
+def test_penalized_run_at_a_fifth_of_the_subcell_width_stays_bounded():
+    # dt = 0.2 h_sub / lambda: within the unpenalized limit, 0.42, but above the
+    # 0.18 that a step ending on an explicit rate after its last penalty solve
+    # allowed; that step ran this case to a norm of 2.9e31 and exited 0
+    result = run_case(RunConfig(case="convection-heaviside", p=1, n=8, n_elements=16,
+                                dt=0.2 / (16 * 8)))
+    s = result.summary
+    assert s["n_steps"] == 640
+    assert s["final_norm_l2"][0] < 1.0
+    assert s["mass_drift_rel"] < 1e-13
 
 
 def test_run_case_output_files_are_the_csv_writer_rows(tmp_path):

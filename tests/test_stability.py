@@ -13,6 +13,9 @@ depends on nothing else, since the operator scales as 1/h.  For the
 presets of other laws (burgers, nozzle, shu-osher), lambda is the largest
 wave speed of the initial state, and the convection symbol stands in for
 the step of the fastest characteristic.
+
+With gamma in some elements only, the step is not translation invariant,
+so its limit is read off the spectral radius of the whole step matrix.
 """
 
 import numpy as np
@@ -36,15 +39,25 @@ GAMMAS = (0.0, DEFAULT_C_PEN)
 LEVELS = (8, 16, 32, 64)          # criteria 1 and 2's refinement levels
 
 # The limit in h_sub / lambda at gamma = 0 and at gamma = C_pen for each
-# (p, n) a run below takes, bisected on the symbol and rounded down.
+# (p, n) a run below takes, bisected on the symbol and rounded down.  With the
+# penalty in every element the step is the sub-cell FV step, so its limit is
+# p = 0's.
 LIMITS = {
     (0, 5): (1.256, 1.256),
-    (1, 8): (0.418, 0.176),
-    (2, 8): (0.425, 0.179),
-    (3, 8): (0.420, 0.177),
-    (4, 8): (0.423, 0.179),
-    (3, 5): (0.422, 0.179),
+    (1, 8): (0.418, 1.256),
+    (2, 8): (0.425, 1.256),
+    (3, 8): (0.420, 1.256),
+    (4, 8): (0.423, 1.256),
+    (3, 5): (0.422, 1.256),
 }
+# The limit with gamma = C_pen in the first 1, 4 or 8 of the E elements and 0
+# elsewhere: the smallest of the three, bisected on the step matrix (0.434,
+# 0.445, 0.446 at p = 1; 0.424, 0.429, 0.429 at p = 3) and rounded down.
+MIXED_LIMITS = {(1, 8): 0.434, (3, 8): 0.424}
+MIXED_COUNTS = (1, 4, 8)
+# every run at p >= 1 keeps this margin against the smallest limit above
+MARGIN = 2.0
+SMALLEST_LIMIT = min(min(min(row) for row in LIMITS.values()), *MIXED_LIMITS.values())
 
 
 def symbol_radius(p, n, courant, gamma):
@@ -60,6 +73,17 @@ def symbol_radius(p, n, courant, gamma):
         S[:, i] = U[:4]
     G = np.einsum("tj,jab->tab", np.exp(-1j * np.outer(THETA, np.arange(4))), S)
     return np.abs(np.linalg.eigvals(G)).max()
+
+
+def matrix_radius(p, n, courant, gammas):
+    """Spectral radius of the step at dt = courant h_sub / |beta|, read off
+    `imex_step` with the E * dof basis functions stacked on the component axis."""
+    bc = BoundaryCondition("periodic")
+    disc = Discretization(build_uniform_mesh(0.0, 1.0, E, n), p, Convection(beta=1.0), bc, bc)
+    size = E * disc.dof
+    probes = np.eye(size).reshape(size, E, disc.dof)
+    U = imex_step(disc, FieldState(probes, 0.0), courant / (E * n), gammas).U
+    return np.abs(np.linalg.eigvals(U.reshape(size, size))).max()
 
 
 def courant_number(disc, state, dt):
@@ -87,10 +111,12 @@ def study_courant(criterion, p):
 
 def check_stable(run, p, n, courant, gamma):
     radius = symbol_radius(p, n, courant, gamma)
-    limit = LIMITS[p, n][gamma > 0]
+    smallest = min(LIMITS[p, n]) if p == 0 else SMALLEST_LIMIT
     print(f"{run} p={p} n={n} gamma={gamma:g}: dt = {courant:.4f} h_sub/lambda, "
-          f"limit {limit} ({limit / courant:.2f}x margin), radius - 1 = {radius - 1:.1e}")
+          f"limit {LIMITS[p, n][gamma > 0]}, {smallest / courant:.2f}x margin to the smallest "
+          f"limit {smallest}, radius - 1 = {radius - 1:.1e}")
     assert radius <= 1.0 + 1e-10
+    assert MARGIN * courant <= smallest
 
 
 @pytest.mark.parametrize("gamma", GAMMAS)
@@ -116,3 +142,15 @@ def test_tabulated_limit_is_the_symbol_limit(p, n, gamma):
     limit = LIMITS[p, n][gamma > 0]
     assert symbol_radius(p, n, limit, gamma) <= 1.0 + 1e-10
     assert symbol_radius(p, n, 1.1 * limit, gamma) > 1.0 + 1e-10
+
+
+@pytest.mark.parametrize("p, n", sorted(MIXED_LIMITS))
+def test_tabulated_mixed_limit_is_the_step_matrix_limit(p, n):
+    # stable at the tabulated limit whichever elements are penalized, and
+    # unstable 10% beyond it with one
+    limit = MIXED_LIMITS[p, n]
+    for count in MIXED_COUNTS:
+        gammas = np.where(np.arange(E) < count, DEFAULT_C_PEN, 0.0)
+        assert matrix_radius(p, n, limit, gammas) <= 1.0 + 1e-10
+        if count == 1:
+            assert matrix_radius(p, n, 1.1 * limit, gammas) > 1.0 + 1e-10
