@@ -60,30 +60,29 @@ MARGIN = 2.0
 SMALLEST_LIMIT = min(min(min(row) for row in LIMITS.values()), *MIXED_LIMITS.values())
 
 
-def symbol_radius(p, n, courant, gamma):
-    """max over theta of |eig G(theta)| at dt = courant h_sub / |beta|."""
+def step_matrix(p, n, courant, gammas):
+    """The step at dt = courant h_sub / |beta| as an (E dof, E dof) matrix: row
+    e dof + i is the new state of basis function i of element e alone, read
+    off `imex_step` with the E dof probes stacked on the component axis."""
     bc = BoundaryCondition("periodic")
     disc = Discretization(build_uniform_mesh(0.0, 1.0, E, n), p, Convection(beta=1.0), bc, bc)
-    S = np.empty((4, disc.dof, disc.dof))
-    for i in range(disc.dof):
-        probe = np.zeros((1, E, disc.dof))
-        probe[0, 0, i] = 1.0
-        U = imex_step(disc, FieldState(probe, 0.0), courant / (E * n), np.full(E, gamma)).U[0]
-        assert not U[4:].any()
-        S[:, i] = U[:4]
+    size = E * disc.dof
+    probes = np.eye(size).reshape(size, E, disc.dof)
+    return imex_step(disc, FieldState(probes, 0.0), courant / (E * n), gammas).U.reshape(size, size)
+
+
+def symbol_radius(p, n, courant, gamma):
+    """max over theta of |eig G(theta)| at dt = courant h_sub / |beta|."""
+    dof = p + n
+    rows = step_matrix(p, n, courant, np.full(E, gamma))[:dof].reshape(dof, E, dof)
+    assert not rows[:, 4:].any()
+    S = rows[:, :4].transpose(1, 0, 2)
     G = np.einsum("tj,jab->tab", np.exp(-1j * np.outer(THETA, np.arange(4))), S)
     return np.abs(np.linalg.eigvals(G)).max()
 
 
 def matrix_radius(p, n, courant, gammas):
-    """Spectral radius of the step at dt = courant h_sub / |beta|, read off
-    `imex_step` with the E * dof basis functions stacked on the component axis."""
-    bc = BoundaryCondition("periodic")
-    disc = Discretization(build_uniform_mesh(0.0, 1.0, E, n), p, Convection(beta=1.0), bc, bc)
-    size = E * disc.dof
-    probes = np.eye(size).reshape(size, E, disc.dof)
-    U = imex_step(disc, FieldState(probes, 0.0), courant / (E * n), gammas).U
-    return np.abs(np.linalg.eigvals(U.reshape(size, size))).max()
+    return np.abs(np.linalg.eigvals(step_matrix(p, n, courant, gammas))).max()
 
 
 def courant_number(disc, state, dt):
