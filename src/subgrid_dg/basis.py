@@ -43,6 +43,7 @@ class ReferenceElement:
     p: int
     n: int
     n_quad: int
+    gauss: tuple                # (nodes, weights) of the q-point Gauss rule on [-1, 1]
     quad_ref: np.ndarray        # (n, q) quadrature nodes per sub-cell, in [-1, 1]
     quad_w: np.ndarray          # (n, q) weights, summing to 2
     phi: np.ndarray             # (dof, n, q) basis values at quadrature nodes
@@ -67,7 +68,7 @@ def reference_element(p: int, n: int) -> ReferenceElement:
         raise ValueError("sub-cell count must be >= 1")
     q = p + 2
 
-    g, w = gauss_rule(q)
+    g, w = gauss = gauss_rule(q)
     edges = reference_subcell_edges(n)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 1.0 / n
@@ -97,7 +98,7 @@ def reference_element(p: int, n: int) -> ReferenceElement:
     mass_pp = np.diag(np.concatenate([leg_norms, np.zeros(n)]))
 
     return ReferenceElement(
-        p=p, n=n, n_quad=q,
+        p=p, n=n, n_quad=q, gauss=gauss,
         quad_ref=quad_ref, quad_w=quad_w,
         phi=phi, dphi_ref=dphi,
         sub_edges=edges, leg_face=leg_face, leg_sub_avg=leg_sub_avg,

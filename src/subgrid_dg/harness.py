@@ -125,25 +125,24 @@ def burgers_profile(x):
     return 0.5 + np.sin(2.0 * np.pi * np.asarray(x))
 
 
+def _inflow_left_of_jump(x, rho, vel, p):
+    """Conserved states at x: the Shu-Osher inflow left of its jump, the
+    primitives (rho, vel, p) right of it; one where per primitive, then one
+    conversion."""
+    left = x < SHU_OSHER_JUMP
+    return euler_state_from_primitives(
+        *(np.where(left, a, b) for a, b in zip(SHU_OSHER_LEFT, (rho, vel, p))), GAS_GAMMA)
+
+
 def shu_osher_initial(x):
     x = np.asarray(x, dtype=float)
-    rho_l, u_l, p_l = SHU_OSHER_LEFT
-    left = euler_state_from_primitives(
-        np.full_like(x, rho_l), np.full_like(x, u_l), np.full_like(x, p_l), GAS_GAMMA
-    )
-    right = euler_state_from_primitives(
-        1.0 + 0.2 * np.sin(5.0 * x), np.zeros_like(x), np.ones_like(x), GAS_GAMMA
-    )
-    return np.where(x < SHU_OSHER_JUMP, left, right)
+    return _inflow_left_of_jump(x, 1.0 + 0.2 * np.sin(5.0 * x), 0.0, 1.0)
 
 
 def sod_like_initial(x):
     """Shock tube: the Shu-Osher inflow state left of its jump, gas at rest
     with unit density and pressure right of it."""
-    x = np.asarray(x, dtype=float)
-    rest = euler_state_from_primitives(np.ones_like(x), np.zeros_like(x), np.ones_like(x),
-                                       GAS_GAMMA)
-    return np.where(x < SHU_OSHER_JUMP, shu_osher_initial(x), rest)
+    return _inflow_left_of_jump(np.asarray(x, dtype=float), 1.0, 0.0, 1.0)
 
 
 def _bisect(g, lo, hi):
@@ -442,7 +441,9 @@ def build_problem(config: RunConfig):
 # limit is 0.418 to 0.425 h_sub/lambda unpenalized, 1.256 (the FV limit of
 # p = 0) with the penalty in every element, and 0.424 to 0.446 with it in 1, 4
 # or 8 of 16 elements.  KAPPA puts the default cfl = 0.3 at 0.2 h_sub/lambda
-# for p >= 1, 2x below the smallest of these, 0.418.
+# for p >= 1, 2x below the smallest of these, 0.418.  The Euler presets abort
+# below the symbol's limit (measured): shu-osher first at 0.34 h_sub/lambda,
+# the nozzle at 0.6, so against shu-osher the margin is 1.7x.
 KAPPA = 1.5
 
 # The FV reference's Courant number.  Forward-Euler upwind (Roe) has the
@@ -668,20 +669,28 @@ def _fv_march(name: str, cells: int, t_final: float):
     a, b = case.domain
     law = case.law()
     x = np.linspace(a, b, cells + 1)
-    U = case.initial(0.5 * (x[:-1] + x[1:]))
-    # a cell that straddles a jump holds the average of each side, taken with
-    # a 64-point midpoint rule, weighted by the side's share of the cell
+    # a cell that straddles a jump, x[c] < jump < x[c + 1], holds the average
+    # of each side, taken with a 64-point midpoint rule, weighted by the
+    # side's share of the cell; the initial state is evaluated once, on the
+    # cell centres and those cells' samples
+    straddled = []
     for jump in case.breakpoints:
-        for c in np.flatnonzero((x[:-1] < jump) & (x[1:] > jump)):
-            wl = (jump - x[c]) / (x[c + 1] - x[c])
-            xs = np.array([np.linspace(x[c], jump, 65), np.linspace(jump, x[c + 1], 65)])
-            avg = case.initial(0.5 * (xs[:, :-1] + xs[:, 1:])).mean(axis=-1)
-            U[:, c] = wl * avg[:, 0] + (1.0 - wl) * avg[:, 1]
+        c = int(np.searchsorted(x, jump, side="right")) - 1
+        if 0 <= c < cells and x[c] < jump:
+            straddled.append((c, jump))
+    xs = np.array([[np.linspace(x[c], jump, 65), np.linspace(jump, x[c + 1], 65)]
+                   for c, jump in straddled]).reshape(-1, 2, 65)
+    u0 = case.initial(np.concatenate([0.5 * (x[:-1] + x[1:]),
+                                      0.5 * (xs[..., :-1] + xs[..., 1:]).ravel()]))
+    avg = u0[:, cells:].reshape(len(u0), -1, 2, 64).mean(axis=-1)
 
     # the cells with a ghost at each end; the march updates the cells in place
-    buf = np.empty((U.shape[0], cells + 2))
-    buf[:, 1:-1] = U
+    buf = np.empty((len(u0), cells + 2))
+    buf[:, 1:-1] = u0[:, :cells]
     U = buf[:, 1:-1]
+    for k, (c, jump) in enumerate(straddled):
+        wl = (jump - x[c]) / (x[c + 1] - x[c])
+        U[:, c] = wl * avg[:, k, 0] + (1.0 - wl) * avg[:, k, 1]
     h = (b - a) / cells
     t = 0.0
     while t < t_final - 1e-14:
@@ -691,7 +700,7 @@ def _fv_march(name: str, cells: int, t_final: float):
         else:
             buf[:, :1] = boundary_ghost(case.bc_left, U[:, :1], law, side=-1)
             buf[:, -1:] = boundary_ghost(case.bc_right, U[:, -1:], law, side=1)
-        F = law.roe_flux(buf[:, :-1], buf[:, 1:])
+        F = law.interface_fluxes(buf)
         U -= (dt / h) * (F[:, 1:] - F[:, :-1])
         t += dt
     return x, U

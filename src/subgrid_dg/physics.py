@@ -5,7 +5,10 @@ point evaluations and whole-face batches.
 
 A residual takes its volume and face fluxes from one `fluxes(u_q, uL, uR)`
 call, which returns exactly `(flux(u_q), roe_flux(uL, uR))`: the Euler laws
-derive and check the primitives of all three state arrays in one pass.
+derive and check the primitives of all three state arrays in one pass.  The
+FV march takes the faces of a row of cells from `interface_fluxes(u)`, exactly
+`roe_flux(u[:, :-1], u[:, 1:])`: the Euler laws derive each cell's state once
+for both of its faces.
 """
 
 from __future__ import annotations
@@ -53,6 +56,11 @@ class ConservationLaw:
         """(flux(u_q), roe_flux(uL, uR)) of quadrature states u_q (m, ...)
         and face states uL, uR (m, F): the two fluxes of one residual."""
         return self.flux(u_q), self.roe_flux(uL, uR)
+
+    def interface_fluxes(self, u):
+        """roe_flux(u[:, :-1], u[:, 1:]): the Roe flux at the N faces between
+        neighbours of a row of states u (m, N + 1)."""
+        return self.roe_flux(u[:, :-1], u[:, 1:])
 
     def max_wave_speed(self, u, x=None) -> float:
         raise NotImplementedError
@@ -136,7 +144,7 @@ def euler_state_from_primitives(rho, vel, p, gamma_a) -> np.ndarray:
 
 def _euler_side(u, gamma_a):
     """The flux F = (m, m v + p, (E + p) v) of states u (3, ...), with their
-    checked (rho, v, p, E + p), which the Roe flux takes from a face side."""
+    checked (rho, v, p, E + p)."""
     rho, vel, q, p = _euler_primitives(u, gamma_a)
     Ep = u[2] + p
     F = np.empty(u.shape)
@@ -146,6 +154,13 @@ def _euler_side(u, gamma_a):
     return F, rho, vel, p, Ep
 
 
+def _roe_side(rho, vel, p, Ep):
+    """What the Roe flux reads of one side's states: (v, p, s, s v, (E + p)/s)
+    with s = sqrt(rho), the weights of Roe's averages."""
+    s = np.sqrt(rho)
+    return vel, p, s, s * vel, Ep / s
+
+
 def _harten(lam, a, eps):
     """|lambda| = a smoothed near zero (Harten's entropy fix)."""
     return np.where(a < eps, lam * lam / (2.0 * eps) + 0.5 * eps, a)
@@ -153,7 +168,7 @@ def _harten(lam, a, eps):
 
 def _roe(uL, uR, FL, FR, sideL, sideR, gamma_a, entropy_fix):
     """Roe flux 0.5 (F(uL) + F(uR)) - 0.5 |A~| (uR - uL) from the side
-    fluxes FL, FR and sides (rho, v, p, E + p) of `_euler_side`, with the
+    fluxes FL, FR and sides (v, p, s, s v, (E + p)/s) of `_roe_side`, with the
     dissipation in the compact form (Roe, J. Comput. Phys. 43, 1981; Toro,
     Riemann Solvers and Numerical Methods for Fluid Dynamics, 3rd ed., 11.3)
 
@@ -161,14 +176,13 @@ def _roe(uL, uR, FL, FR, sideL, sideR, gamma_a, entropy_fix):
         d1 = (k1 dp / c~ + k2 rho~ dv) / c~,   d2 = k2 dp / c~ + k1 rho~ dv,
 
     with k1 = (|l1| + |l3|)/2 - |l2|, k2 = (|l3| - |l1|)/2 and
-    rho~ = sqrt(rhoL rhoR): the three waves summed in closed form.  With
+    rho~ = sL sR: the three waves summed in closed form.  With
     `entropy_fix`, |l1|, |l2|, |l3| are smoothed near zero (Harten)."""
-    rhoL, vL, pL, EpL = sideL
-    rhoR, vR, pR, EpR = sideR
-    sL, sR = np.sqrt(rhoL), np.sqrt(rhoR)
+    vL, pL, sL, svL, hsL = sideL
+    vR, pR, sR, svR, hsR = sideR
     inv = 1.0 / (sL + sR)
-    vt = (sL * vL + sR * vR) * inv
-    Ht = (EpL / sL + EpR / sR) * inv
+    vt = (svL + svR) * inv
+    Ht = (hsL + hsR) * inv
     c2 = (gamma_a - 1.0) * (Ht - 0.5 * (vt * vt))
     if _any_nonpositive(c2):
         raise AdmissibilityError("negative Roe-averaged sound speed")
@@ -188,7 +202,7 @@ def _roe(uL, uR, FL, FR, sideL, sideR, gamma_a, entropy_fix):
 
     # row k: 0.5 (F_k(uL) + F_k(uR) - (|A~| du)_k)
     out = FL + FR
-    out[0] -= a2 * (rhoR - rhoL) + d1
+    out[0] -= a2 * (uR[0] - uL[0]) + d1
     out[1] -= a2 * (uR[1] - uL[1]) + d1 * vt + d2
     out[2] -= a2 * (uR[2] - uL[2]) + d1 * Ht + d2 * vt
     out *= 0.5
@@ -219,19 +233,36 @@ class Euler1D(ConservationLaw):
         uL, uR = _as_state(uL), _as_state(uR)
         FL, *sideL = _euler_side(uL, self.gamma_a)
         FR, *sideR = _euler_side(uR, self.gamma_a)
-        return _roe(uL, uR, FL, FR, sideL, sideR, self.gamma_a, entropy_fix)
+        return _roe(uL, uR, FL, FR, _roe_side(*sideL), _roe_side(*sideR), self.gamma_a,
+                    entropy_fix)
 
     def fluxes(self, u_q, uL, uR):
-        """One `_euler_side` pass over the columns [u_q | uL | uR]; the faces
-        of a stack of states, (3, *batch, F), are flattened into columns."""
+        """One `_euler_side` pass over the columns [u_q | uL | uR] and one
+        `_roe_side` pass over the face columns [uL | uR]; the faces of a stack
+        of states, (3, *batch, F), are flattened into columns."""
         nq, nf = u_q[0].size, uL[0].size
         uL_f, uR_f = uL.reshape(3, nf), uR.reshape(3, nf)
-        F, *side = _euler_side(np.concatenate([u_q.reshape(3, nq), uL_f, uR_f], axis=1),
-                               self.gamma_a)
-        L, R = slice(nq, nq + nf), slice(nq + nf, None)
-        F_hat = _roe(uL_f, uR_f, F[:, L], F[:, R], [a[L] for a in side], [a[R] for a in side],
-                     self.gamma_a, entropy_fix=False)
+        F, rho, vel, p, Ep = _euler_side(
+            np.concatenate([u_q.reshape(3, nq), uL_f, uR_f], axis=1), self.gamma_a)
+        side = _roe_side(rho[nq:], vel[nq:], p[nq:], Ep[nq:])
+        L, R = slice(None, nf), slice(nf, None)
+        F_hat = _roe(uL_f, uR_f, F[:, nq:nq + nf], F[:, nq + nf:], [a[L] for a in side],
+                     [a[R] for a in side], self.gamma_a, entropy_fix=False)
         return F[:, :nq].reshape(u_q.shape), F_hat.reshape(uL.shape)
+
+    def interface_fluxes(self, u):
+        """roe_flux(u[:, :-1], u[:, 1:]) from one `_euler_side` and one
+        `_roe_side` pass over the row, sliced for the two sides of its faces.
+        An inadmissible row raises as `roe_flux` does, whose left side is
+        checked first."""
+        try:
+            F, *prims = _euler_side(u, self.gamma_a)
+        except AdmissibilityError:
+            return self.roe_flux(u[:, :-1], u[:, 1:])
+        side = _roe_side(*prims)
+        L, R = slice(None, -1), slice(1, None)
+        return _roe(u[:, L], u[:, R], F[:, L], F[:, R], [a[L] for a in side],
+                    [a[R] for a in side], self.gamma_a, entropy_fix=False)
 
     def max_wave_speed(self, u, x=None):   # x unread, kept for perfbench's FV clock
         u = _as_state(u)

@@ -43,7 +43,7 @@ def _quad_rhs(f, mesh: Mesh, p: int, breakpoints=None) -> np.ndarray:
     (m, dof).  The pieces' sums are added in order, piece by piece.
     """
     ref = element_reference(mesh, p)
-    g, w = gauss_rule(ref.n_quad)
+    g, w = ref.gauss
     edges = mesh.nodes(ref.sub_edges)[0]
     inside = [] if breakpoints is None else [
         float(c) for c in breakpoints if edges[0] < c < edges[-1] and c not in edges]

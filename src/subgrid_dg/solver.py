@@ -248,12 +248,14 @@ class Discretization:
     def _residual_chain(self, U: np.ndarray, t: float) -> np.ndarray:
         """`residual` of any law: traces and fluxes, then volume, lift, source."""
         elements = U.shape[:-1]
+        faces = None                # unset if a ghost state failed
         try:
             u_q = self.eval_at_quad(U)
-            uL, uR = self.face_traces(U, t)
-            F_q, F_hat = self.law.fluxes(u_q, uL, uR)
+            faces = self.face_traces(U, t)
+            F_q, F_hat = self.law.fluxes(u_q, *faces)
         except AdmissibilityError as exc:
-            raise SolverAbort(f"inadmissible state at t={t:.6g}: {exc}{self._where(u_q)}") from exc
+            where = self._where(u_q, faces)
+            raise SolverAbort(f"inadmissible state at t={t:.6g}: {exc}{where}") from exc
 
         R = F_q.reshape(elements + (-1,)) @ self._volume
         subcells = elements + (self.n,)
@@ -264,16 +266,36 @@ class Discretization:
             R += (S_q.reshape(elements + (-1,)) @ self._source) * self._half_h
         return R
 
-    def _where(self, u_q: np.ndarray) -> str:
+    def _where(self, u_q: np.ndarray, faces) -> str:
         """' in element e on x in [xl, xr]' for the first element with an
-        inadmissible quadrature state, of any state of a batch; '' if there is
-        none (a face or ghost state failed).  Run only after a check failed."""
+        inadmissible quadrature state, of any state of a batch; else ' at the
+        face x=xf ...' naming the elements on the two sides of the first
+        sub-cell face with an inadmissible trace (uL, uR) in `faces`; '' if
+        neither failed (a ghost state or a Roe average did).  Run only after
+        a check failed."""
         bad = (~self.law.admissible(u_q)).any(axis=(-2, -1)).reshape(-1, self.n_elements)
+        if bad.any():
+            e = int(np.argmax(bad.any(axis=0)))
+            xl, xr = self.mesh.element_bounds(e)
+            return f" in element {e} on x in [{xl:.6g}, {xr:.6g}]"
+        if faces is None:
+            return ""
+        bad = ~(self.law.admissible(faces[0]) & self.law.admissible(faces[1]))
+        bad = bad.reshape(-1, self.xfaces.size).any(axis=0)
         if not bad.any():
             return ""
-        e = int(np.argmax(bad.any(axis=0)))
-        xl, xr = self.mesh.element_bounds(e)
-        return f" in element {e} on x in [{xl:.6g}, {xr:.6g}]"
+        f = int(np.argmax(bad))
+        n_sub = self.n_elements * self.n
+
+        def owner(k):               # of the sub-cell k on one side of face f
+            if self.periodic:
+                k %= n_sub
+            return f"element {k // self.n}" if 0 <= k < n_sub else \
+                f"the {'left' if k < 0 else 'right'} boundary"
+
+        left, right = owner(f - 1), owner(f)
+        sides = f"inside {left}" if left == right else f"between {left} and {right}"
+        return f" at the face x={self.xfaces[f]:.6g} {sides}"
 
     def solve_mass(self, R: np.ndarray) -> np.ndarray:
         """Apply M^{-1} elementwise: the physical mass is (h/2) * M_ref."""

@@ -33,7 +33,9 @@ from subgrid_dg.projections import (
     project_ho,
 )
 from subgrid_dg.sensor import SensorConfig, default_tau, evaluate_field_sensor
-from subgrid_dg.solver import IMEXTableau, ars222, imex_step
+from subgrid_dg.solver import ars222, imex_step
+
+from imex_oracles import closed_ars232, scalar_additive_rk
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -308,32 +310,6 @@ def test_criterion_10_finite_volume_comparison(shu_osher_errors):
 
 
 # -- time integrator -----------------------------------------------------------
-
-
-def closed_ars232():
-    """The tableau `imex_step` steps: `ars222()`'s three rate stages and a
-    fourth, implicit only, with rows implicit (0, 1 - alpha, 0, alpha) and
-    explicit (0, 1 - alpha, alpha, 0), which are also the weights."""
-    tab = ars222()
-    A, A_hat = np.zeros((4, 4)), np.zeros((4, 4))
-    A[:3, :3], A_hat[:3, :3] = tab.A, tab.A_hat
-    A[3, 1], A[3, 3] = tab.A[2, 1], tab.A[1, 1]
-    A_hat[3, :3] = tab.b_hat
-    return IMEXTableau(A=A, A_hat=A_hat, b=A[3].copy(), b_hat=A_hat[3].copy())
-
-
-def scalar_additive_rk(tab, y0, lam_imp, lam_exp, dt, n_steps):
-    y = y0
-    for _ in range(n_steps):
-        k_imp = np.zeros(tab.stages)
-        k_exp = np.zeros(tab.stages)
-        for i in range(tab.stages):
-            rhs = y + dt * (tab.A[i, :i] @ k_imp[:i] + tab.A_hat[i, :i] @ k_exp[:i])
-            yi = rhs / (1.0 - dt * tab.A[i, i] * lam_imp)
-            k_imp[i] = lam_imp * yi
-            k_exp[i] = lam_exp * yi
-        y = y + dt * (tab.b @ k_imp + tab.b_hat @ k_exp)
-    return y
 
 
 def test_criterion_11_imex_order_and_explicit_limit():

@@ -28,6 +28,7 @@ from subgrid_dg.harness import (
     project_initial,
     run_case,
     shu_osher_initial,
+    sod_like_initial,
     spatial_accuracy_dt_rule,
     state_error_norm,
 )
@@ -363,6 +364,51 @@ def test_profiles():
     assert right[0, 0] == pytest.approx(1.0)  # sin(0) term vanishes
 
 
+def two_branch_initial(x, right):
+    """The Shu-Osher inflow state left of its jump and the primitives
+    right(x) right of it, each branch converted at every x."""
+    left = euler_state_from_primitives(*(np.full_like(x, v) for v in SHU_OSHER_LEFT), 1.4)
+    return np.where(x < -4.0, left, euler_state_from_primitives(*right(x), 1.4))
+
+
+def _shu_osher_right(x):
+    return 1.0 + 0.2 * np.sin(5.0 * x), np.zeros_like(x), np.ones_like(x)
+
+
+def _at_rest(x):
+    return np.ones_like(x), np.zeros_like(x), np.ones_like(x)
+
+
+@pytest.mark.parametrize("initial, right", [(shu_osher_initial, _shu_osher_right),
+                                            (sod_like_initial, _at_rest)])
+def test_jump_initial_states_equal_their_two_branch_forms(initial, right):
+    # on both sides of the jump and at it, where the right state holds
+    jump = np.array([np.nextafter(-4.0, -np.inf), -4.0, np.nextafter(-4.0, np.inf)])
+    for x in (np.linspace(-5.0, 5.0, 4097), -4.0 + np.linspace(-1e-3, 1e-3, 41), jump,
+              np.array(-4.0), np.array(-4.5)):
+        assert np.array_equal(initial(x), two_branch_initial(x, right))
+    assert initial(jump)[0, 0] == SHU_OSHER_LEFT[0] and initial(-4.0).shape == (3,)
+
+
+@pytest.mark.parametrize("config, q", [(RunConfig(case="shu-osher", n=4), 5),
+                                       (RunConfig(case="nozzle"), 6)],
+                         ids=["shu-osher-n4", "nozzle"])
+def test_build_problem_builds_one_gauss_rule(monkeypatch, config, q):
+    # the projection of the element with the jump (x = -4 inside a sub-cell at
+    # n = 4; on a sub-cell face in the shu-osher preset) or the nozzle's shock
+    # reads the rule its reference element holds
+    from numpy.polynomial import legendre
+
+    from subgrid_dg.basis import reference_element
+
+    calls = []
+    leggauss = legendre.leggauss
+    monkeypatch.setattr(legendre, "leggauss", lambda k: calls.append(k) or leggauss(k))
+    reference_element.cache_clear()
+    build_problem(config)
+    assert calls == [q]
+
+
 def test_projected_initial_states_are_admissible():
     # the jump-straddling element of the flow cases must not carry Gibbs
     # undershoots into negative pressure at quadrature points
@@ -688,21 +734,49 @@ def test_fv_reference_step_holds_the_roe_speeds_it_reaches(monkeypatch, case):
     # dt comes from the cells' largest |v| + c; the faces move at the
     # Roe-averaged speeds, which must stay within the upwind limit 1 too
     lams, speeds = [], []
-    wave_speed, roe_flux = Euler1D.max_wave_speed, Euler1D.roe_flux
+    wave_speed, interface_fluxes = Euler1D.max_wave_speed, Euler1D.interface_fluxes
 
     def recording_wave_speed(law, u, x=None):
         lams.append(wave_speed(law, u, x))
         return lams[-1]
 
-    def recording_roe_flux(law, uL, uR, x=None, entropy_fix=False):
-        speeds.append(_roe_speed(uL, uR))
-        return roe_flux(law, uL, uR, x, entropy_fix)
+    def recording_interface_fluxes(law, u):
+        speeds.append(_roe_speed(u[:, :-1], u[:, 1:]))
+        return interface_fluxes(law, u)
 
     monkeypatch.setattr(Euler1D, "max_wave_speed", recording_wave_speed)
-    monkeypatch.setattr(Euler1D, "roe_flux", recording_roe_flux)
+    monkeypatch.setattr(Euler1D, "interface_fluxes", recording_interface_fluxes)
     fv_reference(case, 512, cache=False)
     assert len(lams) == len(speeds) > 100
     assert max(harness.FV_CFL * s / lam for s, lam in zip(speeds, lams)) <= 1.0
+
+
+@pytest.mark.parametrize("case, cells, jump_cells", [
+    ("shu-osher", 32, 1), ("sod-like", 32, 1), ("shu-osher", 30, 0),
+    ("convection-heaviside", 30, 2), ("convection-heaviside", 32, 0),
+    ("convection-gaussian", 30, 0)])
+def test_fv_march_evaluates_the_initial_state_once(monkeypatch, case, cells, jump_cells):
+    # on the cell centres and each jump cell's 2 x 64 samples together; a
+    # jump on a cell face (x = -4 at 30 cells, 0.25 and 0.75 at 32) straddles none
+    calls = []
+    row = harness._CASES[case]
+    monkeypatch.setitem(harness._CASES, case, replace(
+        row, initial=lambda x: calls.append(np.shape(x)) or row.initial(x)))
+    harness._fv_march(case, cells, 0.0)
+    assert calls == [(cells + jump_cells * 128,)]
+
+
+def test_fv_march_takes_each_step_from_one_row_flux_call(monkeypatch):
+    # max_wave_speed opens every step, and one row call gives all its faces
+    order = []
+    wave_speed, interface_fluxes = Euler1D.max_wave_speed, Euler1D.interface_fluxes
+    monkeypatch.setattr(Euler1D, "max_wave_speed",
+                        lambda law, u, x=None: order.append("lam") or wave_speed(law, u, x))
+    monkeypatch.setattr(Euler1D, "interface_fluxes",
+                        lambda law, u: order.append(u.shape) or interface_fluxes(law, u))
+    monkeypatch.setattr(Euler1D, "roe_flux", None)      # the march calls no other flux
+    harness._fv_march("shu-osher", 64, 0.1)
+    assert len(order) > 2 and order == ["lam", (3, 66)] * (len(order) // 2)
 
 
 def test_fv_reference_euler_shock_speed(tmp_path, monkeypatch):

@@ -440,6 +440,57 @@ def test_euler_roe_flux_bits_unchanged_on_a_reference_sized_grid(entropy_fix):
                           roe_flux_before_shared_sides(uL, uR, entropy_fix=entropy_fix))
 
 
+_ROW_LAWS = {"convection+": Convection(beta=1.5), "convection-": Convection(beta=-0.7),
+             "burgers": Burgers(), "euler1d": Euler1D(), "nozzle": NozzleEuler()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(law_name=st.sampled_from(sorted(_ROW_LAWS)), cells=st.integers(1, 9), data=st.data())
+def test_interface_fluxes_equal_roe_flux_of_the_shifted_row(law_name, cells, data):
+    law = _ROW_LAWS[law_name]
+    if law.m == 1:
+        values = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=cells, max_size=cells))
+        u = np.array([values])
+    else:
+        sides = data.draw(st.lists(_side, min_size=cells, max_size=cells))
+        u = euler_state_from_primitives(*np.array(sides).T, GAMMA)
+    before = u.copy()
+    F = law.interface_fluxes(u)
+    assert F.shape == (law.m, cells - 1)
+    assert np.array_equal(F, law.roe_flux(u[:, :-1], u[:, 1:]))
+    assert np.array_equal(u, before)
+
+
+@pytest.mark.parametrize("law", [Euler1D(), NozzleEuler()], ids=["euler1d", "nozzle"])
+def test_interface_fluxes_bits_on_a_reference_sized_row(law):
+    # the ghosted row of the fv-reference march's 4,096 cells
+    u = random_admissible_states(np.random.default_rng(13), 4098)
+    assert np.array_equal(law.interface_fluxes(u), roe_flux_before_shared_sides(u[:, :-1], u[:, 1:]))
+
+
+_BAD_DENSITY, _BAD_PRESSURE = (-1.0, 0.0, 1.0), (1.0, 10.0, 1.0)
+
+
+@pytest.mark.parametrize("law", [Euler1D(), NozzleEuler()], ids=["euler1d", "nozzle"])
+@pytest.mark.parametrize("bad", [
+    {0: _BAD_DENSITY}, {3: _BAD_DENSITY}, {6: _BAD_DENSITY},
+    {0: _BAD_PRESSURE}, {3: _BAD_PRESSURE}, {6: _BAD_PRESSURE},
+    # the row holds a bad density, but roe_flux checks the left side first
+    {2: _BAD_PRESSURE, 6: _BAD_DENSITY},
+    {0: (np.nan, 1.0, 1.0), 4: _BAD_DENSITY},
+], ids=["density-first", "density-mid", "density-last", "pressure-first", "pressure-mid",
+        "pressure-last", "pressure-left-density-last", "nan-then-density"])
+def test_interface_fluxes_reject_an_inadmissible_row_as_roe_flux_does(law, bad):
+    u = random_admissible_states(np.random.default_rng(14), 7)
+    for cell, state in bad.items():
+        u[:, cell] = state
+    with pytest.raises(AdmissibilityError) as expected:
+        law.roe_flux(u[:, :-1], u[:, 1:])
+    with pytest.raises(AdmissibilityError) as got:
+        law.interface_fluxes(u)
+    assert str(got.value) == str(expected.value)
+
+
 # -- nozzle -------------------------------------------------------------------
 
 

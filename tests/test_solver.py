@@ -31,7 +31,6 @@ from subgrid_dg.sensor import SensorConfig
 from subgrid_dg.solver import (
     Discretization,
     FieldState,
-    IMEXTableau,
     SolverAbort,
     Trajectory,
     advance,
@@ -39,6 +38,8 @@ from subgrid_dg.solver import (
     imex_step,
     penalty_stage_rate,
 )
+
+from imex_oracles import closed_ars232, scalar_additive_rk
 
 
 def make_convection_disc(n_elements=8, p=3, n=5):
@@ -66,36 +67,6 @@ def test_ars222_order_conditions():
     # explicit part is explicit, implicit part is diagonally implicit
     assert np.all(np.triu(tab.A_hat) == 0.0)
     assert np.all(np.triu(tab.A, 1) == 0.0)
-
-
-def closed_ars232():
-    """The tableau `imex_step` steps: `ars222()`'s three rate stages and a
-    fourth, implicit only, whose rows are the weights, implicit (0, 1 - alpha,
-    0, alpha) and explicit (0, 1 - alpha, alpha, 0): the step ends on a penalty
-    solve of the finished state."""
-    tab = ars222()
-    A, A_hat = np.zeros((4, 4)), np.zeros((4, 4))
-    A[:3, :3], A_hat[:3, :3] = tab.A, tab.A_hat
-    A[3, 1], A[3, 3] = tab.A[2, 1], tab.A[1, 1]
-    A_hat[3, :3] = tab.b_hat
-    return IMEXTableau(A=A, A_hat=A_hat, b=A[3].copy(), b_hat=A_hat[3].copy())
-
-
-def scalar_additive_rk(tab, y0, lam_imp, lam_exp, dt, n_steps):
-    """Independent scalar implementation of the additive RK update for
-    y' = lam_imp * y (implicit) + lam_exp * y (explicit)."""
-    y = y0
-    s = tab.stages
-    for _ in range(n_steps):
-        k_imp = np.zeros(s)
-        k_exp = np.zeros(s)
-        for i in range(s):
-            rhs = y + dt * (tab.A[i, :i] @ k_imp[:i] + tab.A_hat[i, :i] @ k_exp[:i])
-            yi = rhs / (1.0 - dt * tab.A[i, i] * lam_imp)
-            k_imp[i] = lam_imp * yi
-            k_exp[i] = lam_exp * yi
-        y = y + dt * (tab.b @ k_imp + tab.b_hat @ k_exp)
-    return y
 
 
 def test_scalar_split_ode_second_order():
@@ -524,6 +495,42 @@ def test_inadmissible_abort_names_the_first_bad_element(element):
         U[0, e, disc.p:] = -1.0
     xl, xr = disc.mesh.element_bounds(element)
     where = f"non-positive density in element {element} on x in [{xl:.6g}, {xr:.6g}]"
+    with pytest.raises(SolverAbort, match=f"^inadmissible state at t=0.1: {re.escape(where)}$"):
+        disc.residual(U, 0.1)
+
+
+@pytest.mark.parametrize("periodic, element, face, sides", [
+    (False, 9, "right edge", "between element 9 and element 10"),
+    (False, 63, "right edge", "between element 63 and the right boundary"),
+    (False, 0, "left edge", "between the left boundary and element 0"),
+    (False, 39, "left edge", "between element 38 and element 39"),
+    (False, 9, "sub-cell face", "inside element 9"),
+    (True, 0, "left edge", "between element 5 and element 0"),
+])
+def test_inadmissible_abort_names_the_first_bad_face(periodic, element, face, sides):
+    # quadrature states all admissible, and one face trace not: at rest with
+    # unit pressure, the density 1 + c L_3 reaches 1 -/+ c at the element's
+    # right/left edge; with sub-cell averages 1.5, ..., 1.5, 0.35 and c = 1 it
+    # is -0.01 on the right of the sub-cell face xi = 0.6, where L_3 = -0.36
+    if periodic:
+        disc, U = operator_case("euler", True, 3, 5, np.random.default_rng(7))
+    else:
+        _, disc, state = build_problem(RunConfig(case="shu-osher"))
+        U = state.U.copy()
+    n = disc.n
+    U[:, element] = 0.0
+    U[2, element, disc.p:] = 1.0 / 0.4
+    U[0, element, disc.p:] = 1.0
+    if face == "right edge":
+        U[0, element, 2], f = -1.05, (element + 1) * n
+    elif face == "left edge":
+        U[0, element, 2], f = 1.05, element * n
+    else:
+        U[0, element, 2], f = 1.0, element * n + n - 1
+        U[0, element, disc.p:] = 1.5
+        U[0, element, -1] = 0.35
+    assert disc.law.admissible(disc.eval_at_quad(U)).all()
+    where = f"non-positive density at the face x={disc.xfaces[f]:.6g} {sides}"
     with pytest.raises(SolverAbort, match=f"^inadmissible state at t=0.1: {re.escape(where)}$"):
         disc.residual(U, 0.1)
 
