@@ -213,16 +213,18 @@ def _nozzle_steady_params():
 
     mach_in = float(_bisect(lambda mach: area_ratio(mach) - 1.0 / a_throat, 1e-3, 1.0))
 
-    # inlet state: farfield plus a jump along the outgoing acoustic wave
+    # inlet state: farfield plus a jump along the outgoing acoustic wave, damped;
+    # an iterate equal to its predecessor repeats forever, so the loop stops there
     rho_d, u_d, p_d = rho_a, u_a, p_a
     for _ in range(200):
         c_d = np.sqrt(gamma_a * p_d / rho_d)
         p_new = p_a - rho_d * c_d * (u_d - u_a)
         rho_new = rho_a + (p_new - p_a) / (c_d * c_d)
         u_new = mach_in * np.sqrt(gamma_a * p_new / rho_new)
-        rho_d = 0.5 * (rho_d + rho_new)
-        u_d = 0.5 * (u_d + u_new)
-        p_d = 0.5 * (p_d + p_new)
+        state = (0.5 * (rho_d + rho_new), 0.5 * (u_d + u_new), 0.5 * (p_d + p_new))
+        if state == (rho_d, u_d, p_d):
+            break
+        rho_d, u_d, p_d = state
     sigma1 = p_d / rho_d ** gamma_a
     enthalpy = gamma_a * p_d / ((gamma_a - 1.0) * rho_d) + 0.5 * u_d * u_d
     mdot = rho_d * u_d  # inlet area is 1

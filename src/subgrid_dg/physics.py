@@ -3,12 +3,13 @@
 All state arguments are arrays of shape (m, ...) so the same code path serves
 point evaluations and whole-face batches.
 
-A residual takes its volume and face fluxes from one `fluxes(u_q, uL, uR)`
-call, which returns exactly `(flux(u_q), roe_flux(uL, uR))`: the Euler laws
-derive and check the primitives of all three state arrays in one pass.  The
-FV march takes the faces of a row of cells from `interface_fluxes(u)`, exactly
-`roe_flux(u[:, :-1], u[:, 1:])`: the Euler laws derive each cell's state once
-for both of its faces.
+A residual takes its three terms from one `fluxes(u_q, uL, uR, geom)` call,
+exactly `(flux(u_q), roe_flux(uL, uR), source(u_q, geom=geom))` (the source
+None without one), and the FV march its faces from `interface_fluxes(u)`,
+exactly `roe_flux(u[:, :-1], u[:, 1:])`.  The Euler laws answer all three from
+one column routine, one checked pass whose pressure the nozzle source reads
+and one Roe flux between two slices of the columns, so each call checks the
+density, then the pressure, then the Roe sound speed of all its columns.
 """
 
 from __future__ import annotations
@@ -52,10 +53,12 @@ class ConservationLaw:
     def roe_flux(self, uL, uR, x=None, entropy_fix: bool = False) -> np.ndarray:
         raise NotImplementedError
 
-    def fluxes(self, u_q, uL, uR):
-        """(flux(u_q), roe_flux(uL, uR)) of quadrature states u_q (m, ...)
-        and face states uL, uR (m, F): the two fluxes of one residual."""
-        return self.flux(u_q), self.roe_flux(uL, uR)
+    def fluxes(self, u_q, uL, uR, geom=None):
+        """(flux(u_q), roe_flux(uL, uR), source(u_q, geom=geom)) of quadrature
+        states u_q (m, ...) and face states uL, uR (m, F): the three terms of
+        one residual, the source None for a law without one."""
+        source = self.source(u_q, geom=geom) if self.has_source() else None
+        return self.flux(u_q), self.roe_flux(uL, uR), source
 
     def interface_fluxes(self, u):
         """roe_flux(u[:, :-1], u[:, 1:]): the Roe flux at the N faces between
@@ -134,12 +137,12 @@ def _euler_primitives(u, gamma_a):
 
 
 def euler_state_from_primitives(rho, vel, p, gamma_a) -> np.ndarray:
-    rho = np.asarray(rho, dtype=float)
-    return np.stack([
-        rho,
-        rho * vel,
-        np.asarray(p) / (gamma_a - 1.0) + 0.5 * rho * np.asarray(vel) ** 2,
-    ])
+    rho, vel, p = np.asarray(rho, dtype=float), np.asarray(vel), np.asarray(p)
+    u = np.empty((3,) + np.broadcast_shapes(rho.shape, vel.shape, p.shape))
+    u[0] = rho
+    np.multiply(rho, vel, out=u[1, ...])
+    u[2] = p / (gamma_a - 1.0) + 0.5 * rho * vel ** 2
+    return u
 
 
 def _euler_side(u, gamma_a):
@@ -161,12 +164,7 @@ def _roe_side(rho, vel, p, Ep):
     return vel, p, s, s * vel, Ep / s
 
 
-def _harten(lam, a, eps):
-    """|lambda| = a smoothed near zero (Harten's entropy fix)."""
-    return np.where(a < eps, lam * lam / (2.0 * eps) + 0.5 * eps, a)
-
-
-def _roe(uL, uR, FL, FR, sideL, sideR, gamma_a, entropy_fix):
+def _roe(uL, uR, FL, FR, sideL, sideR, gamma_a):
     """Roe flux 0.5 (F(uL) + F(uR)) - 0.5 |A~| (uR - uL) from the side
     fluxes FL, FR and sides (v, p, s, s v, (E + p)/s) of `_roe_side`, with the
     dissipation in the compact form (Roe, J. Comput. Phys. 43, 1981; Toro,
@@ -176,8 +174,7 @@ def _roe(uL, uR, FL, FR, sideL, sideR, gamma_a, entropy_fix):
         d1 = (k1 dp / c~ + k2 rho~ dv) / c~,   d2 = k2 dp / c~ + k1 rho~ dv,
 
     with k1 = (|l1| + |l3|)/2 - |l2|, k2 = (|l3| - |l1|)/2 and
-    rho~ = sL sR: the three waves summed in closed form.  With
-    `entropy_fix`, |l1|, |l2|, |l3| are smoothed near zero (Harten)."""
+    rho~ = sL sR: the three waves summed in closed form."""
     vL, pL, sL, svL, hsL = sideL
     vR, pR, sR, svR, hsR = sideR
     inv = 1.0 / (sL + sR)
@@ -190,9 +187,6 @@ def _roe(uL, uR, FL, FR, sideL, sideR, gamma_a, entropy_fix):
     ic = 1.0 / ct
     lam1, lam3 = vt - ct, vt + ct
     a1, a2, a3 = np.abs(lam1), np.abs(vt), np.abs(lam3)
-    if entropy_fix:
-        eps = 0.05 * (a2 + ct)
-        a1, a2, a3 = _harten(lam1, a1, eps), _harten(vt, a2, eps), _harten(lam3, a3, eps)
     k1 = 0.5 * (a1 + a3) - a2
     k2 = 0.5 * (a3 - a1)
     rdv = sL * sR * (vR - vL)
@@ -229,40 +223,40 @@ class Euler1D(ConservationLaw):
     def flux(self, u, x=None):
         return _euler_side(_as_state(u), self.gamma_a)[0]
 
-    def roe_flux(self, uL, uR, x=None, entropy_fix: bool = False):
-        uL, uR = _as_state(uL), _as_state(uR)
-        FL, *sideL = _euler_side(uL, self.gamma_a)
-        FR, *sideR = _euler_side(uR, self.gamma_a)
-        return _roe(uL, uR, FL, FR, _roe_side(*sideL), _roe_side(*sideR), self.gamma_a,
-                    entropy_fix)
-
-    def fluxes(self, u_q, uL, uR):
-        """One `_euler_side` pass over the columns [u_q | uL | uR] and one
-        `_roe_side` pass over the face columns [uL | uR]; the faces of a stack
-        of states, (3, *batch, F), are flattened into columns."""
-        nq, nf = u_q[0].size, uL[0].size
-        uL_f, uR_f = uL.reshape(3, nf), uR.reshape(3, nf)
-        F, rho, vel, p, Ep = _euler_side(
-            np.concatenate([u_q.reshape(3, nq), uL_f, uR_f], axis=1), self.gamma_a)
+    def _columns(self, u, nq, L, R):
+        """(F, p, F_hat) of the columns of u (3, K): F and p of every column
+        from one checked `_euler_side` pass, and the Roe flux between the
+        face columns L and R (slices of u[:, nq:]) from one `_roe_side` pass."""
+        F, rho, vel, p, Ep = _euler_side(u, self.gamma_a)
         side = _roe_side(rho[nq:], vel[nq:], p[nq:], Ep[nq:])
-        L, R = slice(None, nf), slice(nf, None)
-        F_hat = _roe(uL_f, uR_f, F[:, nq:nq + nf], F[:, nq + nf:], [a[L] for a in side],
-                     [a[R] for a in side], self.gamma_a, entropy_fix=False)
-        return F[:, :nq].reshape(u_q.shape), F_hat.reshape(uL.shape)
+        uf, Ff = u[:, nq:], F[:, nq:]
+        F_hat = _roe(uf[:, L], uf[:, R], Ff[:, L], Ff[:, R], [a[L] for a in side],
+                     [a[R] for a in side], self.gamma_a)
+        return F, p, F_hat
+
+    def roe_flux(self, uL, uR, x=None, entropy_fix: bool = False):
+        """The Roe flux on the columns [uL | uR]; `entropy_fix`, kept only
+        because perfbench/micro.py passes it, must be False."""
+        if entropy_fix:
+            raise ValueError("the Harten entropy fix was removed from the Roe flux")
+        uL, uR = _as_state(uL), _as_state(uR)
+        nf = uL[0].size
+        u = np.concatenate([uL.reshape(3, nf), uR.reshape(3, nf)], axis=1)
+        return self._columns(u, 0, slice(None, nf), slice(nf, None))[2].reshape(uL.shape)
+
+    def fluxes(self, u_q, uL, uR, geom=None):
+        """The three terms on the columns [u_q | uL | uR]; the faces of a
+        stack of states, (3, *batch, F), are flattened into columns."""
+        nq, nf = u_q[0].size, uL[0].size
+        u = np.concatenate([u_q.reshape(3, nq), uL.reshape(3, nf), uR.reshape(3, nf)], axis=1)
+        F, p, F_hat = self._columns(u, nq, slice(None, nf), slice(nf, None))
+        source = (self.source(u_q, geom=geom, pressure=p[:nq].reshape(u_q.shape[1:]))
+                  if self.has_source() else None)
+        return F[:, :nq].reshape(u_q.shape), F_hat.reshape(uL.shape), source
 
     def interface_fluxes(self, u):
-        """roe_flux(u[:, :-1], u[:, 1:]) from one `_euler_side` and one
-        `_roe_side` pass over the row, sliced for the two sides of its faces.
-        An inadmissible row raises as `roe_flux` does, whose left side is
-        checked first."""
-        try:
-            F, *prims = _euler_side(u, self.gamma_a)
-        except AdmissibilityError:
-            return self.roe_flux(u[:, :-1], u[:, 1:])
-        side = _roe_side(*prims)
-        L, R = slice(None, -1), slice(1, None)
-        return _roe(u[:, L], u[:, R], F[:, L], F[:, R], [a[L] for a in side],
-                    [a[R] for a in side], self.gamma_a, entropy_fix=False)
+        """The Roe flux on the row u, its columns [:-1] against [1:]."""
+        return self._columns(u, 0, slice(None, -1), slice(1, None))[2]
 
     def max_wave_speed(self, u, x=None):   # x unread, kept for perfbench's FV clock
         u = _as_state(u)
@@ -292,7 +286,7 @@ class NozzleEuler(Euler1D):
     The Euler flux is homogeneous of degree one, F(lambda w) = lambda F(w)
     (Toro, Riemann Solvers and Numerical Methods for Fluid Dynamics, 3rd
     ed., 3.1.2), and so is the Roe flux of two sides scaled by one lambda,
-    whose Roe averages, wave speeds and entropy-fix eps do not change (Roe,
+    whose Roe averages and wave speeds do not change (Roe,
     J. Comput. Phys. 43, 1981).  So A F(u/A) = F(u): the flux, Roe flux,
     wave speed and admissibility (A > 0 keeps every sign) are `Euler1D`'s,
     and the inherited `primitives` returns (A rho, v, A p).  The area enters
@@ -306,11 +300,12 @@ class NozzleEuler(Euler1D):
         A, dA = nozzle_area(x)
         return A, dA / A
 
-    def source(self, u, x=None, geom=None):
+    def source(self, u, x=None, geom=None, pressure=None):
         u = _as_state(u)
         _, dlogA = self.geometry(x) if geom is None else geom
-        # the pressure of the weighted state is A p: (A p) (dA/dx) / A
-        Ap = _euler_primitives(u, self.gamma_a)[3]
+        # the pressure of the weighted state is A p, `pressure` when the caller
+        # has already derived and checked it: (A p) (dA/dx) / A
+        Ap = _euler_primitives(u, self.gamma_a)[3] if pressure is None else pressure
         out = np.zeros_like(u)
         out[1] = Ap * dlogA
         return out

@@ -252,7 +252,7 @@ class Discretization:
         try:
             u_q = self.eval_at_quad(U)
             faces = self.face_traces(U, t)
-            F_q, F_hat = self.law.fluxes(u_q, *faces)
+            F_q, F_hat, S_q = self.law.fluxes(u_q, *faces, geom=self.geom_q)
         except AdmissibilityError as exc:
             where = self._where(u_q, faces)
             raise SolverAbort(f"inadmissible state at t={t:.6g}: {exc}{where}") from exc
@@ -261,8 +261,7 @@ class Discretization:
         subcells = elements + (self.n,)
         R += F_hat[..., :-1].reshape(subcells) @ self._lift_left
         R += F_hat[..., 1:].reshape(subcells) @ self._lift_right
-        if self.law.has_source():
-            S_q = self.law.source(u_q, geom=self.geom_q)
+        if S_q is not None:
             R += (S_q.reshape(elements + (-1,)) @ self._source) * self._half_h
         return R
 

@@ -204,6 +204,34 @@ def test_nozzle_steady_params_makes_three_flat_solves(monkeypatch):
     assert len(calls) == 3
 
 
+def test_nozzle_inlet_iteration_matches_200_damped_steps_bit_for_bit():
+    # the inlet fixed-point loop stops once an iterate repeats; the state it
+    # stops at is the one all 200 iterations of the former loop reach
+    gamma_a = harness.GAS_GAMMA
+    rho_a, u_a, m_a = NOZZLE_INLET
+    p_a = rho_a * (u_a / m_a) ** 2 / gamma_a
+    a_throat = float(nozzle_area(np.array([0.5]))[0][0])
+
+    def area_ratio(mach):
+        t = (2.0 / (gamma_a + 1.0)) * (1.0 + 0.5 * (gamma_a - 1.0) * mach * mach)
+        return t ** ((gamma_a + 1.0) / (2.0 * (gamma_a - 1.0))) / mach
+
+    mach_in = float(harness._bisect(lambda m: area_ratio(m) - 1.0 / a_throat, 1e-3, 1.0))
+    rho_d, u_d, p_d = rho_a, u_a, p_a
+    for _ in range(200):
+        c_d = np.sqrt(gamma_a * p_d / rho_d)
+        p_new = p_a - rho_d * c_d * (u_d - u_a)
+        rho_new = rho_a + (p_new - p_a) / (c_d * c_d)
+        u_new = mach_in * np.sqrt(gamma_a * p_new / rho_new)
+        rho_d = 0.5 * (rho_d + rho_new)
+        u_d = 0.5 * (u_d + u_new)
+        p_d = 0.5 * (p_d + p_new)
+    mdot, sigma1, _, enthalpy, _ = harness._nozzle_steady_params()
+    assert mdot == rho_d * u_d
+    assert sigma1 == p_d / rho_d ** gamma_a
+    assert enthalpy == gamma_a * p_d / ((gamma_a - 1.0) * rho_d) + 0.5 * u_d * u_d
+
+
 def test_nozzle_initial_makes_one_bisection(monkeypatch):
     harness._nozzle_steady_params()
     calls = counting_bisect(monkeypatch)

@@ -93,6 +93,19 @@ def test_euler_primitives_roundtrip():
     )
 
 
+@pytest.mark.parametrize("shape", [(), (1,), (7,), (2, 3)])
+def test_euler_state_from_primitives_bits_of_the_stacked_formula(shape):
+    # written into one (3, ...) array, the state keeps the bits of the
+    # np.stack of its three rows
+    rng = np.random.default_rng(16)
+    rho, vel, p = (rng.uniform(lo, hi, shape) for lo, hi in ((0.2, 3.0), (-2.0, 2.0), (0.2, 5.0)))
+    stacked = np.stack([rho, rho * vel, p / (GAMMA - 1.0) + 0.5 * rho * vel ** 2])
+    got = euler_state_from_primitives(rho, vel, p, GAMMA)
+    assert got.shape == (3,) + shape and np.array_equal(got, stacked)
+    point = euler_state_from_primitives(*(float(a.flat[0]) for a in (rho, vel, p)), GAMMA)
+    assert np.array_equal(point, stacked.reshape(3, -1)[:, 0])
+
+
 def test_euler_flux_values():
     law = Euler1D()
     u = euler_state_from_primitives(1.0, 2.0, 3.0, GAMMA)[:, None]
@@ -117,14 +130,11 @@ def test_euler_roe_supersonic_upwinding():
     np.testing.assert_allclose(law.roe_flux(uL, uR), law.flux(uL), atol=1e-12)
 
 
-def test_euler_roe_entropy_fix_adds_dissipation_near_sonic():
-    law = Euler1D()
-    # transonic pair: the Roe average has u - c ~ 0, inside the smoothing band
-    uL = euler_state_from_primitives(1.0, 0.5, 1.0 / GAMMA, GAMMA)[:, None]
-    uR = euler_state_from_primitives(1.0, 1.5, 1.0 / GAMMA, GAMMA)[:, None]
-    plain = law.roe_flux(uL, uR, entropy_fix=False)
-    fixed = law.roe_flux(uL, uR, entropy_fix=True)
-    assert not np.allclose(plain, fixed)
+@pytest.mark.parametrize("law", [Euler1D(), NozzleEuler()], ids=["euler1d", "nozzle"])
+def test_euler_roe_flux_refuses_the_removed_entropy_fix(law):
+    u = euler_state_from_primitives(1.0, 0.5, 2.0, GAMMA)[:, None]
+    with pytest.raises(ValueError, match="Harten entropy fix was removed"):
+        law.roe_flux(u, u, entropy_fix=True)
 
 
 def test_euler_admissibility_errors():
@@ -191,7 +201,7 @@ def test_roe_flux_density_check_not_hidden_by_nan(law):
         law.roe_flux(uR, uL, x=np.full(3, 0.5))
 
 
-def roe_flux_waves(uL, uR, gamma_a=GAMMA, entropy_fix=False):
+def roe_flux_waves(uL, uR, gamma_a=GAMMA):
     """Roe flux summed wave by wave, 0.5 (F(uL) + F(uR)) - 0.5 sum_k
     |lambda_k| alpha_k r_k, with the wave strengths alpha_k from the
     conserved jumps: the oracle for the compact form of `Euler1D.roe_flux`.
@@ -202,12 +212,6 @@ def roe_flux_waves(uL, uR, gamma_a=GAMMA, entropy_fix=False):
     def primitives(u):
         vel = u[1] / u[0]
         return u[0], vel, (gamma_a - 1.0) * (u[2] - 0.5 * u[0] * vel * vel)
-
-    def fix_abs(lam, eps):
-        a = np.abs(lam)
-        if not entropy_fix:
-            return a
-        return np.where(a < eps, lam * lam / (2.0 * eps) + 0.5 * eps, a)
 
     rhoL, vL, pL = primitives(uL)
     rhoR, vR, pR = primitives(uR)
@@ -225,8 +229,7 @@ def roe_flux_waves(uL, uR, gamma_a=GAMMA, entropy_fix=False):
     a1 = (d0 * lam3 - d1 - ct * a2) / (2.0 * ct)
     a3 = d0 - a1 - a2
 
-    eps = 0.05 * (np.abs(vt) + ct)
-    l1, l2, l3 = fix_abs(lam1, eps), fix_abs(vt, eps), fix_abs(lam3, eps)
+    l1, l2, l3 = np.abs(lam1), np.abs(vt), np.abs(lam3)
     w1, w2, w3 = a1 * l1, a2 * l2, a3 * l3
     FL = np.stack([uL[1], uL[1] * vL + pL, EpL * vL])
     FR = np.stack([uR[1], uR[1] * vR + pR, EpR * vR])
@@ -253,23 +256,21 @@ _side = st.tuples(_log_uniform, st.floats(-5.0, 5.0), _log_uniform)   # (rho, v,
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(_side, _side), min_size=1, max_size=8),
-       st.booleans())
-def test_euler_roe_flux_matches_wave_by_wave_sum(pairs, entropy_fix):
+@given(st.lists(st.tuples(_side, _side), min_size=1, max_size=8))
+def test_euler_roe_flux_matches_wave_by_wave_sum(pairs):
     law = Euler1D()
     left, right = (np.array(side, dtype=float).T for side in zip(*pairs))
     uL = euler_state_from_primitives(*left, GAMMA)
     uR = euler_state_from_primitives(*right, GAMMA)
-    oracle, size = roe_flux_waves(uL, uR, entropy_fix=entropy_fix)
-    got = law.roe_flux(uL, uR, entropy_fix=entropy_fix)
+    oracle, size = roe_flux_waves(uL, uR)
+    got = law.roe_flux(uL, uR)
     # per face, normwise, against the size of the terms the oracle sums:
     # against the oracle's own max-norm it is meaningless where a flux of
     # 1e-3 comes out of terms of 1e4 (both formulas then sit up to 4e-9,
     # relative, from a 60-digit evaluation of the same flux)
     assert np.all(np.abs(got - oracle).max(axis=0) <= 1e-12 * size)
     # a point-shaped call gives the first face's column
-    assert np.array_equal(law.roe_flux(uL[:, 0], uR[:, 0], entropy_fix=entropy_fix),
-                          got[:, 0])
+    assert np.array_equal(law.roe_flux(uL[:, 0], uR[:, 0]), got[:, 0])
 
 
 def test_euler_max_wave_speed():
@@ -350,10 +351,15 @@ def test_fluxes_equal_flux_and_roe_flux(law_name, shape, faces, data):
         u = euler_state_from_primitives(*np.array(sides).T, GAMMA)
     u_q = u[:, :nq].reshape((law.m,) + shape)
     uL, uR = u[:, nq:nq + faces].copy(), u[:, nq + faces:].copy()
-    F_q, F_hat = law.fluxes(u_q, uL, uR)
+    geom = law.geometry(np.linspace(0.0, 1.0, nq).reshape(shape))
+    F_q, F_hat, S_q = law.fluxes(u_q, uL, uR, geom=geom)
     assert F_q.shape == u_q.shape and F_hat.shape == uL.shape
     assert np.array_equal(F_q, law.flux(u_q))
     assert np.array_equal(F_hat, law.roe_flux(uL, uR))
+    if law.has_source():
+        assert np.array_equal(S_q, law.source(u_q, geom=geom))
+    else:
+        assert S_q is None
 
 
 @pytest.mark.parametrize("law", [Euler1D(), NozzleEuler()])
@@ -375,7 +381,7 @@ def test_fluxes_reject_inadmissible_state(law, where, bad, message):
         law.flux(u_q) if where == "quadrature" else law.roe_flux(uL, uR)
 
 
-def roe_flux_before_shared_sides(uL, uR, g=GAMMA, entropy_fix=False):
+def roe_flux_before_shared_sides(uL, uR, g=GAMMA):
     """`Euler1D.roe_flux` as written before it shared its side pass and its
     central part with the volume flux (admissibility checks left out): the
     oracle for the finite volume reference, whose cache key promises the
@@ -384,9 +390,6 @@ def roe_flux_before_shared_sides(uL, uR, g=GAMMA, entropy_fix=False):
         vel = u[1] / u[0]
         q = u[1] * vel
         return u[0], vel, q, (g - 1.0) * (u[2] - 0.5 * q)
-
-    def harten(lam, a, eps):
-        return np.where(a < eps, lam * lam / (2.0 * eps) + 0.5 * eps, a)
 
     rhoL, vL, qL, pL = side(uL)
     rhoR, vR, qR, pR = side(uR)
@@ -399,9 +402,6 @@ def roe_flux_before_shared_sides(uL, uR, g=GAMMA, entropy_fix=False):
     ic = 1.0 / ct
     lam1, lam3 = vt - ct, vt + ct
     a1, a2, a3 = np.abs(lam1), np.abs(vt), np.abs(lam3)
-    if entropy_fix:
-        eps = 0.05 * (a2 + ct)
-        a1, a2, a3 = harten(lam1, a1, eps), harten(vt, a2, eps), harten(lam3, a3, eps)
     k1 = 0.5 * (a1 + a3) - a2
     k2 = 0.5 * (a3 - a1)
     rdv = sL * sR * (vR - vL)
@@ -418,26 +418,24 @@ def roe_flux_before_shared_sides(uL, uR, g=GAMMA, entropy_fix=False):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(_side, _side), min_size=1, max_size=8), st.booleans())
-def test_euler_roe_flux_bits_unchanged(pairs, entropy_fix):
+@given(st.lists(st.tuples(_side, _side), min_size=1, max_size=8))
+def test_euler_roe_flux_bits_unchanged(pairs):
     left, right = (np.array(side, dtype=float).T for side in zip(*pairs))
     uL = euler_state_from_primitives(*left, GAMMA)
     uR = euler_state_from_primitives(*right, GAMMA)
     law = Euler1D()
-    assert np.array_equal(law.roe_flux(uL, uR, entropy_fix=entropy_fix),
-                          roe_flux_before_shared_sides(uL, uR, entropy_fix=entropy_fix))
-    assert np.array_equal(law.roe_flux(uL[:, 0], uR[:, 0], entropy_fix=entropy_fix),
-                          roe_flux_before_shared_sides(uL[:, 0], uR[:, 0],
-                                                       entropy_fix=entropy_fix))
+    assert np.array_equal(law.roe_flux(uL, uR), roe_flux_before_shared_sides(uL, uR))
+    assert np.array_equal(law.roe_flux(uL[:, 0], uR[:, 0]),
+                          roe_flux_before_shared_sides(uL[:, 0], uR[:, 0]))
 
 
-@pytest.mark.parametrize("entropy_fix", [False, True])
+@pytest.mark.parametrize("entropy_fix", [False])     # as perfbench/micro.py passes it
 def test_euler_roe_flux_bits_unchanged_on_a_reference_sized_grid(entropy_fix):
     # 4,097 faces, as the fv-reference march's, through every vector loop
     uL = random_admissible_states(np.random.default_rng(11), 4097)
     uR = random_admissible_states(np.random.default_rng(12), 4097)
     assert np.array_equal(Euler1D().roe_flux(uL, uR, entropy_fix=entropy_fix),
-                          roe_flux_before_shared_sides(uL, uR, entropy_fix=entropy_fix))
+                          roe_flux_before_shared_sides(uL, uR))
 
 
 _ROW_LAWS = {"convection+": Convection(beta=1.5), "convection-": Convection(beta=-0.7),
@@ -475,7 +473,7 @@ _BAD_DENSITY, _BAD_PRESSURE = (-1.0, 0.0, 1.0), (1.0, 10.0, 1.0)
 @pytest.mark.parametrize("bad", [
     {0: _BAD_DENSITY}, {3: _BAD_DENSITY}, {6: _BAD_DENSITY},
     {0: _BAD_PRESSURE}, {3: _BAD_PRESSURE}, {6: _BAD_PRESSURE},
-    # the row holds a bad density, but roe_flux checks the left side first
+    # every call checks the density of all its columns before any pressure
     {2: _BAD_PRESSURE, 6: _BAD_DENSITY},
     {0: (np.nan, 1.0, 1.0), 4: _BAD_DENSITY},
 ], ids=["density-first", "density-mid", "density-last", "pressure-first", "pressure-mid",
@@ -489,6 +487,38 @@ def test_interface_fluxes_reject_an_inadmissible_row_as_roe_flux_does(law, bad):
     with pytest.raises(AdmissibilityError) as got:
         law.interface_fluxes(u)
     assert str(got.value) == str(expected.value)
+
+
+def _outcome(call):
+    """(call(), None), or (None, the text of the AdmissibilityError it raised)."""
+    try:
+        return call(), None
+    except AdmissibilityError as exc:
+        return None, str(exc)
+
+
+_row_state = st.one_of(_side.map(lambda side: tuple(euler_state_from_primitives(*side, GAMMA))),
+                       st.sampled_from([_BAD_DENSITY, _BAD_PRESSURE, (np.nan, 1.0, 1.0),
+                                        (1.0, np.nan, 1.0)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(law=st.sampled_from([Euler1D(), NozzleEuler()]),
+       row=st.lists(_row_state, min_size=2, max_size=9))
+def test_the_three_euler_flux_calls_agree_on_bits_and_errors(law, row):
+    # roe_flux, the face part of fluxes and interface_fluxes on the faces of
+    # one row: the same bits, or the same AdmissibilityError text (a row of
+    # two cells or more, so that every cell is a side of a face)
+    u = np.array(row, dtype=float).T
+    uL, uR = u[:, :-1], u[:, 1:]
+    u_q = random_admissible_states(np.random.default_rng(15), 6).reshape(3, 2, 3)
+    geom = law.geometry(np.full(u_q.shape[1:], 0.5))
+    (expected, error), *others = [_outcome(lambda: law.roe_flux(uL, uR)),
+                                  _outcome(lambda: law.fluxes(u_q, uL, uR, geom=geom)[1]),
+                                  _outcome(lambda: law.interface_fluxes(u))]
+    for got, got_error in others:
+        assert got_error == error
+        assert error is not None or np.array_equal(got, expected, equal_nan=True)
 
 
 # -- nozzle -------------------------------------------------------------------
@@ -518,7 +548,7 @@ def test_nozzle_flux_reduces_to_euler_in_straight_duct():
     )
 
 
-def area_scaled_nozzle(u, v, A, dA, entropy_fix):
+def area_scaled_nozzle(u, v, A, dA):
     """The quasi-1D terms from the Euler ones on the state per unit area,
     w = u / A, scaled back by A: A F(w), A Roe(u / A, v / A), p(w) dA/dx and
     the max speed of w; the oracles for `NozzleEuler`, which applies the
@@ -537,8 +567,7 @@ def area_scaled_nozzle(u, v, A, dA, entropy_fix):
         "flux": (A * euler.flux(w),
                  A * np.maximum.reduce([np.abs(w[1]), np.abs(w[1] * vel) + p_size,
                                         (np.abs(w[2]) + p_size) * np.abs(vel)])),
-        "roe_flux": (A * euler.roe_flux(w, v / A, entropy_fix=entropy_fix),
-                     A * roe_flux_waves(w, v / A, entropy_fix=entropy_fix)[1]),
+        "roe_flux": (A * euler.roe_flux(w, v / A), A * roe_flux_waves(w, v / A)[1]),
         "source": (np.stack([np.zeros_like(p), p * dA, np.zeros_like(p)]),
                    np.abs(dA) * p_size),
     }
@@ -553,19 +582,18 @@ _slope = st.one_of(st.just(0.0), st.tuples(st.sampled_from([-1.0, 1.0]), st.floa
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(_side, _side, _area, _slope), min_size=1, max_size=8),
-       st.booleans())
-def test_nozzle_law_matches_area_scaled_euler(faces, entropy_fix):
+@given(st.lists(st.tuples(_side, _side, _area, _slope), min_size=1, max_size=8))
+def test_nozzle_law_matches_area_scaled_euler(faces):
     # one area A and one dA/dx per face, shared by both of its sides
     law = NozzleEuler()
     left, right, A, dA = (np.array(c, dtype=float) for c in zip(*faces))
     u = euler_state_from_primitives(*left.T, GAMMA) * A
     v = euler_state_from_primitives(*right.T, GAMMA) * A
     geom = (A, dA / A)
-    terms, speed = area_scaled_nozzle(u, v, A, dA, entropy_fix)
+    terms, speed = area_scaled_nozzle(u, v, A, dA)
     got = {
         "flux": law.flux(u),
-        "roe_flux": law.roe_flux(u, v, entropy_fix=entropy_fix),
+        "roe_flux": law.roe_flux(u, v),
         "source": law.source(u, geom=geom),
     }
     for name, (oracle, size) in terms.items():

@@ -549,6 +549,23 @@ def test_residual_calls_each_layer_once(law_name):
     assert calls == ["eval_at_quad", "face_traces", "fluxes"]
 
 
+def test_nozzle_residual_source_is_the_law_source_bit_for_bit(monkeypatch):
+    # the residual's source reads the pressure of the flux pass, and is the
+    # source the law derives on its own from the quadrature states
+    disc, U = operator_case("nozzle", False, 2, 3, np.random.default_rng(7))
+    real, seen = disc.law.source, []
+
+    def spy(u, x=None, geom=None, pressure=None):
+        seen.append((pressure, real(u, x, geom=geom, pressure=pressure)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(disc.law, "source", spy)
+    disc.residual(U, 0.0)
+    [(pressure, S_q)] = seen
+    assert pressure is not None
+    assert np.array_equal(S_q, real(disc.eval_at_quad(U), geom=disc.geom_q))
+
+
 def test_nozzle_step_evaluates_no_area(monkeypatch):
     # the nozzle's A and dA/dx are built with the Discretization; a residual
     # and an IMEX step evaluate none
