@@ -42,7 +42,6 @@ class ReferenceElement:
 
     p: int
     n: int
-    n_quad: int
     gauss: tuple                # (nodes, weights) of the q-point Gauss rule on [-1, 1]
     quad_ref: np.ndarray        # (n, q) quadrature nodes per sub-cell, in [-1, 1]
     quad_w: np.ndarray          # (n, q) weights, summing to 2
@@ -98,7 +97,7 @@ def reference_element(p: int, n: int) -> ReferenceElement:
     mass_pp = np.diag(np.concatenate([leg_norms, np.zeros(n)]))
 
     return ReferenceElement(
-        p=p, n=n, n_quad=q, gauss=gauss,
+        p=p, n=n, gauss=gauss,
         quad_ref=quad_ref, quad_w=quad_w,
         phi=phi, dphi_ref=dphi,
         sub_edges=edges, leg_face=leg_face, leg_sub_avg=leg_sub_avg,

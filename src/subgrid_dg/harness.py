@@ -46,7 +46,7 @@ STEADY_RATE_TOL = 1e-4
 
 @dataclass
 class RunConfig:
-    """Flat experiment configuration; unset numeric fields take case defaults."""
+    """Flat experiment configuration; unset fields take the case's defaults when made."""
 
     case: str
     p: int | None = None
@@ -66,6 +66,9 @@ class RunConfig:
     def __post_init__(self):
         if self.case not in CASES:
             raise ValueError(f"unknown case {self.case!r}; choose from {CASES}")
+        for key, value in _CASES[self.case].defaults.items():
+            if getattr(self, key) is None:
+                setattr(self, key, value)
         self.sensor_config    # validates c_pen, tau and s_eps
         if self.dt is not None and not 0.0 < self.dt < np.inf:
             raise ValueError(f"need dt > 0 and a finite t_final: dt = {self.dt} is not finite and > 0")
@@ -414,15 +417,8 @@ _CASES = {
 CASES = tuple(name for name, case in _CASES.items() if case.dg)
 
 
-def _filled(config: RunConfig) -> RunConfig:
-    defaults = _CASES[config.case].defaults
-    updates = {k: v for k, v in defaults.items() if getattr(config, k) is None}
-    return replace(config, **updates) if updates else config
-
-
 def build_problem(config: RunConfig):
     """Discretization and projected initial state for a case."""
-    config = _filled(config)
     case = _CASES[config.case]
     mesh = build_uniform_mesh(*case.domain, config.n_elements, config.n)
     disc = Discretization(mesh, config.p, case.law(), case.bc_left, case.bc_right,
@@ -530,13 +526,6 @@ def run_case(config: RunConfig) -> RunResult:
 # -- error norms and studies --------------------------------------------------
 
 
-def state_error_norm(disc: Discretization, U: np.ndarray, U_ref: np.ndarray,
-                     norm_kind: str = "L2") -> float:
-    """Norm of the difference of two fields in the same space (component 0
-    for scalar problems, max over components otherwise)."""
-    return float(np.max(disc.field_norm(U - U_ref, norm_kind)))
-
-
 def error_norm(disc: Discretization, U: np.ndarray, reference,
                norm_kind: str = "L2", component: int = 0) -> float:
     """Global norm of u_delta - reference with the reference evaluated at the
@@ -556,7 +545,6 @@ def spatial_accuracy_dt_rule(coarsest_elements: int):
     stricter of the two.
     """
     def rule(cfg: RunConfig) -> float:
-        cfg = _filled(cfg)
         a, b = _CASES[cfg.case].domain
         _, disc, state0 = build_problem(replace(cfg, n_elements=coarsest_elements))
         wave_speed = disc.max_wave_speed(state0.U)
@@ -590,7 +578,7 @@ def convergence_study(base: RunConfig, refinements, norm_kind: str = "L2",
         raise ValueError("need at least 3 refinement levels")
     if any(a >= b for a, b in zip(refinements, refinements[1:])):
         raise ValueError(f"refinement levels must strictly increase: {list(refinements)}")
-    t_final, case = _filled(base).t_final, _CASES[base.case]
+    t_final, case = base.t_final, _CASES[base.case]
     law, (a, b) = case.law(), case.domain
     periods = t_final * abs(law.beta) / (b - a) if isinstance(law, Convection) else np.nan
     whole = abs(periods - np.round(periods)) <= 1e-12 * abs(periods)     # False for NaN
@@ -599,14 +587,14 @@ def convergence_study(base: RunConfig, refinements, norm_kind: str = "L2",
                          ": needs periodic convection over a whole number of periods")
     records: list[ErrorRecord] = []
     for n_el in refinements:
-        cfg = _filled(replace(base, n_elements=int(n_el), output_dir=None))
+        cfg = replace(base, n_elements=int(n_el), output_dir=None)
         if dt_rule is not None:
             cfg = replace(cfg, dt=dt_rule(cfg))
         h = (b - a) / cfg.n_elements
         try:
             result = run_case(cfg)
-            err = state_error_norm(result.disc, result.trajectory.final.U, result.initial.U,
-                                   norm_kind)
+            err = float(np.max(result.disc.field_norm(
+                result.trajectory.final.U - result.initial.U, norm_kind)))
         except SolverAbort:
             err = float("nan")
         records.append(ErrorRecord(h=h, p=cfg.p, n=cfg.n, norm_kind=norm_kind, error=err,

@@ -296,7 +296,9 @@ class NozzleEuler(Euler1D):
     name = "nozzle"
 
     def geometry(self, x):
-        """(A, (dA/dx) / A) at x."""
+        """(A, (dA/dx) / A) at x; ValueError without x."""
+        if x is None:
+            raise ValueError("the nozzle law needs the position x of its area A(x)")
         A, dA = nozzle_area(x)
         return A, dA / A
 
@@ -410,8 +412,8 @@ def check_boundary_law(bc: BoundaryCondition, law: ConservationLaw, end: str) ->
 
 
 def boundary_area(law: ConservationLaw, x) -> float:
-    """Area of the law's duct at the point x (1 without x or duct)."""
-    geom = None if x is None else law.geometry(x)
+    """Area of the law's duct at the point x (1 for a law without a duct)."""
+    geom = law.geometry(x)
     return 1.0 if geom is None else float(geom[0])
 
 

@@ -39,11 +39,20 @@ class SensorConfig:
 
 @dataclass(frozen=True)
 class SensorReport:
-    """Per-element sensor values, normalizations, and penalties."""
+    """Per-element penalties and each component's sensor values; `s` and `s0`
+    are the driving component's (the first with the largest s/s0), taken
+    when read."""
 
-    s: np.ndarray       # (n_elements,) max over components of s_K
-    s0: np.ndarray      # (n_elements,) normalization of the maximizing component
     gamma: np.ndarray   # (n_elements,) penalty >= 0
+    s_all: np.ndarray   # (m, n_elements) s_K of each component
+    s0_all: np.ndarray  # (m, n_elements) its normalization
+
+    def _driving(self, values: np.ndarray) -> np.ndarray:
+        comp = np.argmax(self.s_all / self.s0_all, axis=0)
+        return values[comp, np.arange(comp.size)]
+
+    s = property(lambda self: self._driving(self.s_all))
+    s0 = property(lambda self: self._driving(self.s0_all))
 
 
 @lru_cache(maxsize=None)
@@ -70,25 +79,17 @@ def evaluate_field_sensor(U: np.ndarray, p: int, n: int,
     if dof != p + n:
         raise ValueError(f"state dof {dof} does not match p + n = {p + n}")
     if p == 0:
-        zero = np.zeros(n_el)
-        return SensorReport(s=zero, s0=np.full(n_el, config.s_eps), gamma=zero.copy())
+        return SensorReport(gamma=np.zeros(n_el), s_all=np.zeros((m, n_el)),
+                            s0_all=np.full((m, n_el), config.s_eps))
 
     # |sub-cell averages| and |fit residuals| of all components and elements
     # at once, sub-cells leading so that the maxima over them run along
     # contiguous rows: peaks is (2, m, n_el)
     both = np.abs(_sensor_operator(p, n) @ U.reshape(-1, dof).T)
     peaks = both.reshape(2, n, m, n_el).max(axis=1)
+    s0_all = peaks[0] + config.s_eps
+    # c_pen max(0, s/s0 - tau) of the driving component; rounding keeps order,
+    # so flooring the largest ratio at tau and subtracting it gives the same bits
     tau = config.tau_for(p)
-    if m == 1:
-        s = peaks[1, 0]
-        s0 = peaks[0, 0] + config.s_eps
-        ratio = s / s0
-    else:
-        s_all = peaks[1]
-        s0_all = peaks[0] + config.s_eps
-        ratio_all = s_all / s0_all
-        comp = np.argmax(ratio_all, axis=0)          # driving component per element
-        idx = np.arange(n_el)
-        s, s0, ratio = s_all[comp, idx], s0_all[comp, idx], ratio_all[comp, idx]
-    gamma = config.c_pen * np.maximum(0.0, ratio - tau)
-    return SensorReport(s=s, s0=s0, gamma=gamma)
+    gamma = config.c_pen * ((peaks[1] / s0_all).max(axis=0, initial=tau) - tau)
+    return SensorReport(gamma=gamma, s_all=peaks[1], s0_all=s0_all)

@@ -321,17 +321,17 @@ class Discretization:
         norms = np.diagonal(self.ref.mass_pp)[: self.p]
         return (U[:, :, : self.p] ** 2 * norms).sum(-1) * (self.h / 2.0)
 
-    def quad_norm(self, v_q: np.ndarray, kind: str = "L2") -> np.float64:
-        """Global L1 or L2 norm of one field at the quadrature nodes (E, n, q)."""
+    def quad_norm(self, v_q: np.ndarray, kind: str = "L2") -> np.ndarray:
+        """Global L1 or L2 norm of each field at the quadrature nodes (..., E, n, q)."""
         if kind == "L2":
-            return np.sqrt(np.sum(v_q**2 * self.wq))
+            return np.sqrt(np.sum(v_q**2 * self.wq, axis=(-3, -2, -1)))
         if kind == "L1":
-            return np.sum(np.abs(v_q) * self.wq)
+            return np.sum(np.abs(v_q) * self.wq, axis=(-3, -2, -1))
         raise ValueError(f"unknown norm kind {kind!r}")
 
     def field_norm(self, U: np.ndarray, kind: str = "L2") -> np.ndarray:
         """Global L1 or L2 norm of each component."""
-        return np.array([self.quad_norm(u_q, kind) for u_q in self.eval_at_quad(U)])
+        return self.quad_norm(self.eval_at_quad(U), kind)
 
     def evaluate_sensor(self, U: np.ndarray) -> SensorReport:
         return evaluate_field_sensor(U, self.p, self.n, self.sensor_config)

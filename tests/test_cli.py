@@ -141,6 +141,20 @@ def test_run_command_config_file_that_is_not_utf8_is_config_error(tmp_path, caps
     assert captured.out == ""
 
 
+def test_configs_from_flags_and_from_a_file_carry_the_case_defaults(tmp_path, monkeypatch):
+    # the unset fields hold burgers' defaults as soon as the config is made
+    built = []
+    monkeypatch.setattr(cli, "run_case",
+                        lambda config: built.append(config) or SimpleNamespace(summary={}))
+    path = tmp_path / "run.cfg"
+    path.write_text("case = burgers\nn = 3\n")
+    for argv in (["run", "--case", "burgers", "--n", "3"], ["run", "--config", str(path)]):
+        built.clear()
+        assert main(argv) == EXIT_OK
+        [config] = built
+        assert (config.p, config.n, config.n_elements, config.t_final) == (4, 3, 9, 0.88)
+
+
 def test_load_config_json_takes_its_own_types(tmp_path):
     path = tmp_path / "run.json"
     values = {**TINY_JSON, "dt": 1, "tau": None, "snapshot_times": [0.005, 1e-3],

@@ -30,7 +30,6 @@ from subgrid_dg.harness import (
     shu_osher_initial,
     sod_like_initial,
     spatial_accuracy_dt_rule,
-    state_error_norm,
 )
 from subgrid_dg.mesh import Mesh, build_uniform_mesh
 from subgrid_dg.physics import (
@@ -84,6 +83,24 @@ def test_case_defaults_applied():
     assert config.t_final == 0.88
     config, disc, _ = build_problem(RunConfig(case="shu-osher", p=1, n=3))
     assert (disc.p, disc.n, disc.n_elements) == (1, 3, 64)
+
+
+@pytest.mark.parametrize("case", harness.CASES)
+def test_run_config_carries_the_case_defaults_when_made(case):
+    # the case row's defaults fill the unset fields, as the fill step applied
+    # before each build did: {k: v for k, v in defaults if the field is None}
+    defaults = harness._CASES[case].defaults
+    config = RunConfig(case=case)
+    assert {k: getattr(config, k) for k in defaults} == defaults
+    _, p, n, n_elements, _, t_final = README_PRESETS[case]
+    assert (config.p, config.n, config.n_elements, config.t_final) == (p, n, n_elements, t_final)
+    # an explicit field wins over its default; the others still fill
+    explicit = RunConfig(case=case, p=1, n_elements=5)
+    assert (explicit.p, explicit.n, explicit.n_elements, explicit.t_final) == (1, n, 5, t_final)
+    # a copy with a new element count keeps p, n and t_final
+    finer = replace(explicit, n_elements=12)
+    assert (finer.p, finer.n, finer.n_elements, finer.t_final) == (1, n, 12, t_final)
+    assert build_problem(config)[0] is config
 
 
 @pytest.mark.parametrize("case", harness.CASES)
@@ -369,7 +386,7 @@ def project_initial_per_element(disc, f, breakpoints):
     ("convection-heaviside", dict(n_elements=10, n=3)),   # both jumps inside sub-cells
 ])
 def test_project_initial_matches_per_element_projection(case, overrides):
-    config = harness._filled(RunConfig(case=case, **overrides))
+    config = RunConfig(case=case, **overrides)
     row = harness._CASES[case]
     mesh = build_uniform_mesh(*row.domain, config.n_elements, config.n)
     disc = Discretization(mesh, config.p, row.law(), row.bc_left, row.bc_right)
@@ -480,12 +497,24 @@ def test_error_norm_on_projected_function():
         error_norm(disc, state.U, gaussian_profile, "Linf")
 
 
-def test_state_error_norm():
-    config, disc, state = build_problem(
-        RunConfig(case="convection-gaussian", p=2, n=3, n_elements=8)
-    )
-    assert state_error_norm(disc, state.U, state.U) == 0.0
-    assert state_error_norm(disc, state.U, 0.5 * state.U) > 0.0
+@pytest.mark.parametrize("norm_kind", ["L2", "L1"])
+def test_convergence_study_error_is_the_largest_field_norm_of_the_change(monkeypatch,
+                                                                        norm_kind):
+    # each level's error is max over components of the norm of final - initial,
+    # here with the per-component quadrature loop written out
+    runs = []
+    run = harness.run_case
+    monkeypatch.setattr(harness, "run_case", lambda cfg: runs.append(run(cfg)) or runs[-1])
+    records = convergence_study(RunConfig(case="convection-gaussian", p=2, n=3),
+                                [4, 8, 16], norm_kind)
+    for record, result in zip(records, runs, strict=True):
+        disc = result.disc
+        diff = disc.eval_at_quad(result.trajectory.final.U - result.initial.U)
+        if norm_kind == "L2":
+            norms = [np.sqrt(np.sum(v_q**2 * disc.wq)) for v_q in diff]
+        else:
+            norms = [np.sum(np.abs(v_q) * disc.wq) for v_q in diff]
+        assert record.error == float(np.max(np.array(norms))) > 0.0
 
 
 def test_default_dt_scaling():
@@ -852,7 +881,7 @@ def test_fv_reference_without_cache_writes_nothing(tmp_path, monkeypatch):
 def test_project_initial_projects_split_element_once(monkeypatch):
     # one vector-valued projection for the nozzle's shock element, not one
     # per component
-    config = harness._filled(RunConfig(case="nozzle"))
+    config = RunConfig(case="nozzle")
     row = harness._CASES["nozzle"]
     mesh = build_uniform_mesh(*row.domain, config.n_elements, config.n)
     disc = Discretization(mesh, config.p, row.law(), row.bc_left, row.bc_right)

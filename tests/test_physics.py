@@ -12,6 +12,7 @@ from subgrid_dg.physics import (
     Euler1D,
     NozzleEuler,
     _any_nonpositive,
+    boundary_area,
     boundary_ghost,
     euler_state_from_primitives,
     farfield_state,
@@ -850,6 +851,56 @@ def test_nozzle_calls_match_from_coordinates_and_geometry():
     A = nozzle_area(x)[0]
     u = random_admissible_states(rng, x.size).reshape(3, *x.shape) * A
     assert np.array_equal(law.source(u, x), law.source(u, geom=geom))
+
+
+NO_POSITION = "the nozzle law needs the position x"
+
+
+def test_nozzle_source_without_position_is_refused():
+    # read as NaN, a missing x gave A = 1 and dA/dx = 0: a zero source
+    law = NozzleEuler()
+    u = farfield_state(1.0, 1.0, 0.40, GAMMA)[:, None] * np.ones(3)
+    with pytest.raises(ValueError, match=NO_POSITION):
+        law.source(u)
+    with pytest.raises(ValueError, match=NO_POSITION):
+        law.geometry(None)
+    x = np.array([0.2, 0.4, 0.7])
+    S = law.source(u, x)
+    assert np.array_equal(S, law.source(u, geom=law.geometry(x)))
+    assert np.all(S[1] != 0.0)
+
+
+def test_nozzle_fluxes_without_geometry_are_refused():
+    law = NozzleEuler()
+    u = farfield_state(1.0, 1.0, 0.40, GAMMA)[:, None] * np.ones(4)
+    with pytest.raises(ValueError, match=NO_POSITION):
+        law.fluxes(u, u[:, :2], u[:, :2])
+
+
+@pytest.mark.parametrize("side", [-1, 1])
+def test_nozzle_farfield_ghost_without_position_or_area_is_refused(side):
+    # it took area 1 without x, wherever the face is
+    bc = BoundaryCondition("farfield", farfield=(1.0, 1.0, 0.40))
+    u = farfield_state(1.0, 1.0, 0.40, GAMMA)[:, None]
+    with pytest.raises(ValueError, match=NO_POSITION):
+        boundary_ghost(bc, u, NozzleEuler(), side=side)
+    with pytest.raises(ValueError, match=NO_POSITION):
+        boundary_area(NozzleEuler(), None)
+
+
+@pytest.mark.parametrize("side", [-1, 1])
+@pytest.mark.parametrize("normal_mach", [2.0, -2.0, 0.5, -0.5])
+def test_euler_farfield_ghost_without_position_takes_unit_area(side, normal_mach):
+    # the FV march passes no x: an Euler law has no duct, so its area is 1
+    law = Euler1D()
+    bc = BoundaryCondition("farfield", farfield=(1.0, 1.0, 0.40))
+    rho, p = 0.9, 1.3
+    c = np.sqrt(GAMMA * p / rho)
+    u = euler_state_from_primitives(rho, side * normal_mach * c, p, GAMMA)[:, None]
+    ghost = boundary_ghost(bc, u, law, side=side)
+    assert boundary_area(law, None) == 1.0
+    assert np.array_equal(ghost, boundary_ghost(bc, u, law, side=side, area=1.0))
+    assert np.array_equal(ghost, array_farfield_ghost(bc, u, law, None, side))
 
 
 def test_laws_without_geometry():

@@ -62,7 +62,7 @@ def test_average_preservation_algebraic(p, n):
     mesh = Mesh(np.array([-0.3, 1.7]), n)
     f = lambda x: np.sin(3.0 * x) + 0.4 * x**2
     c = project_l2(f, mesh, p)
-    quad_avgs = exact_subcell_averages(f, mesh, n_quad=reference_element(p, n).n_quad)
+    quad_avgs = exact_subcell_averages(f, mesh, n_quad=reference_element(p, n).quad_ref.shape[1])
     np.testing.assert_allclose(project_lo(c, p, n), quad_avgs, atol=1e-12)
 
 
@@ -105,7 +105,7 @@ def quad_rhs_piece_by_piece(f, mesh, p, breakpoints=None):
     """_quad_rhs written as a loop over the (sub-cell, cut) pieces: one call
     of f and one Legendre evaluation per mode for each piece."""
     ref = reference_element(p, mesh.n_sub)
-    g, w = gauss_rule(ref.n_quad)
+    g, w = gauss_rule(ref.quad_ref.shape[1])
     b = None
     edges = mesh.nodes(ref.sub_edges)[0]
     for s in range(ref.n):

@@ -6,7 +6,13 @@ from hypothesis import strategies as st
 from subgrid_dg.basis import reference_element
 from subgrid_dg.mesh import Mesh
 from subgrid_dg.projections import NonInjectiveError, project_l2, project_lo
-from subgrid_dg.sensor import DEFAULT_S_EPS, SensorConfig, default_tau, evaluate_field_sensor
+from subgrid_dg.sensor import (
+    DEFAULT_S_EPS,
+    SensorConfig,
+    _sensor_operator,
+    default_tau,
+    evaluate_field_sensor,
+)
 
 
 def lstsq_sensor(c, p, n, s_eps):
@@ -171,3 +177,52 @@ def test_field_sensor_rejects_mismatched_dof():
 def test_sensor_undefined_when_averaging_not_injective():
     with pytest.raises(NonInjectiveError):
         evaluate_field_sensor(np.zeros((1, 2, 3 + 2)), 3, 2)
+
+
+def eager_sensor(U, p, n, config):
+    """(s, s0, gamma) as the sensor gathered them on every call: a scalar
+    branch, and for systems the driving component's values by argmax."""
+    m, n_el, dof = U.shape
+    if p == 0:
+        return np.zeros(n_el), np.full(n_el, config.s_eps), np.zeros(n_el)
+    both = np.abs(_sensor_operator(p, n) @ U.reshape(-1, dof).T)
+    peaks = both.reshape(2, n, m, n_el).max(axis=1)
+    if m == 1:
+        s, s0 = peaks[1, 0], peaks[0, 0] + config.s_eps
+        ratio = s / s0
+    else:
+        s_all, s0_all = peaks[1], peaks[0] + config.s_eps
+        ratio_all = s_all / s0_all
+        comp = np.argmax(ratio_all, axis=0)
+        idx = np.arange(n_el)
+        s, s0, ratio = s_all[comp, idx], s0_all[comp, idx], ratio_all[comp, idx]
+    return s, s0, config.c_pen * np.maximum(0.0, ratio - config.tau_for(p))
+
+
+@pytest.mark.parametrize("p, n", [(0, 5), (1, 2), (3, 5), (4, 8)])
+@pytest.mark.parametrize("m", [1, 3])
+def test_report_reads_the_eager_gather_bit_for_bit(p, n, m):
+    # s and s0 are gathered when read; they, and gamma, equal the values the
+    # sensor gathered on every call, on seeded states with some pure
+    # polynomial elements and (m = 3) components with equal ratios: with a
+    # normalization far below the averages, doubling a component doubles s
+    # and s0 exactly, so its ratio ties and the first component wins
+    config = SensorConfig(c_pen=1e3, s_eps=1e-300)
+    rng = np.random.default_rng(100 * p + 10 * n + m)
+    U = rng.standard_normal((m, 12, p + n))
+    U[:, ::3] = polynomial_states(rng, 4 * m, p, n)[0].reshape(m, 4, p + n)
+    if m == 3:
+        U[1, :6] = 2.0 * U[0, :6]      # ties 0 and 1: component 0 drives
+        U[2, 6:] = 4.0 * U[1, 6:]      # ties 1 and 2: the larger ratio's first
+    for cfg in (SensorConfig(c_pen=1e3), config):
+        rep = evaluate_field_sensor(U, p, n, cfg)
+        for got, want in zip((rep.s, rep.s0, rep.gamma), eager_sensor(U, p, n, cfg)):
+            assert got.tobytes() == want.tobytes()
+    if m == 3 and p > 0:        # the ties, at s_eps = 1e-300
+        ratio = rep.s_all / rep.s0_all
+        for first, second, cols in ((0, 1, slice(0, 6)), (1, 2, slice(6, 12))):
+            assert np.array_equal(ratio[first, cols], ratio[second, cols])
+            drives = np.argmax(ratio[:, cols], axis=0) == first    # and second ties it
+            assert drives.any()
+            assert np.array_equal(rep.s[cols][drives], rep.s_all[first, cols][drives])
+            assert not np.array_equal(rep.s[cols][drives], rep.s_all[second, cols][drives])

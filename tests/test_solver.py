@@ -608,6 +608,23 @@ def test_field_norm_of_known_function():
         disc.field_norm(state.U, "Linf")
 
 
+@pytest.mark.parametrize("case", ["convection-gaussian", "convection-heaviside", "burgers",
+                                  "nozzle", "shu-osher"])
+@pytest.mark.parametrize("kind", ["L2", "L1"])
+def test_quad_norm_of_a_stack_is_the_per_field_loop_bit_for_bit(case, kind):
+    # one reduction over the last three axes of the (m, E, n, q) stack gives
+    # each field the norm the loop over fields gave it
+    _, disc, state = build_problem(RunConfig(case=case))
+    v_q = disc.eval_at_quad(state.U)
+    if kind == "L2":
+        loop = np.array([np.sqrt(np.sum(u_q**2 * disc.wq)) for u_q in v_q])
+    else:
+        loop = np.array([np.sum(np.abs(u_q) * disc.wq) for u_q in v_q])
+    assert disc.quad_norm(v_q, kind).tobytes() == loop.tobytes()
+    assert disc.field_norm(state.U, kind).tobytes() == loop.tobytes()
+    assert disc.quad_norm(v_q[-1], kind) == loop[-1]      # one field: a scalar
+
+
 def test_periodic_bc_must_be_paired():
     mesh = build_uniform_mesh(0.0, 1.0, 4, 2)
     with pytest.raises(ValueError):
