@@ -58,8 +58,7 @@ class RunConfig:
     tau: float | None = None
     s_eps: float = DEFAULT_S_EPS
     cfl: float = 0.3
-    force_gamma_element: int | None = None
-    force_gamma_value: float | None = None
+    force_gamma_element: int | None = None     # penalized at DEFAULT_C_PEN every step
     snapshot_times: tuple = ()
     output_dir: str | None = None
 
@@ -74,12 +73,8 @@ class RunConfig:
             raise ValueError(f"need dt > 0 and a finite t_final: dt = {self.dt} is not finite and > 0")
         if not 0.0 < self.cfl < np.inf:
             raise ValueError(f"cfl must be finite and > 0: {self.cfl}")
-        if self.force_gamma_value is not None and not 0.0 <= self.force_gamma_value < np.inf:
-            raise ValueError(f"force_gamma_value must be finite and >= 0: {self.force_gamma_value}")
         if self.force_gamma_element is not None and self.force_gamma_element < 0:
             raise ValueError(f"force_gamma_element must be >= 0: {self.force_gamma_element}")
-        if self.force_gamma_value is not None and self.force_gamma_element is None:
-            raise ValueError("force_gamma_value needs force_gamma_element")
 
     @property
     def sensor_config(self) -> SensorConfig:
@@ -87,10 +82,7 @@ class RunConfig:
 
     @property
     def force_gamma(self) -> tuple[int, float] | None:
-        if self.force_gamma_element is None:
-            return None
-        value = self.force_gamma_value if self.force_gamma_value is not None else DEFAULT_C_PEN
-        return (self.force_gamma_element, value)
+        return None if self.force_gamma_element is None else (self.force_gamma_element, DEFAULT_C_PEN)
 
 
 @dataclass
@@ -571,9 +563,11 @@ def _observed_order(records: list[ErrorRecord], h: float, error: float) -> float
 
 def convergence_study(base: RunConfig, refinements, norm_kind: str = "L2",
                       dt_rule=None) -> list[ErrorRecord]:
-    """Run `base` at each element count and report errors against the
-    projected initial condition, the exact end state only of periodic linear
-    convection over whole periods; anything else is a ValueError up front."""
+    """Run `base` at each element count and report errors against the projected
+    initial condition, the exact end state only of periodic linear convection
+    over whole periods; anything else, or snapshot times, is a ValueError up front."""
+    if base.snapshot_times:     # a level writes none, yet its steps would land on each mark
+        raise ValueError(f"a convergence study takes no snapshot_times: {base.snapshot_times}")
     if len(refinements) < 3:
         raise ValueError("need at least 3 refinement levels")
     if any(a >= b for a, b in zip(refinements, refinements[1:])):

@@ -31,7 +31,7 @@ def _as_state(u) -> np.ndarray:
 
 
 class ConservationLaw:
-    """Base interface: flux, Roe flux, wave speeds, optional source.
+    """A law defines `flux`, `roe_flux`, `max_wave_speed` and, if it has one, `source`.
 
     A law whose terms depend on position builds its fixed per-point data
     with `geometry(x)`.  Only `source` reads position, from `x` or from that
@@ -47,29 +47,16 @@ class ConservationLaw:
         law that does not depend on position."""
         return None
 
-    def flux(self, u, x=None) -> np.ndarray:
-        raise NotImplementedError
-
-    def roe_flux(self, uL, uR, x=None, entropy_fix: bool = False) -> np.ndarray:
-        raise NotImplementedError
-
     def fluxes(self, u_q, uL, uR, geom=None):
-        """(flux(u_q), roe_flux(uL, uR), source(u_q, geom=geom)) of quadrature
-        states u_q (m, ...) and face states uL, uR (m, F): the three terms of
-        one residual, the source None for a law without one."""
-        source = self.source(u_q, geom=geom) if self.has_source() else None
-        return self.flux(u_q), self.roe_flux(uL, uR), source
+        """(flux(u_q), roe_flux(uL, uR), None) of quadrature states u_q (m, ...)
+        and face states uL, uR (m, F): the three terms of one residual, which a
+        law with a source overrides to give source(u_q, geom=geom) third."""
+        return self.flux(u_q), self.roe_flux(uL, uR), None
 
     def interface_fluxes(self, u):
         """roe_flux(u[:, :-1], u[:, 1:]): the Roe flux at the N faces between
         neighbours of a row of states u (m, N + 1)."""
         return self.roe_flux(u[:, :-1], u[:, 1:])
-
-    def max_wave_speed(self, u, x=None) -> float:
-        raise NotImplementedError
-
-    def source(self, u, x=None, geom=None) -> np.ndarray:
-        return np.zeros_like(_as_state(u))
 
     def has_source(self) -> bool:
         return False
@@ -94,7 +81,7 @@ class Convection(ConservationLaw):
         """The upwind flux, which is the Roe flux of a linear law (a new array)."""
         return self.beta * _as_state(uL if self.beta >= 0 else uR)
 
-    def max_wave_speed(self, u, x=None):
+    def max_wave_speed(self, u):
         return abs(self.beta)
 
 
@@ -112,7 +99,7 @@ class Burgers(ConservationLaw):
         a = 0.5 * (uL + uR)  # Roe speed
         return 0.5 * (self.flux(uL) + self.flux(uR)) - 0.5 * np.abs(a) * (uR - uL)
 
-    def max_wave_speed(self, u, x=None):
+    def max_wave_speed(self, u):
         return float(np.max(np.abs(u)))
 
 

@@ -362,8 +362,7 @@ def test_criterion_11_imex_order_and_explicit_limit():
 def test_criterion_12_polynomial_recovery_after_forced_penalty():
     snaps = (0.25,)
     forced = run_case(RunConfig(
-        case="convection-gaussian", force_gamma_element=10,
-        force_gamma_value=1.0e7, snapshot_times=snaps,
+        case="convection-gaussian", force_gamma_element=10, snapshot_times=snaps,
     ))
     unforced = run_case(RunConfig(case="convection-gaussian"))
     disc = forced.disc

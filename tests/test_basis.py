@@ -53,6 +53,11 @@ def test_legendre_normalization_and_orthogonality():
             assert inner == pytest.approx(exact, abs=1e-13)
 
 
+def test_legendre_eval_rejects_a_negative_index():
+    with pytest.raises(ValueError, match="mode index must be non-negative"):
+        legendre_eval(-1, 0.0)
+
+
 @pytest.mark.parametrize("p,n", [(0, 1), (0, 4), (1, 1), (1, 2), (2, 3), (3, 5), (4, 8)])
 def test_mass_matrix_against_brute_force(p, n):
     mesh = Mesh(np.array([0.3, 1.1]), n)

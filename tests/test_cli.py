@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -93,7 +97,7 @@ def test_run_command_text_value_that_does_not_parse_is_config_error(tmp_path, ca
 BAD_FLAG_VALUES = {
     "p": "1.5", "n": "x", "n_elements": "4.0", "dt": "fast", "t_final": "soon", "c_pen": "1e7x",
     "tau": "high", "s_eps": "tiny", "cfl": "fast", "force_gamma_element": "1.5",
-    "force_gamma_value": "x", "snapshot_times": "0.1,x",
+    "snapshot_times": "0.1,x",
 }
 STUDY = ["convergence", "--case", "convection-gaussian", "--p", "1", "--n", "2"]
 
@@ -114,7 +118,7 @@ def test_flag_value_that_does_not_parse_exits_2_naming_the_flag(argv, capsys):
     assert captured.out == ""
 
 
-# dt, t_final, c_pen, tau, s_eps, cfl and force_gamma_value
+# dt, t_final, c_pen, tau, s_eps and cfl
 FLOAT_FIELDS = [name for name, parse in cli._FIELDS.items() if parse is float]
 
 
@@ -180,7 +184,6 @@ FIELD_VALUES = {
     "s_eps": (1e-9, "1e-9"),
     "cfl": (0.2, "0.2"),
     "force_gamma_element": (1, "1"),
-    "force_gamma_value": (5.0, "5"),
     "snapshot_times": ((0.1, 0.2), "0.1,0.2"),
     "output_dir": ("out", "out"),
 }
@@ -233,7 +236,6 @@ def test_run_command_missing_case_is_config_error(capsys):
 
 @pytest.mark.parametrize("flags", [
     ["--s-eps", "0"], ["--c-pen", "-1"], ["--tau", "-0.01"],
-    ["--force-gamma-element", "3", "--force-gamma-value", "-1"],
 ])
 def test_run_command_invalid_sensor_setting_is_config_error(flags, capsys):
     assert main(["run", "--case", "convection-heaviside"] + flags) == EXIT_CONFIG
@@ -317,6 +319,25 @@ def test_check_injectivity_command_negative_degree_or_refinement_is_config_error
     assert captured.out == ""
 
 
+def test_module_entry_point_exits_with_the_code_of_main():
+    # `python -m subgrid_dg.cli` in its own process, the package found where
+    # this one imported it
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "subgrid_dg.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    done = run("check-injectivity", "--p", "1", "--r", "2", "--d", "1")
+    assert done.returncode == EXIT_OK, done.stderr
+    assert json.loads(done.stdout)["injective"] is True
+    done = run("run", "--case", "burgers", "--p", "x")
+    assert done.returncode == EXIT_CONFIG
+    assert "argument --p: invalid int value: 'x'" in done.stderr
+    assert done.stdout == ""
+
+
 def test_convergence_command(tmp_path, capsys):
     cfg = tmp_path / "conv.cfg"
     cfg.write_text("case = convection-gaussian\np = 1\nn = 2\n"
@@ -349,10 +370,24 @@ def test_convergence_command_without_exact_end_state_is_config_error(tmp_path, c
     assert not (tmp_path / "convergence.csv").exists()
 
 
-def test_run_command_forced_value_without_element_is_config_error(capsys):
-    code = main(["run", "--case", "convection-heaviside", "--force-gamma-value", "5"])
+def test_convergence_command_with_snapshot_times_is_config_error(tmp_path, capsys):
+    code = main(["convergence", "--case", "convection-gaussian", "--p", "1", "--n", "2",
+                 "--levels", "4,8,16", "--snapshot-times", "0.5", "--output-dir", str(tmp_path)])
     assert code == EXIT_CONFIG
-    assert "force_gamma_value needs force_gamma_element" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "config error: a convergence study takes no snapshot_times: (0.5,)" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "convergence.csv").exists()
+
+
+def test_run_command_forced_value_without_element_is_config_error(capsys):
+    # a forced element takes DEFAULT_C_PEN; no flag sets another value
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--case", "convection-heaviside", "--force-gamma-value", "5"])
+    assert exc.value.code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --force-gamma-value 5" in captured.err
+    assert captured.out == ""
 
 
 def test_reference_command(tmp_path, monkeypatch, capsys):

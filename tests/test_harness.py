@@ -64,14 +64,11 @@ def test_run_config_validation():
     assert cfg.force_gamma is None
     cfg = RunConfig(case="burgers", force_gamma_element=3)
     assert cfg.force_gamma == (3, 1.0e7)
-    cfg = RunConfig(case="burgers", force_gamma_element=3, force_gamma_value=5.0)
-    assert cfg.force_gamma == (3, 5.0)
-    # sensor settings that would give a NaN or negative penalty, and a
-    # negative forced penalty, are rejected where they enter
+    # sensor settings that would give a NaN or negative penalty are rejected
+    # where they enter
     for bad in (dict(s_eps=0.0), dict(s_eps=-1e-10), dict(s_eps=float("inf")),
                 dict(c_pen=-1.0), dict(c_pen=float("nan")), dict(tau=-0.01),
-                dict(tau=float("inf")), dict(force_gamma_element=3, force_gamma_value=-1.0),
-                dict(force_gamma_value=float("nan"))):
+                dict(tau=float("inf"))):
         with pytest.raises(ValueError):
             RunConfig(case="burgers", **bad)
     assert RunConfig(case="burgers", c_pen=0.0, tau=0.0).sensor_config.c_pen == 0.0
@@ -586,11 +583,6 @@ def test_euler_entropy_wave_converges_at_order_p_plus_one(p):
     assert order >= p + 0.7, errors
 
 
-def test_forced_value_without_element_is_rejected():
-    with pytest.raises(ValueError, match="force_gamma_value needs force_gamma_element"):
-        RunConfig(case="convection-heaviside", force_gamma_value=5.0)
-
-
 def test_convergence_study_requires_three_levels(monkeypatch):
     # a repeated or falling level gives no order (log(h/h) = 0): refused
     # before a level runs
@@ -614,6 +606,16 @@ def test_convergence_study_refuses_case_without_exact_end_state(monkeypatch, cas
     monkeypatch.setattr(harness, "run_case", lambda cfg: pytest.fail("a level ran"))
     with pytest.raises(ValueError, match=f"no exact end state for case '{case}'"):
         convergence_study(RunConfig(case=case, t_final=t_final), [4, 8, 16])
+
+
+def test_convergence_study_refuses_snapshot_times(monkeypatch):
+    # a level writes no snapshot, but its steps would still land on each mark
+    # and so move its error: refused before a level runs
+    monkeypatch.setattr(harness, "run_case", lambda cfg: pytest.fail("a level ran"))
+    base = RunConfig(case="convection-gaussian", p=1, n=2, snapshot_times=(0.123, 0.5))
+    with pytest.raises(ValueError, match=re.escape(
+            "a convergence study takes no snapshot_times: (0.123, 0.5)")):
+        convergence_study(base, [8, 16, 32])
 
 
 def test_convergence_study_records():

@@ -202,6 +202,23 @@ def test_roe_flux_density_check_not_hidden_by_nan(law):
         law.roe_flux(uR, uL, x=np.full(3, 0.5))
 
 
+# two states that pass the density and pressure checks (their pressures are
+# 3.6e-13 and 7.8e-17) but whose Roe average has c~^2 <= 0
+ROE_BAD_C_LEFT = np.array([218.47778534684, 1172.2519791615955, 3144.8842738558865])
+ROE_BAD_C_RIGHT = np.array([0.01395506135484705, 0.07487648351328163, 0.20087650067433863])
+
+
+@pytest.mark.parametrize("law", [Euler1D(), NozzleEuler()])
+def test_roe_flux_rejects_a_negative_roe_averaged_sound_speed(law):
+    uL, uR = ROE_BAD_C_LEFT[:, None], ROE_BAD_C_RIGHT[:, None]
+    assert law.admissible(uL).all() and law.admissible(uR).all()
+    row = np.concatenate([uL, uR], axis=1)
+    for call in (lambda: law.roe_flux(uL, uR), lambda: law.roe_flux(uR, uL),
+                 lambda: law.interface_fluxes(row), lambda: law.fluxes(row, uL, uR)):
+        with pytest.raises(AdmissibilityError, match="^negative Roe-averaged sound speed$"):
+            call()
+
+
 def roe_flux_waves(uL, uR, gamma_a=GAMMA):
     """Roe flux summed wave by wave, 0.5 (F(uL) + F(uR)) - 0.5 sum_k
     |lambda_k| alpha_k r_k, with the wave strengths alpha_k from the

@@ -535,6 +535,20 @@ def test_inadmissible_abort_names_the_first_bad_face(periodic, element, face, si
         disc.residual(U, 0.1)
 
 
+def test_inadmissible_roe_average_abort_names_no_place():
+    # every state passes the density and pressure checks, and the Roe average
+    # at the face between the two elements has c~^2 <= 0: no element or face
+    # trace is inadmissible, so the message names no place
+    uL = (218.47778534684, 1172.2519791615955, 3144.8842738558865)
+    uR = (0.01395506135484705, 0.07487648351328163, 0.20087650067433863)
+    disc = Discretization(build_uniform_mesh(0.0, 1.0, 2, 1), 0, Euler1D(),
+                          BoundaryCondition("prescribed", uL), BoundaryCondition("prescribed", uR))
+    U = np.array([uL, uR]).T[:, :, None]
+    with pytest.raises(SolverAbort,
+                       match="^inadmissible state at t=0.25: negative Roe-averaged sound speed$"):
+        disc.residual(U, 0.25)
+
+
 @pytest.mark.parametrize("law_name", ["convection", "burgers", "euler", "nozzle"])
 def test_residual_calls_each_layer_once(law_name):
     # the quadrature values, the face traces and the one fluxes call per
