@@ -8,7 +8,7 @@ the piecewise-constant finite volume space; for n = 1 it is standard modal DG.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -31,32 +31,78 @@ def gauss_rule(q: int) -> tuple[np.ndarray, np.ndarray]:
     return npleg.leggauss(q)
 
 
+class NonInjectiveError(ValueError):
+    """Sub-cell averaging is rank deficient on the polynomial space."""
+
+
+def _combined(leg: np.ndarray) -> np.ndarray:
+    """Legendre rows 0..p over the n sub-cells, (p+1, n, ...), to the combined
+    basis's rows, (p+n, n, ...): modes 1..p, then the n sub-cell indicators."""
+    n = leg.shape[1]
+    eye = np.eye(n).reshape((n, n) + (1,) * (leg.ndim - 2))
+    return np.concatenate([leg[1:], np.broadcast_to(eye, (n,) + leg.shape[1:])])
+
+
 @dataclass(frozen=True)
 class ReferenceElement:
-    """Cached quantities on [-1, 1] shared by all elements with the same (p, n).
-
-    Basis ordering: Legendre modes 1..p first, then sub-cell indicators
-    left to right.  All mass-type matrices scale to a physical element of
-    width h by the factor h/2.
-    """
+    """Every matrix on [-1, 1] that (p, n) fixes and the package reads, shared
+    by all elements with that pair (Hesthaven & Warburton, 2008, `StartUp1D`).
+    Basis ordering: Legendre modes 1..p, then sub-cell indicators left to
+    right.  Mass-type matrices scale to an element of width h by h/2.  The
+    step operators, `phi_q` to `mass_inv_t`, apply as `X @ op` to (m, E, .)
+    arrays; only the source and the mass solve carry h.  The last three
+    members are built on first use."""
 
     p: int
     n: int
+    dof: int                    # p + n
     gauss: tuple                # (nodes, weights) of the q-point Gauss rule on [-1, 1]
     quad_ref: np.ndarray        # (n, q) quadrature nodes per sub-cell, in [-1, 1]
     quad_w: np.ndarray          # (n, q) weights, summing to 2
     phi: np.ndarray             # (dof, n, q) basis values at quadrature nodes
-    dphi_ref: np.ndarray        # (dof, n, q) reference derivatives (0 for indicators)
     sub_edges: np.ndarray       # (n+1,) sub-cell boundaries in [-1, 1]
-    leg_face: np.ndarray        # (p+1, n+1) Legendre values (modes 0..p) at sub_edges
     leg_sub_avg: np.ndarray     # (p+1, n) sub-cell averages of Legendre modes 0..p
     mass: np.ndarray            # (dof, dof) Gram matrix on [-1, 1]
     mass_pp: np.ndarray         # (dof, dof) penalty mass: polynomial block only
     proj_ho: np.ndarray         # (p, dof) coefficients of pi_ho of each basis function
+    phi_q: np.ndarray           # (dof, n*q) basis values at the quadrature nodes
+    trace_left: np.ndarray      # (dof, n) traces at the left face of each sub-cell
+    trace_right: np.ndarray     # (dof, n) and at its right face
+    volume: np.ndarray          # (n*q, dof) w_ref * d(phi)/d(xi) at the quadrature nodes
+    lift_left: np.ndarray       # (n, dof) lift of the flux at each sub-cell's left face
+    lift_right: np.ndarray      # (n, dof) and at its right face
+    source: np.ndarray          # (n*q, dof) w_ref * phi at the quadrature nodes, times h/2
+    mass_inv_t: np.ndarray      # (dof, dof) M_ref^{-1} transposed; the physical mass is (h/2) M_ref
 
-    @property
-    def dof(self) -> int:
-        return self.p + self.n
+    @cached_property
+    def penalty_eigenbasis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(lam, W, M W): the p eigenpairs M_pp w = lam M w with lam > 0, W^T M W = I
+        and W^T M_pp W = diag(lam) (Golub & Van Loan, Matrix Computations, 8.7).
+        M_pp has rank p, so (M + c M_pp)^{-1} = M^{-1} - W diag(c lam/(1 + c lam)) W^T
+        for c >= 0.  Only penalized elements need it."""
+        l_inv = np.linalg.inv(np.linalg.cholesky(self.mass))
+        lam, V = np.linalg.eigh(l_inv @ self.mass_pp @ l_inv.T)   # ascending
+        W = l_inv.T @ V[:, self.n:]
+        return lam[self.n:], W, self.mass @ W
+
+    @cached_property
+    def average_fit(self) -> np.ndarray:
+        """pinv(leg_sub_avg.T): maps sub-cell averages to the L_0..L_p coefficients
+        of their least-squares polynomial fit (equal sub-cell measures, so no
+        weights); NonInjectiveError if n < p + 1, where averaging is rank deficient."""
+        if self.n < self.p + 1:
+            raise NonInjectiveError(
+                f"sub-cell averaging is rank deficient for (p={self.p}, n={self.n})")
+        return np.linalg.pinv(self.leg_sub_avg.T)
+
+    @cached_property
+    def sensor_operator(self) -> np.ndarray:
+        """(2n, dof) matrix mapping coefficients to the sub-cell averages (first
+        n rows) and to the residual of the best average-preserving polynomial
+        fit of those averages (last n): res = (G pinv(G) - I) avg, G = leg_sub_avg.T."""
+        fit_residual = self.leg_sub_avg.T @ self.average_fit - np.eye(self.n)
+        averages = _combined(self.leg_sub_avg).T                  # (n, dof)
+        return np.vstack([averages, fit_residual @ averages])
 
 
 @lru_cache(maxsize=None)
@@ -82,7 +128,7 @@ def reference_element(p: int, n: int) -> ReferenceElement:
     leg_face = npleg.legval(edges, modes)                       # (p+1, n+1)
     leg_sub_avg = np.einsum("isq,sq->is", leg_q, quad_w) / (2.0 / n)
 
-    phi = np.concatenate([leg_q[1:], np.eye(n)[:, :, None].repeat(q, axis=2)])
+    phi = _combined(leg_q)
     dphi = np.concatenate([dleg_q[1:], np.zeros((n, n, q))])
     mass = np.einsum("isq,jsq,sq->ij", phi, phi, quad_w)   # exactly symmetric
 
@@ -96,26 +142,24 @@ def reference_element(p: int, n: int) -> ReferenceElement:
     # be the monotone sub-cell-average representation.
     mass_pp = np.diag(np.concatenate([leg_norms, np.zeros(n)]))
 
+    trace_left, trace_right = _combined(leg_face[:, :-1]), _combined(leg_face[:, 1:])
+    # the lifts are the transposed traces, but the polynomial modes, continuous
+    # across sub-cell faces, see only the element boundaries
+    lift_left, lift_right = trace_left.T.copy(), -trace_right.T.copy()
+    lift_left[1:, :p] = lift_right[:-1, :p] = 0.0
+
     return ReferenceElement(
-        p=p, n=n, gauss=gauss,
+        p=p, n=n, dof=p + n, gauss=gauss,
         quad_ref=quad_ref, quad_w=quad_w,
-        phi=phi, dphi_ref=dphi,
-        sub_edges=edges, leg_face=leg_face, leg_sub_avg=leg_sub_avg,
+        phi=phi, sub_edges=edges, leg_sub_avg=leg_sub_avg,
         mass=mass, mass_pp=mass_pp, proj_ho=proj_ho,
+        phi_q=phi.reshape(p + n, n * q),
+        trace_left=trace_left, trace_right=trace_right,
+        volume=(dphi * quad_w[None]).reshape(p + n, n * q).T.copy(),
+        lift_left=lift_left, lift_right=lift_right,
+        source=(phi * quad_w[None]).reshape(p + n, n * q).T.copy(),
+        mass_inv_t=np.linalg.inv(mass).T.copy(),
     )
-
-
-@lru_cache(maxsize=None)
-def penalty_eigenbasis(p: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lam, W, M W): the p eigenpairs M_pp w = lam M w with lam > 0, W^T M W = I
-    and W^T M_pp W = diag(lam) (Golub & Van Loan, Matrix Computations, 8.7).
-    M_pp has rank p, so (M + c M_pp)^{-1} = M^{-1} - W diag(c lam/(1 + c lam)) W^T
-    for c >= 0.  Built on first use: only penalized elements need it."""
-    ref = reference_element(p, n)
-    l_inv = np.linalg.inv(np.linalg.cholesky(ref.mass))
-    lam, V = np.linalg.eigh(l_inv @ ref.mass_pp @ l_inv.T)   # ascending
-    W = l_inv.T @ V[:, n:]
-    return lam[n:], W, ref.mass @ W
 
 
 def penalty_stage_rate(p: int, n: int, U: np.ndarray, gammas: np.ndarray,
@@ -126,7 +170,7 @@ def penalty_stage_rate(p: int, n: int, U: np.ndarray, gammas: np.ndarray,
     gamma = 0.  The stage weight c = dt a_ii gives an implicit stage, c = 0 the penalty rate
     -M^{-1} gamma M_pp U, and U + r at c = 1 the penalized projection of the
     function whose L2 projection is U."""
-    lam, W, MW = penalty_eigenbasis(p, n)
+    lam, W, MW = reference_element(p, n).penalty_eigenbasis
     glam = gammas[:, None] * lam                       # (E, p)
     return -((U @ MW) * (glam / (1.0 + c * glam))) @ W.T
 

@@ -64,15 +64,19 @@ def load_config(path: str) -> dict:
     """Flat key/value config: `key = value` lines or a flat JSON object."""
     try:
         text = Path(path).read_text(encoding="utf-8")
+        # a JSON object as its (key, value) pairs, so that no key given twice is lost
+        pairs = json.loads(text, object_pairs_hook=tuple) if text.lstrip().startswith("{") else None
     except OSError as exc:
         raise ValueError(f"cannot read config file {path}: {exc.strerror}") from None
-    except UnicodeDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot read config file {path}: {exc}") from None
     values: dict = {}
-    if text.lstrip().startswith("{"):
-        for key, val in json.loads(text).items():
+    if pairs is not None:
+        for key, val in pairs:
             if key not in _FIELDS:
                 raise ValueError(f"unknown config key {key!r}")
+            if key in values:
+                raise ValueError(f"config key {key!r} is given twice")
             parse = _FIELDS[key]
             try:
                 if type(val) not in _JSON_TYPES[key] or (    # snapshot_times: a list of numbers
@@ -93,6 +97,8 @@ def load_config(path: str) -> dict:
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in _FIELDS:
             raise ValueError(f"line {line_no}: unknown config key {key!r}")
+        if key in values:
+            raise ValueError(f"line {line_no}: config key {key!r} is given twice")
         try:
             values[key] = _FIELDS[key](raw)
         except ValueError:

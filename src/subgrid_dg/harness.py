@@ -30,7 +30,7 @@ from .physics import (
     nozzle_area,
 )
 from .projections import project_l2
-from .sensor import DEFAULT_C_PEN, DEFAULT_S_EPS, SensorConfig
+from .sensor import DEFAULT_C_PEN, SensorConfig
 from .solver import Discretization, FieldState, SolverAbort, Trajectory, advance
 
 GAUSSIAN_CENTER = 0.5
@@ -56,7 +56,6 @@ class RunConfig:
     t_final: float | None = None
     c_pen: float = DEFAULT_C_PEN
     tau: float | None = None
-    s_eps: float = DEFAULT_S_EPS
     cfl: float = 0.3
     force_gamma_element: int | None = None     # penalized at DEFAULT_C_PEN every step
     snapshot_times: tuple = ()
@@ -68,7 +67,7 @@ class RunConfig:
         for key, value in _CASES[self.case].defaults.items():
             if getattr(self, key) is None:
                 setattr(self, key, value)
-        self.sensor_config    # validates c_pen, tau and s_eps
+        self.sensor_config    # validates c_pen and tau
         if self.dt is not None and not 0.0 < self.dt < np.inf:
             raise ValueError(f"need dt > 0 and a finite t_final: dt = {self.dt} is not finite and > 0")
         if not 0.0 < self.cfl < np.inf:
@@ -78,7 +77,7 @@ class RunConfig:
 
     @property
     def sensor_config(self) -> SensorConfig:
-        return SensorConfig(c_pen=self.c_pen, tau=self.tau, s_eps=self.s_eps)
+        return SensorConfig(c_pen=self.c_pen, tau=self.tau)
 
     @property
     def force_gamma(self) -> tuple[int, float] | None:
@@ -336,9 +335,9 @@ def project_initial(disc: Discretization, f, breakpoints=()) -> FieldState:
     f (a breakpoint) inside one of its sub-cells is projected again with
     `project_l2`, which splits that sub-cell's quadrature at the jump.
     """
-    m, E, dof = disc.law.m, disc.n_elements, disc.dof
+    m, E = disc.law.m, disc.n_elements
     f_w = np.asarray(f(disc.xq), dtype=float) * disc.wq
-    U = disc.solve_mass(f_w.reshape(m, E, -1) @ disc.ref.phi.reshape(dof, -1).T)
+    U = disc.solve_mass(f_w.reshape(m, E, -1) @ disc.ref.phi_q.T)
     mesh = disc.mesh
     inside = [b for b in breakpoints if mesh.a < b < mesh.b and b not in disc.xfaces]
     for e in np.unique(mesh.element_of(inside)):
@@ -713,7 +712,8 @@ def fv_reference(case: str, cells: int, t_final: float | None = None,
     x = U = None
     if path is not None and path.exists():
         try:
-            with np.load(path) as data:
+            # opened here: np.load leaves a file it opened open on a cut-off zip
+            with open(path, "rb") as fh, np.load(fh) as data:
                 x, U = data["x"], data["U"]
         except _CACHE_READ_ERRORS:
             x = U = None  # truncated or corrupt cache: recompute

@@ -6,12 +6,11 @@ Galerkin Methods, 2008; a local projection takes a one-element mesh."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 
-@lru_cache(maxsize=None)
 def reference_subcell_edges(n_sub: int) -> np.ndarray:
     """The n_sub + 1 edges of n_sub equal sub-cells of [-1, 1]."""
     return np.linspace(-1.0, 1.0, n_sub + 1)

@@ -11,12 +11,12 @@ reads only the reference element and takes (p, n).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .basis import (
+from .basis import (  # NonInjectiveError re-exported
+    NonInjectiveError,
     assemble_mass,
     element_reference,
     gauss_rule,
@@ -26,10 +26,6 @@ from .basis import (
 from .mesh import Mesh
 
 RANK_TOL = 1e-10         # relative singular-value cutoff for injectivity
-
-
-class NonInjectiveError(ValueError):
-    """Sub-cell averaging is rank deficient on the polynomial space."""
 
 
 def _quad_rhs(f, mesh: Mesh, p: int, breakpoints=None) -> np.ndarray:
@@ -102,20 +98,10 @@ def project_penalized(f, mesh: Mesh, p: int, gamma: float, breakpoints=None) -> 
     return u0 + rate[..., 0, :]
 
 
-@lru_cache(maxsize=None)
-def average_fit(p: int, n: int) -> np.ndarray:
-    """pinv(leg_sub_avg.T): maps sub-cell averages to the L_0..L_p coefficients
-    of their least-squares polynomial fit (equal sub-cell measures, so no
-    weights).  Averaging is rank deficient in 1D exactly when n < p + 1."""
-    if n < p + 1:
-        raise NonInjectiveError(f"sub-cell averaging is rank deficient for (p={p}, n={n})")
-    return np.linalg.pinv(reference_element(p, n).leg_sub_avg.T)
-
-
 def project_avg_preserving(c: np.ndarray, p: int, n: int) -> np.ndarray:
     """Best full polynomial (L_0..L_p coefficients) matching the sub-cell
-    averages of c in the (p, n) space by least squares; see `average_fit`."""
-    return project_lo(c, p, n) @ average_fit(p, n).T
+    averages of c in the (p, n) space by least squares (`ReferenceElement.average_fit`)."""
+    return project_lo(c, p, n) @ reference_element(p, n).average_fit.T
 
 
 @dataclass(frozen=True)

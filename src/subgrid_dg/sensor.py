@@ -1,18 +1,17 @@
 """Shock sensor and penalty: how far the field is from a pure polynomial
 that preserves the sub-cell averages.  One operator per (p, n),
-`_sensor_operator`, carries the whole sensor, and `evaluate_field_sensor`,
-its one reader, applies it to every element and component at once.
+`ReferenceElement.sensor_operator`, carries the whole sensor, and
+`evaluate_field_sensor`, its one reader, applies it to every element and
+component at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .basis import reference_element
-from .projections import average_fit
 
 DEFAULT_C_PEN = 1.0e7
 DEFAULT_S_EPS = 1.0e-10
@@ -55,17 +54,6 @@ class SensorReport:
     s0 = property(lambda self: self._driving(self.s0_all))
 
 
-@lru_cache(maxsize=None)
-def _sensor_operator(p: int, n: int) -> np.ndarray:
-    """(2n, dof) matrix mapping coefficients to the sub-cell averages (first
-    n rows) and to the residual of the best average-preserving polynomial
-    fit of those averages (last n): res = (G pinv(G) - I) avg, G = leg_sub_avg.T."""
-    leg_sub_avg = reference_element(p, n).leg_sub_avg              # (p+1, n)
-    fit_residual = leg_sub_avg.T @ average_fit(p, n) - np.eye(n)
-    averages = np.hstack([leg_sub_avg[1:].T, np.eye(n)])   # (n, dof)
-    return np.vstack([averages, fit_residual @ averages])
-
-
 def evaluate_field_sensor(U: np.ndarray, p: int, n: int,
                           config: SensorConfig = SensorConfig()) -> SensorReport:
     """Per-element sensor over a global state U of shape (m, n_elements, p + n)
@@ -85,7 +73,7 @@ def evaluate_field_sensor(U: np.ndarray, p: int, n: int,
     # |sub-cell averages| and |fit residuals| of all components and elements
     # at once, sub-cells leading so that the maxima over them run along
     # contiguous rows: peaks is (2, m, n_el)
-    both = np.abs(_sensor_operator(p, n) @ U.reshape(-1, dof).T)
+    both = np.abs(reference_element(p, n).sensor_operator @ U.reshape(-1, dof).T)
     peaks = both.reshape(2, n, m, n_el).max(axis=1)
     s0_all = peaks[0] + config.s_eps
     # c_pen max(0, s/s0 - tau) of the driving component; rounding keeps order,

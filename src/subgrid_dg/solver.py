@@ -3,16 +3,16 @@
 The state is a dense array U of shape (m, n_elements, dof) with the basis
 ordering of `basis` (p Legendre modes, then n indicator coefficients).
 
-The reference operators of a step are built once per Discretization, as the
-volume and LIFT matrices of nodal DG codes are (Hesthaven & Warburton,
-2008), so each stage is a few small matmuls over all components and
-elements at once: basis values at the quadrature nodes, sub-cell face
-traces, the volume term (indicators have zero derivative, so only the
-polynomial modes see it), one lift matrix each for the flux at the left and
-right face of every sub-cell, the source moment and M_ref^{-1}.  Every
-sub-cell face flux is computed once and shared.  Surface contributions of
-the continuous polynomial test modes telescope across interior sub-cell
-faces, so they only see the element-boundary fluxes.
+The reference operators of a step are built once per (p, n), in
+`basis.reference_element`, as nodal DG codes build their volume and LIFT
+matrices once per order (Hesthaven & Warburton, 2008), so each stage is a
+few small matmuls over all components and elements at once: basis values at
+the quadrature nodes, sub-cell face traces, the volume term (indicators have
+zero derivative, so only the polynomial modes see it), one lift matrix each
+for the flux at the left and right face of every sub-cell, the source moment
+and M_ref^{-1}.  Every sub-cell face flux is computed once and shared.
+Surface contributions of the continuous polynomial test modes telescope
+across interior sub-cell faces, so they only see the element-boundary fluxes.
 
 For periodic linear convection that whole chain is linear and couples an
 element only to itself and its upwind neighbour, so `residual` applies it as
@@ -116,7 +116,8 @@ _A_32, _A_HAT_32 = float(_TABLEAU.A[2, 1]), float(_TABLEAU.A_hat[2, 1])
 
 
 class Discretization:
-    """Mesh + degree + law + boundary conditions, with cached geometry."""
+    """Mesh + degree + law + boundary conditions.  It holds what its mesh fixes
+    (nodes, weights, h/2, 2/h, the law's geometry); `ref` holds every (p, n) matrix."""
 
     entropy_fix = False     # not a setting: kept only because perfbench/micro.py reads it
 
@@ -160,33 +161,8 @@ class Discretization:
         self.geom_q = law.geometry(self.xq)
         self._ghost_area = (boundary_area(law, self.xfaces[0]),
                             boundary_area(law, self.xfaces[-1]))
-        self._build_operators()
-
-    def _build_operators(self) -> None:
-        """Operators applied as `X @ op` to (m, E, .) arrays.  Only the mass
-        solve and the source carry the element width: the h factors of
-        weight and derivative in the volume term cancel."""
-        ref, p, n, dof = self.ref, self.p, self.n, self.dof
-        nq = ref.phi[0].size
-        # basis values at the quadrature nodes, (dof, n*q)
-        self._phi = ref.phi.reshape(dof, nq)
-        # traces at the left / right face of each sub-cell, (dof, n)
-        self._trace_left = np.vstack([ref.leg_face[1:, :-1], np.eye(n)])
-        self._trace_right = np.vstack([ref.leg_face[1:, 1:], np.eye(n)])
-        # volume term: w_ref * d(phi)/d(xi) at the quadrature nodes, (n*q, dof)
-        self._volume = (ref.dphi_ref * ref.quad_w[None]).reshape(dof, nq).T.copy()
-        # lift of the flux at each sub-cell's left / right face, (n, dof): the
-        # transposed traces, but the polynomial modes, continuous across
-        # sub-cell faces, see only the element boundaries
-        self._lift_left = self._trace_left.T.copy()
-        self._lift_left[1:, :p] = 0.0
-        self._lift_right = -self._trace_right.T.copy()
-        self._lift_right[:-1, :p] = 0.0
-        # source: w_ref * phi at the quadrature nodes, times h/2 per element
-        self._source = (ref.phi * ref.quad_w[None]).reshape(dof, nq).T.copy()
+        # the element widths of the source (h/2) and of the mass solve (2/h)
         self._half_h = (self.h / 2.0)[:, None]
-        # physical mass is (h/2) M_ref
-        self._mass_inv_t = np.linalg.inv(ref.mass).T.copy()
         self._inv_half_h = (2.0 / self.h)[:, None]
 
     @cached_property
@@ -210,7 +186,7 @@ class Discretization:
 
     def eval_at_quad(self, U: np.ndarray) -> np.ndarray:
         """Field values at all quadrature nodes, shape (m, *batch, E, n, q)."""
-        return (U @ self._phi).reshape(U.shape[:-1] + (self.n, -1))
+        return (U @ self.ref.phi_q).reshape(U.shape[:-1] + (self.n, -1))
 
     def face_traces(self, U: np.ndarray, t: float):
         """Left/right states at every sub-cell face, shape (m, *batch, E*n + 1); a farfield
@@ -220,8 +196,8 @@ class Discretization:
         uR = np.empty(faces)
         # traces from inside each sub-cell, written straight into the face
         # arrays (splitting the unit-stride last axis reshapes to a view)
-        np.matmul(U, self._trace_left, out=uR[..., :-1].reshape(subcells))
-        np.matmul(U, self._trace_right, out=uL[..., 1:].reshape(subcells))
+        np.matmul(U, self.ref.trace_left, out=uR[..., :-1].reshape(subcells))
+        np.matmul(U, self.ref.trace_right, out=uL[..., 1:].reshape(subcells))
         if self.periodic:
             uL[..., 0] = uL[..., -1]
             uR[..., -1] = uR[..., 0]
@@ -257,12 +233,12 @@ class Discretization:
             where = self._where(u_q, faces)
             raise SolverAbort(f"inadmissible state at t={t:.6g}: {exc}{where}") from exc
 
-        R = F_q.reshape(elements + (-1,)) @ self._volume
+        R = F_q.reshape(elements + (-1,)) @ self.ref.volume
         subcells = elements + (self.n,)
-        R += F_hat[..., :-1].reshape(subcells) @ self._lift_left
-        R += F_hat[..., 1:].reshape(subcells) @ self._lift_right
+        R += F_hat[..., :-1].reshape(subcells) @ self.ref.lift_left
+        R += F_hat[..., 1:].reshape(subcells) @ self.ref.lift_right
         if S_q is not None:
-            R += (S_q.reshape(elements + (-1,)) @ self._source) * self._half_h
+            R += (S_q.reshape(elements + (-1,)) @ self.ref.source) * self._half_h
         return R
 
     def _where(self, u_q: np.ndarray, faces) -> str:
@@ -298,7 +274,7 @@ class Discretization:
 
     def solve_mass(self, R: np.ndarray) -> np.ndarray:
         """Apply M^{-1} elementwise: the physical mass is (h/2) * M_ref."""
-        return (R @ self._mass_inv_t) * self._inv_half_h
+        return (R @ self.ref.mass_inv_t) * self._inv_half_h
 
     def rate(self, U: np.ndarray, t: float) -> np.ndarray:
         """The explicit stage rate M^{-1} R(U), for states U (m, *batch, E, dof)."""

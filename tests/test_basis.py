@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
 
 from subgrid_dg.basis import (
+    NonInjectiveError,
     assemble_mass,
     assemble_penalty_mass,
     basis_eval,
@@ -112,24 +115,31 @@ def test_penalty_mass_ignores_piecewise_constant_part():
 
 @pytest.mark.parametrize("p", range(9))
 def test_reference_tables_equal_per_mode_oracles(p):
-    # every Legendre table of the reference element, bit for bit against one
-    # mode at a time; the indicators are 1 on their own sub-cell, else 0
+    # every Legendre table of the reference element, and the face traces and
+    # the volume term's derivatives, bit for bit against one mode at a time;
+    # the indicators are 1 on their own sub-cell, else 0, with zero derivative
     for n in range(1, 13):
         ref = reference_element(p, n)
         x, edges = ref.quad_ref, ref.sub_edges
+        weighted_dphi = ref.volume.T.reshape(p + n, n, p + 2)
         for i in range(1, p + 1):
             assert np.array_equal(ref.phi[i - 1], legendre_eval(i, x))
             e_i = np.eye(i + 1)[i]            # L_i alone: no trailing zeros
-            assert np.array_equal(ref.dphi_ref[i - 1], npleg.legval(x, npleg.legder(e_i)))
+            dphi = npleg.legval(x, npleg.legder(e_i))
+            assert np.array_equal(weighted_dphi[i - 1], dphi * ref.quad_w)
+            assert np.array_equal(ref.trace_left[i - 1], legendre_eval(i, edges[:-1]))
+            assert np.array_equal(ref.trace_right[i - 1], legendre_eval(i, edges[1:]))
         for i in range(p + 1):
-            assert np.array_equal(ref.leg_face[i], legendre_eval(i, edges))
             avg = np.einsum("sq,sq->s", legendre_eval(i, x), ref.quad_w) / (2.0 / n)
             assert np.array_equal(ref.leg_sub_avg[i], avg)
         assert np.array_equal(ref.phi[p:], np.eye(n)[:, :, None] * np.ones_like(x))
-        assert not ref.dphi_ref[p:].any()
-        shapes = [(p + n, n, p + 2), (p + n, n, p + 2), (p + 1, n + 1), (p + 1, n),
+        assert np.array_equal(ref.trace_left[p:], np.eye(n))
+        assert np.array_equal(ref.trace_right[p:], np.eye(n))
+        assert not weighted_dphi[p:].any()
+        shapes = [(p + n, n, p + 2), (p + n, n), (p + n, n), (p + 1, n),
                   (p + n, p + n), (p + n, p + n), (p, p + n)]
-        tables = ["phi", "dphi_ref", "leg_face", "leg_sub_avg", "mass", "mass_pp", "proj_ho"]
+        tables = ["phi", "trace_left", "trace_right", "leg_sub_avg", "mass", "mass_pp",
+                  "proj_ho"]
         assert [getattr(ref, t).shape for t in tables] == shapes
         if p == 0:                     # nothing polynomial to project or penalize
             assert ref.proj_ho.shape == (0, n)
@@ -181,3 +191,76 @@ def test_invalid_space_parameters_rejected():
         Mesh(np.array([1.0, 1.0]), 3)
     with pytest.raises(IndexError):
         basis_eval(Mesh(np.array([-1.0, 1.0]), 2), 1, 3, 0.0)
+
+
+def written_out_operators(p, n):
+    """The step operators, penalty eigenbasis, average fit and sensor operator,
+    each written out from the Legendre tables one formula at a time: the
+    reference the cached members are held to."""
+    ref = reference_element(p, n)
+    dof, nq = p + n, ref.phi[0].size
+    # Legendre modes 0..p at the sub-cell faces and the basis's reference derivatives
+    modes = np.eye(p + 1)
+    leg_face = npleg.legval(ref.sub_edges, modes)
+    dphi_ref = np.concatenate([npleg.legval(ref.quad_ref, npleg.legder(modes))[1:],
+                               np.zeros((n,) + ref.quad_ref.shape)])
+    trace_left = np.vstack([leg_face[1:, :-1], np.eye(n)])
+    trace_right = np.vstack([leg_face[1:, 1:], np.eye(n)])
+    lift_left = trace_left.T.copy()
+    lift_left[1:, :p] = 0.0
+    lift_right = -trace_right.T.copy()
+    lift_right[:-1, :p] = 0.0
+    ops = {
+        "phi_q": ref.phi.reshape(dof, nq),
+        "trace_left": trace_left, "trace_right": trace_right,
+        "volume": (dphi_ref * ref.quad_w[None]).reshape(dof, nq).T.copy(),
+        "lift_left": lift_left, "lift_right": lift_right,
+        "source": (ref.phi * ref.quad_w[None]).reshape(dof, nq).T.copy(),
+        "mass_inv_t": np.linalg.inv(ref.mass).T.copy(),
+    }
+    l_inv = np.linalg.inv(np.linalg.cholesky(ref.mass))
+    lam, V = np.linalg.eigh(l_inv @ ref.mass_pp @ l_inv.T)
+    W = l_inv.T @ V[:, n:]
+    ops["penalty_eigenbasis"] = (lam[n:], W, ref.mass @ W)
+    if n >= p + 1:
+        fit = np.linalg.pinv(ref.leg_sub_avg.T)
+        averages = np.hstack([ref.leg_sub_avg[1:].T, np.eye(n)])
+        ops["average_fit"] = fit
+        ops["sensor_operator"] = np.vstack(
+            [averages, (ref.leg_sub_avg.T @ fit - np.eye(n)) @ averages])
+    return ops
+
+
+def arrays(member):
+    """A member's arrays: the penalty eigenbasis is a tuple of three."""
+    return member if isinstance(member, tuple) else (member,)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+@pytest.mark.parametrize("p", range(5))
+def test_reference_operators_equal_their_written_out_formulas_bit_for_bit(p, n):
+    ref = reference_element(p, n)
+    for name, want in written_out_operators(p, n).items():
+        for g, w in zip(arrays(getattr(ref, name)), arrays(want), strict=True):
+            # the same bits in the same memory order, so every matmul is unchanged
+            assert g.shape == w.shape and g.tobytes() == w.tobytes(), name
+            assert g.flags.c_contiguous == w.flags.c_contiguous, name
+    if n < p + 1:
+        for name in ("average_fit", "sensor_operator"):
+            with pytest.raises(NonInjectiveError, match=f"p={p}, n={n}"):
+                getattr(ref, name)
+
+
+def test_clearing_the_reference_cache_rebuilds_every_member():
+    old = reference_element(3, 5)
+    lazy = ["penalty_eigenbasis", "average_fit", "sensor_operator"]
+    members = [f.name for f in dataclasses.fields(old) if f.name not in ("p", "n", "dof")]
+    before = {name: getattr(old, name) for name in members + lazy}
+    reference_element.cache_clear()
+    new = reference_element(3, 5)
+    assert new is not old
+    assert not set(lazy) & set(vars(new))     # the lazy members wait for first use
+    for name in members + lazy:
+        for g, w in zip(arrays(getattr(new, name)), arrays(before[name]), strict=True):
+            assert g is not w and g.tobytes() == w.tobytes(), name
+    assert reference_element(3, 5) is new and set(lazy) <= set(vars(new))

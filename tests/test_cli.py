@@ -96,7 +96,7 @@ def test_run_command_text_value_that_does_not_parse_is_config_error(tmp_path, ca
 # a flag value that does not parse, for every field whose parser can fail
 BAD_FLAG_VALUES = {
     "p": "1.5", "n": "x", "n_elements": "4.0", "dt": "fast", "t_final": "soon", "c_pen": "1e7x",
-    "tau": "high", "s_eps": "tiny", "cfl": "fast", "force_gamma_element": "1.5",
+    "tau": "high", "cfl": "fast", "force_gamma_element": "1.5",
     "snapshot_times": "0.1,x",
 }
 STUDY = ["convergence", "--case", "convection-gaussian", "--p", "1", "--n", "2"]
@@ -118,7 +118,7 @@ def test_flag_value_that_does_not_parse_exits_2_naming_the_flag(argv, capsys):
     assert captured.out == ""
 
 
-# dt, t_final, c_pen, tau, s_eps and cfl
+# dt, t_final, c_pen, tau and cfl
 FLOAT_FIELDS = [name for name, parse in cli._FIELDS.items() if parse is float]
 
 
@@ -142,6 +142,34 @@ def test_run_command_config_file_that_is_not_utf8_is_config_error(tmp_path, caps
     captured = capsys.readouterr()
     assert (f"config error: cannot read config file {path}: 'utf-8' codec can't decode byte "
             "0xff in position 19") in captured.err
+    assert captured.out == ""
+
+
+def test_run_command_invalid_json_is_config_error_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text('{"case": "burgers", }')
+    assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert (f"config error: cannot read config file {path}: Expecting property name "
+            "enclosed in double quotes: line 1 column 21 (char 20)") in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("text, message", [
+    ("case = burgers\ncase = nozzle\n", "line 2: config key 'case' is given twice"),
+    ("case = burgers\np = 1\n# again\np = 2\n", "line 4: config key 'p' is given twice"),
+    ('{"case": "burgers", "p": 1, "p": 2}', "config key 'p' is given twice"),
+    ('{"case": "burgers", "case": "nozzle"}', "config key 'case' is given twice"),
+], ids=["text-case", "text-p", "json-p", "json-case"])
+def test_run_command_key_given_twice_is_config_error(tmp_path, capsys, monkeypatch, text,
+                                                      message):
+    # neither value wins: the file is refused before any work
+    monkeypatch.setattr(cli, "run_case", lambda config: pytest.fail("a run was started"))
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"config error: {message}" in captured.err
     assert captured.out == ""
 
 
@@ -181,7 +209,6 @@ FIELD_VALUES = {
     "t_final": (0.5, "0.5"),
     "c_pen": (2e6, "2e6"),
     "tau": (0.02, "0.02"),
-    "s_eps": (1e-9, "1e-9"),
     "cfl": (0.2, "0.2"),
     "force_gamma_element": (1, "1"),
     "snapshot_times": ((0.1, 0.2), "0.1,0.2"),
@@ -235,7 +262,7 @@ def test_run_command_missing_case_is_config_error(capsys):
 
 
 @pytest.mark.parametrize("flags", [
-    ["--s-eps", "0"], ["--c-pen", "-1"], ["--tau", "-0.01"],
+    ["--c-pen", "inf"], ["--c-pen", "-1"], ["--tau", "-0.01"],
 ])
 def test_run_command_invalid_sensor_setting_is_config_error(flags, capsys):
     assert main(["run", "--case", "convection-heaviside"] + flags) == EXIT_CONFIG
@@ -388,6 +415,18 @@ def test_run_command_forced_value_without_element_is_config_error(capsys):
     captured = capsys.readouterr()
     assert "unrecognized arguments: --force-gamma-value 5" in captured.err
     assert captured.out == ""
+
+
+def test_run_command_s0_floor_is_not_a_setting(capsys, tmp_path):
+    # every run floors s0 at the sensor's DEFAULT_S_EPS; no flag or config key sets it
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--case", "convection-heaviside", "--s-eps", "1e-9"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --s-eps 1e-9" in capsys.readouterr().err
+    path = tmp_path / "run.cfg"
+    path.write_text("case = burgers\ns_eps = 1e-9\n")
+    assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+    assert "unknown config key 's_eps'" in capsys.readouterr().err
 
 
 def test_reference_command(tmp_path, monkeypatch, capsys):

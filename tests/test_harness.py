@@ -39,6 +39,7 @@ from subgrid_dg.physics import (
     nozzle_area,
 )
 from subgrid_dg.projections import project_l2, project_lo
+from subgrid_dg.sensor import DEFAULT_S_EPS
 from subgrid_dg.solver import Discretization, SolverAbort, advance
 
 # The presets and defaults the README's case table lists:
@@ -66,11 +67,14 @@ def test_run_config_validation():
     assert cfg.force_gamma == (3, 1.0e7)
     # sensor settings that would give a NaN or negative penalty are rejected
     # where they enter
-    for bad in (dict(s_eps=0.0), dict(s_eps=-1e-10), dict(s_eps=float("inf")),
-                dict(c_pen=-1.0), dict(c_pen=float("nan")), dict(tau=-0.01),
+    for bad in (dict(c_pen=-1.0), dict(c_pen=float("nan")), dict(tau=-0.01),
                 dict(tau=float("inf"))):
         with pytest.raises(ValueError):
             RunConfig(case="burgers", **bad)
+    # the s0 floor is the sensor's default in every run, not a run setting
+    assert RunConfig(case="burgers").sensor_config.s_eps == DEFAULT_S_EPS
+    with pytest.raises(TypeError):
+        RunConfig(case="burgers", s_eps=1e-9)
     assert RunConfig(case="burgers", c_pen=0.0, tau=0.0).sensor_config.c_pen == 0.0
 
 

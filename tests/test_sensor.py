@@ -9,7 +9,6 @@ from subgrid_dg.projections import NonInjectiveError, project_l2, project_lo
 from subgrid_dg.sensor import (
     DEFAULT_S_EPS,
     SensorConfig,
-    _sensor_operator,
     default_tau,
     evaluate_field_sensor,
 )
@@ -185,7 +184,7 @@ def eager_sensor(U, p, n, config):
     m, n_el, dof = U.shape
     if p == 0:
         return np.zeros(n_el), np.full(n_el, config.s_eps), np.zeros(n_el)
-    both = np.abs(_sensor_operator(p, n) @ U.reshape(-1, dof).T)
+    both = np.abs(reference_element(p, n).sensor_operator @ U.reshape(-1, dof).T)
     peaks = both.reshape(2, n, m, n_el).max(axis=1)
     if m == 1:
         s, s0 = peaks[1, 0], peaks[0, 0] + config.s_eps

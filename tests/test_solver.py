@@ -1,6 +1,7 @@
 import re
 
 import numpy as np
+from numpy.polynomial import legendre as npleg
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +28,7 @@ from subgrid_dg.physics import (
     farfield_state,
     nozzle_area,
 )
+from subgrid_dg.projections import NonInjectiveError
 from subgrid_dg.sensor import SensorConfig
 from subgrid_dg.solver import (
     Discretization,
@@ -279,8 +281,13 @@ def einsum_residual(disc, U, t):
     ref, law = disc.ref, disc.law
     m, E, _ = U.shape
     n, p = disc.n, disc.p
+    modes = np.eye(p + 1)[:, 1:]        # coefficient columns of L_1..L_p
+    leg_face = npleg.legval(ref.sub_edges, modes)                    # (p, n + 1)
+    # reference derivatives of the basis; the indicators' are zero
+    dphi = np.concatenate([npleg.legval(ref.quad_ref, npleg.legder(modes)),
+                           np.zeros((n,) + ref.quad_ref.shape)])
     u_q = np.einsum("med,dsq->mesq", U, ref.phi)
-    poly_face = np.einsum("mei,ik->mek", U[:, :, :p], ref.leg_face[1:])
+    poly_face = np.einsum("mei,ik->mek", U[:, :, :p], leg_face)
     ind = U[:, :, p:]
     trace_l = (poly_face[:, :, :-1] + ind).reshape(m, E * n)
     trace_r = (poly_face[:, :, 1:] + ind).reshape(m, E * n)
@@ -296,11 +303,11 @@ def einsum_residual(disc, U, t):
     F_q = law.flux(u_q, x=disc.xq)
     F_hat = law.roe_flux(uL, uR, x=disc.xfaces, entropy_fix=disc.entropy_fix)
 
-    R = np.einsum("mesq,dsq->med", F_q, ref.dphi_ref * ref.quad_w[None])
+    R = np.einsum("mesq,dsq->med", F_q, dphi * ref.quad_w[None])
     R[:, :, p:] += F_hat[:, :-1].reshape(m, E, n) - F_hat[:, 1:].reshape(m, E, n)
     if p > 0:
-        R[:, :, :p] += (F_hat[:, 0:E * n:n, None] * ref.leg_face[1:, 0]
-                        - F_hat[:, n::n, None] * ref.leg_face[1:, n])
+        R[:, :, :p] += (F_hat[:, 0:E * n:n, None] * leg_face[:, 0]
+                        - F_hat[:, n::n, None] * leg_face[:, n])
     if law.has_source():
         S_q = law.source(u_q, disc.xq)
         R += np.einsum("mesq,esq,dsq->med", S_q, disc.wq, ref.phi)
@@ -340,6 +347,35 @@ def operator_case(law_name, periodic, p, n, rng, beta=-0.7, n_elements=6):
     U[:, :, :p] = 0.02 * base[:, None, None] * rng.standard_normal(U[:, :, :p].shape)
     U[:, :, p:] = base[:, None, None] * (1.0 + 0.05 * rng.standard_normal(U[:, :, p:].shape))
     return disc, U
+
+
+def test_discretizations_of_one_pair_share_the_reference_operators():
+    # a Discretization builds no operator: two of (p, n) = (2, 3) on
+    # different meshes and laws read the same arrays, and differ only in
+    # what their meshes fix
+    operators = ["phi_q", "trace_left", "trace_right", "volume", "lift_left",
+                 "lift_right", "source", "mass_inv_t"]
+    a = Discretization(build_uniform_mesh(0.0, 1.0, 4, 3), 2, Convection(1.0),
+                       BoundaryCondition("periodic"), BoundaryCondition("periodic"))
+    b = Discretization(build_uniform_mesh(-5.0, 5.0, 7, 3), 2, Burgers(),
+                       BoundaryCondition("periodic"), BoundaryCondition("periodic"))
+    assert a.ref is b.ref is reference_element(2, 3)
+    for name in operators:
+        assert getattr(a.ref, name) is getattr(b.ref, name)
+    for disc in (a, b):     # each array it holds runs over its elements or faces
+        E = disc.n_elements
+        assert {v.shape[0] for v in vars(disc).values()
+                if isinstance(v, np.ndarray)} == {E, E * disc.n + 1}
+
+
+def test_non_injective_space_builds_and_its_first_sensor_call_raises():
+    # n < p + 1: the space steps, but the sensor cannot fit the averages
+    disc = Discretization(build_uniform_mesh(0.0, 1.0, 4, 2), 3, Convection(1.0),
+                          BoundaryCondition("periodic"), BoundaryCondition("periodic"))
+    U = np.zeros((1, 4, 5))
+    assert np.array_equal(disc.rate(U, 0.0), U)
+    with pytest.raises(NonInjectiveError, match="p=3, n=2"):
+        disc.evaluate_sensor(U)
 
 
 @pytest.mark.parametrize("periodic", [True, False])
