@@ -43,6 +43,11 @@ def _combined(leg: np.ndarray) -> np.ndarray:
     return np.concatenate([leg[1:], np.broadcast_to(eye, (n,) + leg.shape[1:])])
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class ReferenceElement:
     """Every matrix on [-1, 1] that (p, n) fixes and the package reads, shared
@@ -51,7 +56,8 @@ class ReferenceElement:
     right.  Mass-type matrices scale to an element of width h by h/2.  The
     step operators, `phi_q` to `mass_inv_t`, apply as `X @ op` to (m, E, .)
     arrays; only the source and the mass solve carry h.  The last three
-    members are built on first use."""
+    members are built on first use.  Every array is read-only, since every
+    caller of (p, n) shares it."""
 
     p: int
     n: int
@@ -74,6 +80,10 @@ class ReferenceElement:
     source: np.ndarray          # (n*q, dof) w_ref * phi at the quadrature nodes, times h/2
     mass_inv_t: np.ndarray      # (dof, dof) M_ref^{-1} transposed; the physical mass is (h/2) M_ref
 
+    def __post_init__(self):
+        for a in (*self.gauss, *(v for v in vars(self).values() if isinstance(v, np.ndarray))):
+            _read_only(a)
+
     @cached_property
     def penalty_eigenbasis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(lam, W, M W): the p eigenpairs M_pp w = lam M w with lam > 0, W^T M W = I
@@ -83,7 +93,7 @@ class ReferenceElement:
         l_inv = np.linalg.inv(np.linalg.cholesky(self.mass))
         lam, V = np.linalg.eigh(l_inv @ self.mass_pp @ l_inv.T)   # ascending
         W = l_inv.T @ V[:, self.n:]
-        return lam[self.n:], W, self.mass @ W
+        return tuple(map(_read_only, (lam[self.n:], W, self.mass @ W)))
 
     @cached_property
     def average_fit(self) -> np.ndarray:
@@ -93,7 +103,7 @@ class ReferenceElement:
         if self.n < self.p + 1:
             raise NonInjectiveError(
                 f"sub-cell averaging is rank deficient for (p={self.p}, n={self.n})")
-        return np.linalg.pinv(self.leg_sub_avg.T)
+        return _read_only(np.linalg.pinv(self.leg_sub_avg.T))
 
     @cached_property
     def sensor_operator(self) -> np.ndarray:
@@ -102,7 +112,7 @@ class ReferenceElement:
         fit of those averages (last n): res = (G pinv(G) - I) avg, G = leg_sub_avg.T."""
         fit_residual = self.leg_sub_avg.T @ self.average_fit - np.eye(self.n)
         averages = _combined(self.leg_sub_avg).T                  # (n, dof)
-        return np.vstack([averages, fit_residual @ averages])
+        return _read_only(np.vstack([averages, fit_residual @ averages]))
 
 
 @lru_cache(maxsize=None)

@@ -279,7 +279,7 @@ def _relax_shock_element(disc, state, x_shock) -> FieldState:
     nozzle).  No convergence in 100 iterations, or a failed line search, is
     a SolverAbort.
     """
-    element = disc.mesh.element_of(x_shock)
+    element = int(disc.mesh.element_of(x_shock))
     xl, xr = disc.mesh.element_bounds(element)
     traces = [BoundaryCondition("prescribed", state=tuple(u))
               for u in nozzle_initial(np.array([xl, xr])).T]
@@ -321,10 +321,9 @@ def _relax_shock_element(disc, state, x_shock) -> FieldState:
                 break
         else:
             break
-    raise SolverAbort(
-        f"no discrete steady state for shock element {element} on x in "
-        f"[{xl:.6g}, {xr:.6g}]: |F| = {norm:.3e} after {iterations + 1} Newton iterations"
-    )
+    raise SolverAbort(f"no discrete steady state for shock element {element} on x in [{xl:.6g}, "
+                      f"{xr:.6g}]: |F| = {norm:.3e} after {iterations + 1} Newton iterations",
+                      (element,), (xl, xr))
 
 
 def project_initial(disc: Discretization, f, breakpoints=()) -> FieldState:

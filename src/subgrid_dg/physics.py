@@ -10,6 +10,8 @@ exactly `roe_flux(u[:, :-1], u[:, 1:])`.  The Euler laws answer all three from
 one column routine, one checked pass whose pressure the nozzle source reads
 and one Roe flux between two slices of the columns, so each call checks the
 density, then the pressure, then the Roe sound speed of all its columns.
+A failed check's `AdmissibilityError` names the `column` of its first failing
+state, flattened after the component axis, of [u_q | uL | uR] for `fluxes`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,12 @@ import numpy as np
 
 
 class AdmissibilityError(RuntimeError):
-    """State left the admissible set (e.g. non-positive density or pressure)."""
+    """State left the admissible set (e.g. non-positive density or pressure);
+    `column` is the index of the first failing state, None where unknown."""
+
+    def __init__(self, message: str, column: int | None = None):
+        super().__init__(message)
+        self.column = column
 
 
 def _as_state(u) -> np.ndarray:
@@ -50,7 +57,9 @@ class ConservationLaw:
     def fluxes(self, u_q, uL, uR, geom=None):
         """(flux(u_q), roe_flux(uL, uR), None) of quadrature states u_q (m, ...)
         and face states uL, uR (m, F): the three terms of one residual, which a
-        law with a source overrides to give source(u_q, geom=geom) third."""
+        law with a source overrides to give source(u_q, geom=geom) third.  A failed
+        check's `column` indexes the columns [u_q | uL | uR], each flattened after
+        the component axis; a failed Roe flux names its face's uL column."""
         return self.flux(u_q), self.roe_flux(uL, uR), None
 
     def interface_fluxes(self, u):
@@ -109,17 +118,21 @@ def _any_nonpositive(a) -> bool:
     return bool(np.fmin.reduce(a, axis=None, initial=np.inf) <= 0.0)
 
 
+def _require_positive(a, message: str) -> None:
+    """AdmissibilityError(message) if `_any_nonpositive(a)`, naming ravel(a)'s first entry <= 0."""
+    if _any_nonpositive(a):
+        raise AdmissibilityError(message, int(np.argmax(np.ravel(a) <= 0.0)))
+
+
 def _euler_primitives(u, gamma_a):
     """Checked (rho, v, q, p) of states u (3, ...), with q = m v, which
     serves both the pressure and the momentum flux."""
     rho = u[0]
-    if _any_nonpositive(rho):
-        raise AdmissibilityError("non-positive density")
+    _require_positive(rho, "non-positive density")
     vel = u[1] / rho
     q = u[1] * vel
     p = (gamma_a - 1.0) * (u[2] - 0.5 * q)
-    if _any_nonpositive(p):
-        raise AdmissibilityError("non-positive pressure")
+    _require_positive(p, "non-positive pressure")
     return rho, vel, q, p
 
 
@@ -168,8 +181,7 @@ def _roe(uL, uR, FL, FR, sideL, sideR, gamma_a):
     vt = (svL + svR) * inv
     Ht = (hsL + hsR) * inv
     c2 = (gamma_a - 1.0) * (Ht - 0.5 * (vt * vt))
-    if _any_nonpositive(c2):
-        raise AdmissibilityError("negative Roe-averaged sound speed")
+    _require_positive(c2, "negative Roe-averaged sound speed")
     ct = np.sqrt(c2)
     ic = 1.0 / ct
     lam1, lam3 = vt - ct, vt + ct
@@ -213,12 +225,17 @@ class Euler1D(ConservationLaw):
     def _columns(self, u, nq, L, R):
         """(F, p, F_hat) of the columns of u (3, K): F and p of every column
         from one checked `_euler_side` pass, and the Roe flux between the
-        face columns L and R (slices of u[:, nq:]) from one `_roe_side` pass."""
+        face columns L and R (slices of u[:, nq:]) from one `_roe_side` pass,
+        whose failed check names its face's column of L in u."""
         F, rho, vel, p, Ep = _euler_side(u, self.gamma_a)
         side = _roe_side(rho[nq:], vel[nq:], p[nq:], Ep[nq:])
         uf, Ff = u[:, nq:], F[:, nq:]
-        F_hat = _roe(uf[:, L], uf[:, R], Ff[:, L], Ff[:, R], [a[L] for a in side],
-                     [a[R] for a in side], self.gamma_a)
+        try:
+            F_hat = _roe(uf[:, L], uf[:, R], Ff[:, L], Ff[:, R], [a[L] for a in side],
+                         [a[R] for a in side], self.gamma_a)
+        except AdmissibilityError as exc:
+            exc.column = nq + range(u.shape[1] - nq)[L][exc.column]
+            raise
         return F, p, F_hat
 
     def roe_flux(self, uL, uR, x=None, entropy_fix: bool = False):

@@ -60,7 +60,13 @@ from .sensor import SensorConfig, SensorReport, evaluate_field_sensor
 
 
 class SolverAbort(RuntimeError):
-    """Time integration failed (NaN/Inf or admissibility loss)."""
+    """Time integration failed (NaN/Inf or admissibility loss).  `elements`, the
+    tuple of element indices named, and `x`, the interval (xl, xr) of the element
+    or of the face (both ends its x), say where; None where unknown."""
+
+    def __init__(self, message: str, elements: tuple | None = None, x: tuple | None = None):
+        super().__init__(message)
+        self.elements, self.x = elements, x
 
 
 @dataclass(frozen=True)
@@ -224,14 +230,12 @@ class Discretization:
     def _residual_chain(self, U: np.ndarray, t: float) -> np.ndarray:
         """`residual` of any law: traces and fluxes, then volume, lift, source."""
         elements = U.shape[:-1]
-        faces = None                # unset if a ghost state failed
         try:
             u_q = self.eval_at_quad(U)
-            faces = self.face_traces(U, t)
-            F_q, F_hat, S_q = self.law.fluxes(u_q, *faces, geom=self.geom_q)
+            F_q, F_hat, S_q = self.law.fluxes(u_q, *self.face_traces(U, t), geom=self.geom_q)
         except AdmissibilityError as exc:
-            where = self._where(u_q, faces)
-            raise SolverAbort(f"inadmissible state at t={t:.6g}: {exc}{where}") from exc
+            where, *located = self._where(exc.column, u_q[0].size)
+            raise SolverAbort(f"inadmissible state at t={t:.6g}: {exc}{where}", *located) from exc
 
         R = F_q.reshape(elements + (-1,)) @ self.ref.volume
         subcells = elements + (self.n,)
@@ -241,36 +245,29 @@ class Discretization:
             R += (S_q.reshape(elements + (-1,)) @ self.ref.source) * self._half_h
         return R
 
-    def _where(self, u_q: np.ndarray, faces) -> str:
-        """' in element e on x in [xl, xr]' for the first element with an
-        inadmissible quadrature state, of any state of a batch; else ' at the
-        face x=xf ...' naming the elements on the two sides of the first
-        sub-cell face with an inadmissible trace (uL, uR) in `faces`; '' if
-        neither failed (a ghost state or a Roe average did).  Run only after
-        a check failed."""
-        bad = (~self.law.admissible(u_q)).any(axis=(-2, -1)).reshape(-1, self.n_elements)
-        if bad.any():
-            e = int(np.argmax(bad.any(axis=0)))
-            xl, xr = self.mesh.element_bounds(e)
-            return f" in element {e} on x in [{xl:.6g}, {xr:.6g}]"
-        if faces is None:
-            return ""
-        bad = ~(self.law.admissible(faces[0]) & self.law.admissible(faces[1]))
-        bad = bad.reshape(-1, self.xfaces.size).any(axis=0)
-        if not bad.any():
-            return ""
-        f = int(np.argmax(bad))
-        n_sub = self.n_elements * self.n
+    def _where(self, column: int | None, nq: int):
+        """(text, elements, x) of the state at `column` of a failed `law.fluxes` call,
+        whose first nq columns are quadrature states: `_in_element` for one, of any
+        state of a batch; else ' at the face x=xf ...', the elements on its two sides
+        and (xf, xf); ('', None, None) without a column (a ghost state failed)."""
+        if column is None:
+            return "", None, None
+        if column < nq:
+            return self._in_element(column // self.ref.phi_q.shape[1] % self.n_elements)
+        f, n_sub = (column - nq) % self.xfaces.size, self.n_elements * self.n
+        # the elements of the sub-cells left and right of face f: -1 or E past a boundary
+        sides = [(k % n_sub if self.periodic else k) // self.n for k in (f - 1, f)]
+        names = [f"element {e}" if 0 <= e < self.n_elements else f"the {end} boundary"
+                 for e, end in zip(sides, ("left", "right"))]
+        where = f"inside {names[0]}" if sides[0] == sides[1] else f"between {' and '.join(names)}"
+        xf = float(self.xfaces[f])
+        return (f" at the face x={xf:.6g} {where}",
+                tuple(e for e in dict.fromkeys(sides) if 0 <= e < self.n_elements), (xf, xf))
 
-        def owner(k):               # of the sub-cell k on one side of face f
-            if self.periodic:
-                k %= n_sub
-            return f"element {k // self.n}" if 0 <= k < n_sub else \
-                f"the {'left' if k < 0 else 'right'} boundary"
-
-        left, right = owner(f - 1), owner(f)
-        sides = f"inside {left}" if left == right else f"between {left} and {right}"
-        return f" at the face x={self.xfaces[f]:.6g} {sides}"
+    def _in_element(self, e: int):
+        """(' in element e on x in [xl, xr]', (e,), (xl, xr)): where, as text and as data."""
+        xl, xr = self.mesh.element_bounds(e)
+        return f" in element {e} on x in [{xl:.6g}, {xr:.6g}]", (e,), (xl, xr)
 
     def solve_mass(self, R: np.ndarray) -> np.ndarray:
         """Apply M^{-1} elementwise: the physical mass is (h/2) * M_ref."""
@@ -420,12 +417,10 @@ def advance(
             # a NaN or inf in the new state makes the drift non-finite, so
             # the state is scanned only then (a finite state can overflow it)
             if not math.isfinite(drift) and not (finite := np.isfinite(new.U)).all():
-                bad = int(np.argmin(finite.all(axis=(0, 2))))   # first non-finite element
-                xl, xr = disc.mesh.element_bounds(bad)
-                raise SolverAbort(
-                    f"non-finite state after step {traj.n_steps + 1} at t={new.time:.6g} "
-                    f"in element {bad} on x in [{xl:.6g}, {xr:.6g}]"
-                )
+                # the first non-finite element
+                where, *located = disc._in_element(int(np.argmin(finite.all(axis=(0, 2)))))
+                raise SolverAbort(f"non-finite state after step {traj.n_steps + 1} at "
+                                  f"t={new.time:.6g}{where}", *located)
             traj.step_diffs.append(drift)
             traj.n_steps += 1
             if on_step is not None:

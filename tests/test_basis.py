@@ -264,3 +264,15 @@ def test_clearing_the_reference_cache_rebuilds_every_member():
         for g, w in zip(arrays(getattr(new, name)), arrays(before[name]), strict=True):
             assert g is not w and g.tobytes() == w.tobytes(), name
     assert reference_element(3, 5) is new and set(lazy) <= set(vars(new))
+
+
+@pytest.mark.parametrize("p, n", [(0, 1), (2, 3), (4, 8)])
+def test_every_reference_array_is_read_only(p, n):
+    # shared by every caller of (p, n), so a write through one is refused
+    ref = reference_element(p, n)
+    members = [f.name for f in dataclasses.fields(ref) if f.name not in ("p", "n", "dof")]
+    for name in members + ["penalty_eigenbasis", "average_fit", "sensor_operator"]:
+        for a in arrays(getattr(ref, name)):
+            assert not a.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] += 1.0

@@ -178,6 +178,13 @@ def test_shock_relaxation_at_three_elements_ends_in_named_abort():
         build_problem(RunConfig(case="nozzle", n_elements=3))
 
 
+def test_shock_relaxation_abort_names_the_element_as_data():
+    with pytest.raises(SolverAbort, match="no discrete steady state") as err:
+        build_problem(RunConfig(case="nozzle", n_elements=3))
+    assert err.value.elements == (1,)
+    assert type(err.value.elements[0]) is int and err.value.x == (1 / 3, 2 / 3)
+
+
 def test_shock_relaxation_differences_an_inadmissible_probe_backwards(monkeypatch):
     _, _, plain = build_problem(RunConfig(case="nozzle"))
     states = []

@@ -12,6 +12,7 @@ from subgrid_dg.physics import (
     Euler1D,
     NozzleEuler,
     _any_nonpositive,
+    _require_positive,
     boundary_area,
     boundary_ghost,
     euler_state_from_primitives,
@@ -321,6 +322,36 @@ def test_any_nonpositive_equals_comparison(a, data):
     assert _any_nonpositive(view) is bool((view <= 0).any())
 
 
+@settings(max_examples=500, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=6),
+                  elements=_edge_floats),
+       st.data())
+def test_require_positive_names_the_first_entry_at_most_zero(a, data):
+    # NaNs before it are skipped and -0.0 is named, as `a <= 0` reads them,
+    # in C order of the array, of strided views and of 0-d arrays alike
+    steps = data.draw(st.tuples(*[st.sampled_from([1, 2, 3, -1, -2])] * a.ndim))
+    for b in (a, a[tuple(slice(None, None, k) for k in steps)]):
+        first = next((i for i, v in enumerate(b.ravel().tolist()) if v <= 0), None)
+        if first is None:
+            _require_positive(b, "non-positive density")
+            continue
+        with pytest.raises(AdmissibilityError, match="^non-positive density$") as err:
+            _require_positive(b, "non-positive density")
+        assert type(err.value.column) is int and err.value.column == first
+
+
+def test_require_positive_corner_cases():
+    for a, column in ((np.array([np.nan, 1.0, -0.0, -1.0]), 2),
+                      (np.array([[1.0, np.nan], [-0.0, -1.0]]).T, 1),     # a view: 1, -0.0, ...
+                      (np.array(-5e-324), 0), (np.float64(0.0), 0)):
+        with pytest.raises(AdmissibilityError) as err:
+            _require_positive(a, "non-positive pressure")
+        assert err.value.column == column
+    for a in (np.empty(0), np.array([np.nan, np.inf]), np.array(5e-324)):
+        _require_positive(a, "non-positive pressure")
+    assert AdmissibilityError("a ghost state").column is None
+
+
 def test_any_nonpositive_corner_cases():
     assert not _any_nonpositive(np.empty(0))
     assert not _any_nonpositive(np.empty((3, 0)))
@@ -380,6 +411,17 @@ def test_fluxes_equal_flux_and_roe_flux(law_name, shape, faces, data):
         assert S_q is None
 
 
+def fluxes_case(where, bad):
+    """(u_q, uL, uR) of admissible states, but for the state `bad` at
+    u_q[:, 1, 2, 3], uL[:, 4] or uR[:, 0] (`where`)."""
+    good = euler_state_from_primitives(1.0, 0.5, 2.0, GAMMA)
+    u_q = np.tile(good[:, None, None, None], (1, 2, 3, 4))
+    uL = np.tile(good[:, None], (1, 7))
+    uR = uL.copy()
+    {"quadrature": u_q[:, 1, 2, 3], "left": uL[:, 4], "right": uR[:, 0]}[where][...] = bad
+    return u_q, uL, uR
+
+
 @pytest.mark.parametrize("law", [Euler1D(), NozzleEuler()])
 @pytest.mark.parametrize("where", ["quadrature", "left", "right"])
 @pytest.mark.parametrize("bad, message", [
@@ -387,16 +429,41 @@ def test_fluxes_equal_flux_and_roe_flux(law_name, shape, faces, data):
     ((1.0, 10.0, 1.0), "non-positive pressure"),
 ])
 def test_fluxes_reject_inadmissible_state(law, where, bad, message):
-    good = euler_state_from_primitives(1.0, 0.5, 2.0, GAMMA)
-    u_q = np.tile(good[:, None, None, None], (1, 2, 3, 4))
-    uL = np.tile(good[:, None], (1, 7))
-    uR = uL.copy()
-    {"quadrature": u_q[:, 1, 2, 3], "left": uL[:, 4], "right": uR[:, 0]}[where][...] = bad
+    u_q, uL, uR = fluxes_case(where, bad)
     with pytest.raises(AdmissibilityError, match=message):
         law.fluxes(u_q, uL, uR)
     # the message of the separate call that sees the state
     with pytest.raises(AdmissibilityError, match=message):
         law.flux(u_q) if where == "quadrature" else law.roe_flux(uL, uR)
+
+
+@pytest.mark.parametrize("law", [Euler1D(), NozzleEuler()])
+@pytest.mark.parametrize("where, column", [("quadrature", 23), ("left", 28), ("right", 31)])
+@pytest.mark.parametrize("bad", [(-1.0, 0.0, 1.0), (1.0, 10.0, 1.0)])
+def test_fluxes_name_the_failing_column(law, where, column, bad):
+    # the columns [u_q | uL | uR], each flattened after the component axis:
+    # u_q[:, 1, 2, 3] is column 1*12 + 2*4 + 3, uL[:, 4] is 24 + 4, uR[:, 0] is 24 + 7
+    u_q, uL, uR = fluxes_case(where, bad)
+    with pytest.raises(AdmissibilityError) as err:
+        law.fluxes(u_q, uL, uR)
+    assert err.value.column == column
+
+
+@pytest.mark.parametrize("law", [Euler1D(), NozzleEuler()])
+def test_a_failed_roe_average_names_its_faces_left_column(law):
+    good = euler_state_from_primitives(1.0, 0.5, 2.0, GAMMA)
+    uL, uR = np.tile(good[:, None], (1, 7)), np.tile(good[:, None], (1, 7))
+    uL[:, 5], uR[:, 5] = ROE_BAD_C_LEFT, ROE_BAD_C_RIGHT
+    row = np.concatenate([np.tile(good[:, None], (1, 3)), uL[:, 5:6], uR[:, 5:6], good[:, None]],
+                         axis=1)
+    u_q = np.tile(good[:, None, None], (1, 2, 4))
+    for call, column in ((lambda: law.fluxes(u_q, uL, uR), 8 + 5),
+                         (lambda: law.roe_flux(uL, uR), 5),
+                         (lambda: law.roe_flux(uL[:, None], uR[:, None]), 5),
+                         (lambda: law.interface_fluxes(row), 3)):
+        with pytest.raises(AdmissibilityError, match="^negative Roe-averaged sound speed$") as err:
+            call()
+        assert err.value.column == column
 
 
 def roe_flux_before_shared_sides(uL, uR, g=GAMMA):

@@ -491,9 +491,9 @@ def test_batched_farfield_ghost_raises():
         boundary_ghost(disc.bc_right, stack[..., -1, -1:], disc.law, side=1)
 
 
-def test_farfield_ghost_admissibility_loss_aborts():
-    # admissible at every quadrature node, but the linear mode drives the
-    # density at the left domain face negative: the farfield ghost refuses it
+def farfield_loss_case():
+    """(disc, U): admissible at every quadrature node, but the linear mode
+    drives the density at the left domain face negative."""
     mesh = build_uniform_mesh(0.0, 1.0, 3, 1)
     disc = Discretization(mesh, 1, NozzleEuler(),
                           BoundaryCondition("farfield", farfield=NOZZLE_INLET),
@@ -501,6 +501,12 @@ def test_farfield_ghost_admissibility_loss_aborts():
     U = np.zeros((3, 3, disc.dof))
     U[:, :, 1] = euler_state_from_primitives(1.0, 0.0, 1.0, 1.4)[:, None]
     U[0, 0, 0] = 1.1
+    return disc, U
+
+
+def test_farfield_ghost_admissibility_loss_aborts():
+    # the farfield ghost refuses the state
+    disc, U = farfield_loss_case()
     assert np.all(disc.law.admissible(disc.eval_at_quad(U)))
     with pytest.raises(SolverAbort, match="density"):
         disc.residual(U, 0.0)
@@ -535,19 +541,12 @@ def test_inadmissible_abort_names_the_first_bad_element(element):
         disc.residual(U, 0.1)
 
 
-@pytest.mark.parametrize("periodic, element, face, sides", [
-    (False, 9, "right edge", "between element 9 and element 10"),
-    (False, 63, "right edge", "between element 63 and the right boundary"),
-    (False, 0, "left edge", "between the left boundary and element 0"),
-    (False, 39, "left edge", "between element 38 and element 39"),
-    (False, 9, "sub-cell face", "inside element 9"),
-    (True, 0, "left edge", "between element 5 and element 0"),
-])
-def test_inadmissible_abort_names_the_first_bad_face(periodic, element, face, sides):
-    # quadrature states all admissible, and one face trace not: at rest with
-    # unit pressure, the density 1 + c L_3 reaches 1 -/+ c at the element's
-    # right/left edge; with sub-cell averages 1.5, ..., 1.5, 0.35 and c = 1 it
-    # is -0.01 on the right of the sub-cell face xi = 0.6, where L_3 = -0.36
+def bad_face_case(periodic, element, face):
+    """(disc, U, f): quadrature states all admissible, and the trace at face f
+    not: at rest with unit pressure, the density 1 + c L_3 reaches 1 -/+ c at
+    the element's right/left edge; with sub-cell averages 1.5, ..., 1.5, 0.35
+    and c = 1 it is -0.01 on the right of the sub-cell face xi = 0.6, where
+    L_3 = -0.36."""
     if periodic:
         disc, U = operator_case("euler", True, 3, 5, np.random.default_rng(7))
     else:
@@ -565,24 +564,101 @@ def test_inadmissible_abort_names_the_first_bad_face(periodic, element, face, si
         U[0, element, 2], f = 1.0, element * n + n - 1
         U[0, element, disc.p:] = 1.5
         U[0, element, -1] = 0.35
+    return disc, U, f
+
+
+@pytest.mark.parametrize("periodic, element, face, sides", [
+    (False, 9, "right edge", "between element 9 and element 10"),
+    (False, 63, "right edge", "between element 63 and the right boundary"),
+    (False, 0, "left edge", "between the left boundary and element 0"),
+    (False, 39, "left edge", "between element 38 and element 39"),
+    (False, 9, "sub-cell face", "inside element 9"),
+    (True, 0, "left edge", "between element 5 and element 0"),
+])
+def test_inadmissible_abort_names_the_first_bad_face(periodic, element, face, sides):
+    disc, U, f = bad_face_case(periodic, element, face)
     assert disc.law.admissible(disc.eval_at_quad(U)).all()
     where = f"non-positive density at the face x={disc.xfaces[f]:.6g} {sides}"
     with pytest.raises(SolverAbort, match=f"^inadmissible state at t=0.1: {re.escape(where)}$"):
         disc.residual(U, 0.1)
 
 
-def test_inadmissible_roe_average_abort_names_no_place():
+def test_inadmissible_roe_average_abort_names_its_face():
     # every state passes the density and pressure checks, and the Roe average
-    # at the face between the two elements has c~^2 <= 0: no element or face
-    # trace is inadmissible, so the message names no place
+    # at the face between the two elements has c~^2 <= 0: the abort names
+    # that face and the elements on its two sides
     uL = (218.47778534684, 1172.2519791615955, 3144.8842738558865)
     uR = (0.01395506135484705, 0.07487648351328163, 0.20087650067433863)
     disc = Discretization(build_uniform_mesh(0.0, 1.0, 2, 1), 0, Euler1D(),
                           BoundaryCondition("prescribed", uL), BoundaryCondition("prescribed", uR))
     U = np.array([uL, uR]).T[:, :, None]
-    with pytest.raises(SolverAbort,
-                       match="^inadmissible state at t=0.25: negative Roe-averaged sound speed$"):
+    with pytest.raises(SolverAbort, match="^inadmissible state at t=0.25: negative Roe-averaged "
+                                          "sound speed at the face x=0.5 between element 0 and "
+                                          "element 1$") as err:
         disc.residual(U, 0.25)
+    assert err.value.elements == (0, 1) and err.value.x == (0.5, 0.5)
+
+
+def test_inadmissible_abort_names_the_state_whose_check_raised():
+    # a shu-osher state with pressure <= 0 in element 5 (energy averages 1e-6)
+    # and density <= 0 in element 20: the density check of all states runs
+    # first, so it raises, and names element 20; element 5's densities are
+    # the inflow's 3.857
+    _, disc, state = build_problem(RunConfig(case="shu-osher"))
+    U = state.U.copy()
+    U[2, 5] = 0.0
+    U[2, 5, disc.p:] = 1e-6
+    U[0, 20] = 0.0
+    U[0, 20, disc.p:] = -1.0
+    assert disc.eval_at_quad(U)[0, 5].min() > 3.8
+    xl, xr = disc.mesh.element_bounds(20)
+    where = f"non-positive density in element 20 on x in [{xl:.6g}, {xr:.6g}]"
+    with pytest.raises(SolverAbort, match=f"^inadmissible state at t=0.1: {re.escape(where)}$") as err:
+        disc.residual(U, 0.1)
+    assert err.value.elements == (20,) and err.value.x == (xl, xr)
+
+
+@pytest.mark.parametrize("n_elements, element", [(1, 0), (16, 11)])
+def test_inadmissible_abort_on_a_stack_names_the_failing_states_element(n_elements, element):
+    # the shock relaxation's probe stack, (m, m * dof, E, dof) = (3, 36, E, 12):
+    # state 17 holds a negative density in `element`, state 30 one in element
+    # 0; the first failing state is 17, so the abort names its element
+    disc = Discretization(build_uniform_mesh(-5.0, 5.0, n_elements, 8), 4, Euler1D(),
+                          BoundaryCondition("prescribed", SHU_OSHER_INFLOW),
+                          BoundaryCondition("wall"))
+    U = np.zeros((3, 36, n_elements, disc.dof))
+    U[:, :, :, disc.p:] = euler_state_from_primitives(1.0, 0.2, 1.0, 1.4)[:, None, None, None]
+    for k, e in ((17, element), (30, 0)):
+        U[0, k, e, disc.p:] = -0.5
+    xl, xr = disc.mesh.element_bounds(element)
+    where = f"non-positive density in element {element} on x in [{xl:.6g}, {xr:.6g}]"
+    with pytest.raises(SolverAbort, match=f"^inadmissible state at t=0: {re.escape(where)}$") as err:
+        disc.residual(U, 0.0)
+    assert err.value.elements == (element,) and err.value.x == (xl, xr)
+    disc.residual(U[:, :17], 0.0)       # the states before 17 pass
+
+
+@pytest.mark.parametrize("periodic, element, face, sides", [
+    (False, 9, "right edge", (9, 10)),
+    (False, 63, "right edge", (63,)),
+    (False, 0, "left edge", (0,)),
+    (False, 9, "sub-cell face", (9,)),
+    (True, 0, "left edge", (5, 0)),
+])
+def test_inadmissible_face_abort_names_the_face_as_data(periodic, element, face, sides):
+    # the elements on the face's two sides, and its x at both ends of the interval
+    disc, U, f = bad_face_case(periodic, element, face)
+    with pytest.raises(SolverAbort) as err:
+        disc.residual(U, 0.1)
+    assert err.value.elements == sides and err.value.x == (disc.xfaces[f], disc.xfaces[f])
+
+
+def test_farfield_ghost_abort_names_no_elements_as_data():
+    # the ghost names its boundary and x in the text; no column, so no data
+    disc, U = farfield_loss_case()
+    with pytest.raises(SolverAbort, match="left farfield boundary at x=0$") as err:
+        disc.residual(U, 0.0)
+    assert err.value.elements is None and err.value.x is None
 
 
 @pytest.mark.parametrize("law_name", ["convection", "burgers", "euler", "nozzle"])
@@ -1070,6 +1146,37 @@ def test_advance_aborts_on_injected_non_finite_value(monkeypatch, bad):
     with pytest.raises(SolverAbort, match=r"non-finite state after step 3 at t=0\.03\b") as err:
         advance(disc, state, dt=1e-2, t_final=0.1)
     assert str(err.value).endswith("in element 2 on x in [0.5, 0.75]")
+
+
+def test_non_finite_abort_names_the_element_as_data(monkeypatch):
+    disc = make_convection_disc(n_elements=4, p=1, n=2)
+    state = project_initial(disc, lambda x: gaussian_profile(x)[None])
+
+    def poisoned(disc, state, dt, gammas):
+        new = imex_step(disc, state, dt, gammas)
+        new.U[0, 3, 0] = new.U[0, 2, 1] = np.nan        # the first is element 2
+        return new
+
+    monkeypatch.setattr(solver, "imex_step", poisoned)
+    with pytest.raises(SolverAbort, match=r"^non-finite state after step 1 at t=0\.01 in "
+                                          r"element 2 on x in \[0\.5, 0\.75\]$") as err:
+        advance(disc, state, dt=1e-2, t_final=0.1)
+    assert err.value.elements == (2,) and err.value.x == (0.5, 0.75)
+
+
+def test_a_shared_reference_matrix_cannot_be_written():
+    # two Burgers Discretizations of (2, 3) on different meshes share one
+    # reference element: a write through one is refused, the other's
+    # residual keeps its bits
+    bc = BoundaryCondition("periodic")
+    a = Discretization(build_uniform_mesh(0.0, 1.0, 4, 3), 2, Burgers(), bc, bc)
+    b = Discretization(build_uniform_mesh(0.0, 2.0, 5, 3), 2, Burgers(), bc, bc)
+    assert a.ref is b.ref
+    U = project_initial(b, lambda x: (0.5 + np.sin(np.pi * x))[None]).U
+    before = b.residual(U, 0.0)
+    with pytest.raises(ValueError, match="read-only"):
+        a.ref.trace_left[0, 0] += 1
+    assert np.array_equal(b.residual(U, 0.0), before)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
