@@ -172,17 +172,16 @@ def reference_element(p: int, n: int) -> ReferenceElement:
     )
 
 
-def penalty_stage_rate(p: int, n: int, U: np.ndarray, gammas: np.ndarray,
-                       c: float) -> np.ndarray:
-    """Rate r of the frozen penalty stage (M + c gamma M_pp) r = -gamma M_pp U
-    on each element of U (m, E, dof), gammas (E,):
-    r = -W diag(gamma lam / (1 + c gamma lam)) W^T M U; h cancels; r = 0 where
-    gamma = 0.  The stage weight c = dt a_ii gives an implicit stage, c = 0 the penalty rate
-    -M^{-1} gamma M_pp U, and U + r at c = 1 the penalized projection of the
-    function whose L2 projection is U."""
+def penalty_filter(p: int, n: int, gammas: np.ndarray, c: float):
+    """The map U (m, ..., E, dof) -> r, the rate of the frozen penalty stage
+    (M + c gamma M_pp) r = -gamma M_pp U with gammas (E,): r = W diag(f) W^T M U,
+    f = -gamma lam / (1 + c gamma lam) formed once; h cancels; r = 0 where gamma = 0.
+    c = dt a_ii gives an implicit stage, c = 0 the penalty rate -M^{-1} gamma M_pp U,
+    and U + r at c = 1 the penalized projection of the function whose L2 projection is U."""
     lam, W, MW = reference_element(p, n).penalty_eigenbasis
     glam = gammas[:, None] * lam                       # (E, p)
-    return -((U @ MW) * (glam / (1.0 + c * glam))) @ W.T
+    f = -glam / (1.0 + c * glam)
+    return lambda U: ((U @ MW) * f) @ W.T
 
 
 def element_reference(mesh: Mesh, p: int) -> ReferenceElement:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import penalty_stage_rate
+from .basis import penalty_filter
 from .mesh import Mesh, build_uniform_mesh
 from .physics import (
     BoundaryCondition,
@@ -78,10 +78,6 @@ class RunConfig:
     @property
     def sensor_config(self) -> SensorConfig:
         return SensorConfig(c_pen=self.c_pen, tau=self.tau)
-
-    @property
-    def force_gamma(self) -> tuple[int, float] | None:
-        return None if self.force_gamma_element is None else (self.force_gamma_element, DEFAULT_C_PEN)
 
 
 @dataclass
@@ -286,19 +282,16 @@ def _relax_shock_element(disc, state, x_shock) -> FieldState:
     disc1 = Discretization(Mesh(np.array([xl, xr]), disc.n), disc.p, disc.law, *traces,
                            disc.sensor_config)
 
-    def penalty_rate(V, gamma):      # -M^-1 gamma M_pp V, the penalty filter at c = 0
-        return penalty_stage_rate(disc1.p, disc1.n, V, gamma, 0.0)
-
-    def rate(V, gamma):
-        return disc1.rate(V, 0.0) + penalty_rate(V, gamma)
+    def rate(V, penalty):       # penalty: V -> -M^-1 gamma M_pp V, the filter at c = 0
+        return disc1.rate(V, 0.0) + penalty(V)
 
     local = FieldState(state.U[:, element:element + 1].copy(), 0.0)
     U = advance(disc1, local, dt=4e-4, t_final=4e-4).final.U
     for iterations in range(100):
-        gamma = disc1.evaluate_sensor(U).gamma
-        F = rate(U, gamma)
+        penalty = penalty_filter(disc1.p, disc1.n, disc1.evaluate_sensor(U).gamma, 0.0)
+        F = rate(U, penalty)
         norm = np.linalg.norm(F)
-        if norm <= 1e-10 * max(1.0, np.linalg.norm(penalty_rate(U, gamma))):
+        if norm <= 1e-10 * max(1.0, np.linalg.norm(penalty(U))):
             out = state.U.copy()
             out[:, element] = U[:, 0]
             return FieldState(U=out, time=state.time)
@@ -306,14 +299,14 @@ def _relax_shock_element(disc, state, x_shock) -> FieldState:
         h = 1e-7 * np.maximum(1.0, np.abs(u))
         probes = np.moveaxis(np.diag(h).reshape(u.size, *U.shape), 0, 1)  # (m, m*dof, 1, dof)
         try:
-            dF = rate(U[:, None] + probes, gamma) - F[:, None]
+            dF = rate(U[:, None] + probes, penalty) - F[:, None]
         except SolverAbort:          # an inadmissible probe state: all backward
-            dF = F[:, None] - rate(U[:, None] - probes, gamma)
+            dF = F[:, None] - rate(U[:, None] - probes, penalty)
         J = np.moveaxis(dF, 1, 0).reshape(u.size, u.size).T / h
         step = np.linalg.solve(J, -F.ravel()).reshape(U.shape)
         for lam in 0.5 ** np.arange(20):
             try:
-                trial = rate(U + lam * step, gamma)
+                trial = rate(U + lam * step, penalty)
             except SolverAbort:
                 continue
             if np.linalg.norm(trial) < (1.0 - 1e-4 * lam) * norm:
@@ -481,7 +474,7 @@ def run_case(config: RunConfig) -> RunResult:
         dt,
         config.t_final,
         snapshot_times=config.snapshot_times,
-        force_gamma=config.force_gamma,
+        force_gamma_element=config.force_gamma_element,
         on_step=on_step,
     )
     wall = time.perf_counter() - wall_start

@@ -20,7 +20,7 @@ from .basis import (  # NonInjectiveError re-exported
     assemble_mass,
     element_reference,
     gauss_rule,
-    penalty_stage_rate,
+    penalty_filter,
     reference_element,
 )
 from .mesh import Mesh
@@ -87,15 +87,14 @@ def project_lo(c: np.ndarray, p: int, n: int) -> np.ndarray:
 def project_penalized(f, mesh: Mesh, p: int, gamma: float, breakpoints=None) -> np.ndarray:
     """Penalized L2 projection: solves (M + gamma * M_pp) u = b as the L2
     projection u_0 plus the penalty filter of u_0 at stage weight 1
-    (`penalty_stage_rate`).  gamma = 0 is exactly project_l2; gamma ->
+    (`penalty_filter`).  gamma = 0 is exactly project_l2; gamma ->
     infinity drives the polynomial modes to zero, leaving the monotone
     sub-cell-average projection.
     """
     if gamma < 0:
         raise ValueError("penalty parameter must be non-negative")
     u0 = project_l2(f, mesh, p, breakpoints)
-    rate = penalty_stage_rate(p, mesh.n_sub, u0[..., None, :], np.array([gamma]), 1.0)
-    return u0 + rate[..., 0, :]
+    return u0 + penalty_filter(p, mesh.n_sub, np.array([gamma]), 1.0)(u0[..., None, :])[..., 0, :]
 
 
 def project_avg_preserving(c: np.ndarray, p: int, n: int) -> np.ndarray:

@@ -33,7 +33,8 @@ unpenalized steps alike.  `Discretization.rate`, M^{-1} R(U), is the one
 stage rate.  Implicit stage rates are kept on the slice of elements from the
 first to the last penalized one, none if none is.  A stage's penalty solve
 is a closed-form filter of the polynomial modes in the penalty eigenbasis
-(`basis.penalty_stage_rate`).
+(`basis.penalty_filter`), built once per penalized step.  A forced element
+(`advance(force_gamma_element=...)`) takes the penalty `sensor.DEFAULT_C_PEN`.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import penalty_stage_rate, reference_element
+from .basis import penalty_filter, reference_element
 from .mesh import Mesh
 from .physics import (
     AdmissibilityError,
@@ -56,7 +57,7 @@ from .physics import (
     check_boundary_law,
 )
 from .projections import project_lo
-from .sensor import SensorConfig, SensorReport, evaluate_field_sensor
+from .sensor import DEFAULT_C_PEN, SensorConfig, SensorReport, evaluate_field_sensor
 
 
 class SolverAbort(RuntimeError):
@@ -208,13 +209,16 @@ class Discretization:
             uL[..., 0] = uL[..., -1]
             uR[..., -1] = uR[..., 0]
         else:
-            area_l, area_r = self._ghost_area
-            uL[..., 0] = boundary_ghost(
-                self.bc_left, uR[..., :1], self.law, t, x=self.xfaces[0], side=-1, area=area_l
-            )[..., 0]
-            uR[..., -1] = boundary_ghost(
-                self.bc_right, uL[..., -1:], self.law, t, x=self.xfaces[-1], side=1, area=area_r
-            )[..., 0]
+            for ghost, inside, f, bc, side, area in (
+                    (uL, uR, 0, self.bc_left, -1, self._ghost_area[0]),
+                    (uR, uL, -1, self.bc_right, 1, self._ghost_area[1])):
+                try:
+                    ghost[..., f] = boundary_ghost(bc, inside[..., f, None], self.law, t,
+                                                   x=self.xfaces[f], side=side, area=area)[..., 0]
+                except AdmissibilityError as exc:
+                    # the refused trace's column in `law.fluxes`: uR of face 0, uL of the last face
+                    exc.column = U[0, ..., 0].size * self.ref.phi_q.shape[1] + uL[0].size + f
+                    raise
         return uL, uR
 
     def residual(self, U: np.ndarray, t: float) -> np.ndarray:
@@ -245,13 +249,11 @@ class Discretization:
             R += (S_q.reshape(elements + (-1,)) @ self.ref.source) * self._half_h
         return R
 
-    def _where(self, column: int | None, nq: int):
+    def _where(self, column: int, nq: int):
         """(text, elements, x) of the state at `column` of a failed `law.fluxes` call,
         whose first nq columns are quadrature states: `_in_element` for one, of any
         state of a batch; else ' at the face x=xf ...', the elements on its two sides
-        and (xf, xf); ('', None, None) without a column (a ghost state failed)."""
-        if column is None:
-            return "", None, None
+        and (xf, xf)."""
         if column < nq:
             return self._in_element(column // self.ref.phi_q.shape[1] % self.n_elements)
         f, n_sub = (column - nq) % self.xfaces.size, self.n_elements * self.n
@@ -340,24 +342,23 @@ def imex_step(
     k1 = disc.rate(U0, t)
     U2 = U0 + c * k1
     U3 = U0 + (dt * _DELTA) * k1
-    if blk:
-        s2 = penalty_stage_rate(disc.p, disc.n, U2[:, blk], gammas[blk], c)
+    U1 = U0.copy()
+    if blk:     # the first implicit stage, and its weighted rate in U3 and U1
+        penalty = penalty_filter(disc.p, disc.n, gammas[blk], c)
+        s2 = penalty(U2[:, blk])
         U2[:, blk] += c * s2
+        s2 *= dt * _A_32
+        U3[:, blk] += s2
+        U1[:, blk] += s2
     k2 = disc.rate(U2, t)
-    if blk:
-        U3[:, blk] += (dt * _A_32) * s2
     U3 += (dt * _A_HAT_32) * k2
     if blk:
-        s3 = penalty_stage_rate(disc.p, disc.n, U3[:, blk], gammas[blk], c)
-        U3[:, blk] += c * s3
+        U3[:, blk] += c * penalty(U3[:, blk])
     k3 = disc.rate(U3, t)
-    U1 = U0.copy()
-    if blk:
-        U1[:, blk] += (dt * _A_32) * s2
     U1 += (dt * _A_32) * k2
     U1 += c * k3
     if blk:     # the closing stage: the penalty solve on the finished state
-        U1[:, blk] += c * penalty_stage_rate(disc.p, disc.n, U1[:, blk], gammas[blk], c)
+        U1[:, blk] += c * penalty(U1[:, blk])
     return FieldState(U=U1, time=t + dt)
 
 
@@ -379,20 +380,19 @@ def advance(
     dt: float,
     t_final: float,
     snapshot_times=(),
-    force_gamma: tuple[int, float] | None = None,
+    force_gamma_element: int | None = None,
     on_step=None,
 ) -> Trajectory:
     """Fixed-step march to t_final; steps are shortened to land exactly on
     snapshot times and on t_final, each recorded once; a snapshot time outside
     [start, t_final] is a ValueError.  Gamma is recomputed once per step;
-    `force_gamma` = (element, value) sets one element's."""
+    `force_gamma_element` sets that element's to `DEFAULT_C_PEN`."""
     if not (0 < dt < math.inf and state.time < t_final < math.inf):
         raise ValueError("need dt > 0 and a finite t_final beyond the current time, and a finite dt")
-    if force_gamma is not None:
-        forced, value = int(force_gamma[0]), float(force_gamma[1])
-        if not 0 <= forced < disc.n_elements:
-            raise ValueError(f"force_gamma_element {forced} is not one of the {disc.n_elements} "
-                             f"elements (0 to {disc.n_elements - 1})")
+    forced = force_gamma_element
+    if forced is not None and not 0 <= forced < disc.n_elements:
+        raise ValueError(f"force_gamma_element {forced} is not one of the {disc.n_elements} "
+                         f"elements (0 to {disc.n_elements - 1})")
     eps = 1e-12 * max(1.0, abs(t_final))
     times = [float(ts) for ts in snapshot_times]
     for ts in times:
@@ -404,8 +404,8 @@ def advance(
 
     def sensor(U: np.ndarray) -> SensorReport:
         rep = disc.evaluate_sensor(U)
-        if force_gamma is not None:
-            rep.gamma[forced] = value       # each report's gamma is a fresh array
+        if forced is not None:
+            rep.gamma[forced] = DEFAULT_C_PEN       # each report's gamma is a fresh array
         return rep
 
     current = state

@@ -38,7 +38,7 @@ from subgrid_dg.solver import (
     advance,
     ars222,
     imex_step,
-    penalty_stage_rate,
+    penalty_filter,
 )
 
 from imex_oracles import closed_ars232, scalar_additive_rk
@@ -653,12 +653,20 @@ def test_inadmissible_face_abort_names_the_face_as_data(periodic, element, face,
     assert err.value.elements == sides and err.value.x == (disc.xfaces[f], disc.xfaces[f])
 
 
-def test_farfield_ghost_abort_names_no_elements_as_data():
-    # the ghost names its boundary and x in the text; no column, so no data
+def test_farfield_ghost_abort_names_its_boundary_element_as_data():
+    # the ghost names its boundary and x; the column of the interior trace it
+    # rejected names the face and the element inside it, on either side
     disc, U = farfield_loss_case()
-    with pytest.raises(SolverAbort, match="left farfield boundary at x=0$") as err:
-        disc.residual(U, 0.0)
-    assert err.value.elements is None and err.value.x is None
+    mirrored = U[:, ::-1].copy()
+    mirrored[:, :, 0] *= -1.0       # the linear mode now drives the right face's density negative
+    for state, element, x, where in (
+            (U, 0, 0.0, "left farfield boundary at x=0 at the face x=0 between the left "
+                        "boundary and element 0"),
+            (mirrored, 2, 1.0, "right farfield boundary at x=1 at the face x=1 between "
+                               "element 2 and the right boundary")):
+        with pytest.raises(SolverAbort, match=f"{where}$") as err:
+            disc.residual(state, 0.0)
+        assert err.value.elements == (element,) and err.value.x == (x, x)
 
 
 @pytest.mark.parametrize("law_name", ["convection", "burgers", "euler", "nozzle"])
@@ -828,7 +836,7 @@ def test_penalty_stage_rate_matches_batched_lu(pn, gammas, c, m, seed):
     p, n = pn
     gammas = np.array(gammas)
     U = np.random.default_rng(seed).standard_normal((m, gammas.size, p + n))
-    rate = penalty_stage_rate(p, n, U, gammas, c)
+    rate = penalty_filter(p, n, gammas, c)(U)
     expected = lu_stage_rate(p, n, U, gammas, c)
     assert rate.shape == expected.shape
     assert np.max(np.abs(rate - expected)) <= 1e-11 * np.max(np.abs(expected))
@@ -852,7 +860,7 @@ def gather_scatter_step(disc, state, dt, gammas):
                 Ui += dt * tab.A_hat[i, j] * r_hat[j]
         aii = tab.A[i, i]
         if active.size and aii != 0.0:
-            r[i] = penalty_stage_rate(disc.p, disc.n, Ui[:, active], gammas[active], dt * aii)
+            r[i] = penalty_filter(disc.p, disc.n, gammas[active], dt * aii)(Ui[:, active])
             Ui[:, active] += dt * aii * r[i]
         r_hat.append(disc.solve_mass(disc.residual(Ui, state.time)))
     U1 = U0.copy()
@@ -866,7 +874,7 @@ def gather_scatter_step(disc, state, dt, gammas):
 
 @pytest.mark.parametrize("case", ["convection-heaviside", "shu-osher", "nozzle"])
 @pytest.mark.parametrize("active", [[3, 4, 5], [1, 6], [2], list(range(8)), []])
-def test_block_view_step_matches_gather_scatter(case, active):
+def test_block_view_step_matches_gather_scatter(monkeypatch, case, active):
     # contiguous, gapped, single, eight and no penalized elements: the
     # elements of the block with gamma = 0 get a rate of exactly 0, so the
     # step is the same bit for bit; the nozzle, at its preset's element
@@ -876,10 +884,15 @@ def test_block_view_step_matches_gather_scatter(case, active):
     dt = 1e-3 if case == "convection-heaviside" else 2e-4
     gammas = np.zeros(disc.n_elements)
     gammas[active] = np.geomspace(1e-2, 1e8, len(active))
+    filters = []     # the penalty filters imex_step builds: one per penalized step
+    monkeypatch.setattr(solver, "penalty_filter",
+                        lambda *a: filters.append(a) or penalty_filter(*a))
     stepped = imex_step(disc, state, dt, gammas)
+    assert len(filters) == (1 if active else 0)
     expected = gather_scatter_step(disc, state, dt, gammas)
     assert np.array_equal(stepped.U, expected)
     unpenalized = imex_step(disc, state, dt, np.zeros(disc.n_elements))
+    assert len(filters) == (1 if active else 0)
     assert np.array_equal(stepped.U, unpenalized.U) == (not active)
 
 
@@ -887,7 +900,7 @@ def test_penalty_stage_rate_is_exactly_zero_where_gamma_is_zero():
     rng = np.random.default_rng(4)
     gammas = np.array([3.0, 0.0, 0.0, 1e9, 0.0, 2e-3])
     U = rng.standard_normal((3, gammas.size, 9))
-    rate = penalty_stage_rate(4, 5, U, gammas, 2.9e-4)
+    rate = penalty_filter(4, 5, gammas, 2.9e-4)(U)
     assert np.all(rate[:, gammas == 0.0] == 0.0)
     assert np.all(np.any(rate[:, gammas > 0.0] != 0.0, axis=-1))
 
@@ -895,7 +908,7 @@ def test_penalty_stage_rate_is_exactly_zero_where_gamma_is_zero():
 def test_penalty_stage_is_exactly_zero_at_p0():
     # p = 0 has no polynomial modes: a forced penalty changes nothing
     U = np.random.default_rng(3).standard_normal((2, 4, 5))
-    rate = penalty_stage_rate(0, 5, U, np.full(4, 1e7), 1e-3)
+    rate = penalty_filter(0, 5, np.full(4, 1e7), 1e-3)(U)
     assert rate.shape == U.shape and np.all(rate == 0.0)
     disc = make_convection_disc(n_elements=6, p=0, n=5)
     state = project_initial(disc, lambda x: gaussian_profile(x)[None])
@@ -1028,7 +1041,7 @@ def test_advance_recorded_states_unchanged_by_later_steps():
     state = project_initial(disc, lambda x: gaussian_profile(x)[None])
     seen = []
     traj = advance(disc, state, dt=2e-3, t_final=0.02, snapshot_times=(0.01,),
-                   force_gamma=(3, 1e3),
+                   force_gamma_element=3,
                    on_step=lambda st, tr: seen.append((st, st.U.copy())))
     assert len(seen) == traj.n_steps
     for st, U in seen:
@@ -1104,9 +1117,9 @@ def test_advance_hits_snapshot_times_exactly():
 def test_advance_forced_gamma_recorded():
     disc = make_convection_disc(n_elements=4, p=1, n=2)
     state = project_initial(disc, lambda x: gaussian_profile(x)[None])
-    traj = advance(disc, state, dt=5e-3, t_final=0.02, force_gamma=(2, 123.0))
+    traj = advance(disc, state, dt=5e-3, t_final=0.02, force_gamma_element=2)
     for rep in traj.sensors:
-        assert rep.gamma[2] == 123.0
+        assert rep.gamma[2] == 1e7
 
 
 @pytest.mark.parametrize("element", [4, -1])
@@ -1117,7 +1130,7 @@ def test_advance_refuses_forced_element_off_the_mesh(monkeypatch, element):
     monkeypatch.setattr(solver, "imex_step", lambda *a: pytest.fail("a step ran"))
     with pytest.raises(ValueError, match=rf"force_gamma_element {element} is not one of the 4 "
                                          r"elements \(0 to 3\)"):
-        advance(disc, state, dt=5e-3, t_final=0.02, force_gamma=(element, 5.0))
+        advance(disc, state, dt=5e-3, t_final=0.02, force_gamma_element=element)
 
 
 def test_mass_conservation_burgers_with_active_sensor():
