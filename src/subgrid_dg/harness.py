@@ -31,7 +31,7 @@ from .physics import (
 )
 from .projections import project_l2
 from .sensor import DEFAULT_C_PEN, SensorConfig
-from .solver import Discretization, FieldState, SolverAbort, Trajectory, advance
+from .solver import Discretization, FieldState, SolverAbort, Trajectory, advance, imex_step
 
 GAUSSIAN_CENTER = 0.5
 GAUSSIAN_WIDTH2 = 0.01   # 2 sigma^2
@@ -148,7 +148,7 @@ def _bisect(g, lo, hi):
         mid = 0.5 * (lo + hi)
         up = (g(mid) > 0) == lo_positive
         new_lo, new_hi = np.where(up, mid, lo), np.where(up, hi, mid)
-        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+        if (new_lo == lo).all() and (new_hi == hi).all():
             break
         lo, hi = new_lo, new_hi
     return 0.5 * (lo + hi)
@@ -161,12 +161,13 @@ def _nozzle_density(area, mdot, sigma, enthalpy, supersonic):
     the supersonic (light) one where the mask ``supersonic`` holds, else the dense one.
     """
     gamma_a = GAS_GAMMA
+    gamma_sigma, mdot2, two_area2 = gamma_a * sigma, mdot ** 2, 2.0 * area ** 2
 
     def f(rho):
-        c2 = gamma_a * sigma * rho ** (gamma_a - 1.0)
-        return c2 / (gamma_a - 1.0) + mdot ** 2 / (2.0 * area ** 2 * rho ** 2) - enthalpy
+        c2 = gamma_sigma * rho ** (gamma_a - 1.0)
+        return c2 / (gamma_a - 1.0) + mdot2 / (two_area2 * rho ** 2) - enthalpy
 
-    rho_sonic = (mdot ** 2 / (gamma_a * sigma * area ** 2)) ** (1.0 / (gamma_a + 1.0))
+    rho_sonic = (mdot2 / (gamma_sigma * area ** 2)) ** (1.0 / (gamma_a + 1.0))
     return _bisect(f, np.where(supersonic, 1e-3, rho_sonic),
                    np.where(supersonic, rho_sonic, 10.0))
 
@@ -262,13 +263,13 @@ def _relax_shock_element(disc, state, x_shock) -> FieldState:
     damped Newton on F(U) = M^-1 (R(U) - gamma M_pp U) = 0 with gamma from
     the sensor of each iterate, so the result is steady under its own gamma.
     The march is one IMEX step of dt = 4e-4, the shortest start tried that
-    Newton solves in a few iterations (measured: 6 on the default nozzle,
-    with 16 single residual calls, the march's 3 among them, and 6 batched
-    ones of 36 probe states; 4-5 at 5 to 64 elements).  The Jacobian is
+    Newton solves in a few iterations (measured: 7 on the default nozzle,
+    with 11 single residual calls, the step's 3 among them, 7 batched ones
+    of 36 probe states and 9 sensor calls; 4-5 at 5 to 64 elements).  The Jacobian is
     forward differences from one residual call on the stack of all m * dof
     probe states, or backward ones for every column if the residual rejects
     that stack; a step is halved until it lowers |F|, and a trial state the
-    residual rejects is halved, never accepted.  The
+    residual rejects is halved, never accepted; the accepted R(U) is kept.  The
     tolerance is 1e-10, times the penalty rate |M^-1 gamma M_pp U| where
     that exceeds 1, since the round-off floor of F grows with the penalty
     term that R balances (4e-11 against a rate of 190 on the default
@@ -285,11 +286,12 @@ def _relax_shock_element(disc, state, x_shock) -> FieldState:
     def rate(V, penalty):       # penalty: V -> -M^-1 gamma M_pp V, the filter at c = 0
         return disc1.rate(V, 0.0) + penalty(V)
 
-    local = FieldState(state.U[:, element:element + 1].copy(), 0.0)
-    U = advance(disc1, local, dt=4e-4, t_final=4e-4).final.U
+    local = state.U[:, element:element + 1]
+    U = imex_step(disc1, FieldState(local, 0.0), 4e-4, disc1.evaluate_sensor(local).gamma).U
+    R = disc1.rate(U, 0.0)      # the iterate's stage rate, then its accepted trial's
     for iterations in range(100):
         penalty = penalty_filter(disc1.p, disc1.n, disc1.evaluate_sensor(U).gamma, 0.0)
-        F = rate(U, penalty)
+        F = R + penalty(U)
         norm = np.linalg.norm(F)
         if norm <= 1e-10 * max(1.0, np.linalg.norm(penalty(U))):
             out = state.U.copy()
@@ -305,12 +307,13 @@ def _relax_shock_element(disc, state, x_shock) -> FieldState:
         J = np.moveaxis(dF, 1, 0).reshape(u.size, u.size).T / h
         step = np.linalg.solve(J, -F.ravel()).reshape(U.shape)
         for lam in 0.5 ** np.arange(20):
+            V = U + lam * step
             try:
-                trial = rate(U + lam * step, penalty)
+                R_trial = disc1.rate(V, 0.0)
             except SolverAbort:
                 continue
-            if np.linalg.norm(trial) < (1.0 - 1e-4 * lam) * norm:
-                U = U + lam * step
+            if np.linalg.norm(R_trial + penalty(V)) < (1.0 - 1e-4 * lam) * norm:
+                U, R = V, R_trial
                 break
         else:
             break
@@ -520,25 +523,15 @@ def spatial_accuracy_dt_rule(coarsest_elements: int):
     """Time-step rule for mesh-refinement studies: dt = c * h^((p+1)/2).
 
     The second-order time error then scales like the O(h^(p+1)) spatial
-    error, so observed orders are not capped at 2.  The constant c is set by
-    the explicit stability limit on the coarsest grid, where the rule and the
-    CFL bound coincide: h is the case's domain length over the element count
-    and the wave speed that of the case's initial state built on the coarsest
-    grid, as `default_dt` takes them.  On finer grids the rule is the
-    stricter of the two.
+    error, so observed orders are not capped at 2.  dt is `default_dt` on the
+    coarsest grid scaled by min(r, r^((p+1)/2)), r = coarsest_elements /
+    n_elements: c makes dt the CFL step there, and on finer grids dt is the
+    smaller of c * h^((p+1)/2) and the CFL step of the coarsest wave speed.
     """
     def rule(cfg: RunConfig) -> float:
-        a, b = _CASES[cfg.case].domain
         _, disc, state0 = build_problem(replace(cfg, n_elements=coarsest_elements))
-        wave_speed = disc.max_wave_speed(state0.U)
-
-        def stable_dt(n_elements: int) -> float:
-            return _cfl_dt(cfg.cfl, (b - a) / n_elements / cfg.n, cfg.p, wave_speed)
-
-        exponent = 0.5 * (cfg.p + 1)
-        c = stable_dt(coarsest_elements) / ((b - a) / coarsest_elements) ** exponent
-        h = (b - a) / cfg.n_elements
-        return min(stable_dt(cfg.n_elements), c * h ** exponent)
+        r = coarsest_elements / cfg.n_elements
+        return default_dt(disc, state0.U, cfg.cfl) * min(r, r ** (0.5 * (cfg.p + 1)))
 
     return rule
 

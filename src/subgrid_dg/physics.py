@@ -335,9 +335,10 @@ class BoundaryCondition:
     def __post_init__(self):
         if self.kind not in ("periodic", "prescribed", "wall", "farfield"):
             raise ValueError(f"unknown boundary kind {self.kind!r}")
-        if self.kind == "farfield":
-            if self.farfield is None or self.farfield[2] == 0:
-                raise ValueError("farfield needs (rho, u, M) with M != 0")
+        far = self.farfield     # p = rho (u/M)^2 / gamma > 0 needs rho > 0, u != 0, M != 0
+        if self.kind == "farfield" and not (far and all(map(math.isfinite, far)) and far[0] > 0
+                                            and far[1] != 0 and far[2] != 0):
+            raise ValueError(f"farfield (rho, u, M) must be finite, rho > 0, u, M != 0: {far}")
         if self.kind == "prescribed" and self.state is None:
             raise ValueError("prescribed boundary needs a conserved state")
 

@@ -214,7 +214,7 @@ class Discretization:
                     (uR, uL, -1, self.bc_right, 1, self._ghost_area[1])):
                 try:
                     ghost[..., f] = boundary_ghost(bc, inside[..., f, None], self.law, t,
-                                                   x=self.xfaces[f], side=side, area=area)[..., 0]
+                                                   side=side, area=area)[..., 0]
                 except AdmissibilityError as exc:
                     # the refused trace's column in `law.fluxes`: uR of face 0, uL of the last face
                     exc.column = U[0, ..., 0].size * self.ref.phi_q.shape[1] + uL[0].size + f

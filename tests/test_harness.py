@@ -557,10 +557,37 @@ def test_spatial_accuracy_dt_rule():
 
 @pytest.mark.parametrize("case", ["nozzle", "burgers", "shu-osher"])
 def test_spatial_accuracy_dt_rule_is_default_dt_at_the_coarsest_level(case):
-    # h from the case's domain and the wave speed of its built initial state
+    # r = 1 there, so the rule is default_dt of the case's built initial state exactly
     config, disc, state = build_problem(RunConfig(case=case))
     rule = spatial_accuracy_dt_rule(config.n_elements)
-    assert rule(config) == pytest.approx(default_dt(disc, state.U, config.cfl), rel=1e-12)
+    assert rule(config) == default_dt(disc, state.U, config.cfl)
+
+
+def domain_length_dt_rule(coarsest_elements, cfg):
+    """The rule derived from the case's domain length: the CFL step of the
+    coarsest grid's wave speed on h = (b - a) / E, capped by c h^((p+1)/2)
+    with c set where the two coincide on the coarsest grid."""
+    a, b = harness._CASES[cfg.case].domain
+    _, disc, state0 = build_problem(replace(cfg, n_elements=coarsest_elements))
+    wave_speed = disc.max_wave_speed(state0.U)
+
+    def stable_dt(n_elements):
+        return harness._cfl_dt(cfg.cfl, (b - a) / n_elements / cfg.n, cfg.p, wave_speed)
+
+    exponent = 0.5 * (cfg.p + 1)
+    c = stable_dt(coarsest_elements) / ((b - a) / coarsest_elements) ** exponent
+    return min(stable_dt(cfg.n_elements), c * ((b - a) / cfg.n_elements) ** exponent)
+
+
+@pytest.mark.parametrize("case", ["shu-osher", "burgers"])   # domain lengths 10 and 1
+@pytest.mark.parametrize("p", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("n_elements", [16, 24, 64])
+def test_spatial_accuracy_dt_rule_matches_the_domain_length_derivation(case, p, n_elements):
+    # default_dt on the coarsest level scaled by min(r, r^((p+1)/2)) is the
+    # same function of h as the rule written with the domain length, to round-off
+    cfg = RunConfig(case=case, p=p, n_elements=n_elements)
+    oracle = domain_length_dt_rule(8, cfg)
+    assert abs(spatial_accuracy_dt_rule(8)(cfg) - oracle) <= 4 * np.spacing(oracle)
 
 
 def entropy_wave(x, t):

@@ -1,9 +1,13 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from subgrid_dg.harness import NOZZLE_INLET, NOZZLE_OUTLET
 from subgrid_dg.physics import (
     AdmissibilityError,
     BoundaryCondition,
@@ -1001,6 +1005,20 @@ def test_boundary_condition_validation():
         BoundaryCondition("farfield", farfield=(1.0, 1.0, 0.0))
     with pytest.raises(ValueError):
         BoundaryCondition("prescribed")
+
+
+@pytest.mark.parametrize("far", [(-1.0, 1.0, 0.4), (0.0, 1.0, 0.4), (1.0, 0.0, 0.4),
+                                 (1.0, 1.0, 0.0), (math.nan, 1.0, 0.4), (1.0, math.inf, 0.4)])
+def test_farfield_data_without_a_positive_density_and_pressure_is_refused(far):
+    # u = 0 gives p = rho (u / M)^2 / gamma = 0; refused when made, naming the
+    # data, before a residual could blame the interior trace for it
+    with pytest.raises(ValueError, match=re.escape(f": {far}") + "$"):
+        BoundaryCondition("farfield", farfield=far)
+
+
+def test_farfield_presets_data_is_accepted():
+    for far in (NOZZLE_INLET, NOZZLE_OUTLET, (1.0, 5.0, 2.5), (1.0, -1.0, -0.4)):
+        assert BoundaryCondition("farfield", farfield=far).farfield == far
 
 
 def test_make_law():

@@ -654,15 +654,15 @@ def test_inadmissible_face_abort_names_the_face_as_data(periodic, element, face,
 
 
 def test_farfield_ghost_abort_names_its_boundary_element_as_data():
-    # the ghost names its boundary and x; the column of the interior trace it
-    # rejected names the face and the element inside it, on either side
+    # the ghost names its boundary; the column of the interior trace it
+    # rejected names the face, once, and the element inside it, on either side
     disc, U = farfield_loss_case()
     mirrored = U[:, ::-1].copy()
     mirrored[:, :, 0] *= -1.0       # the linear mode now drives the right face's density negative
     for state, element, x, where in (
-            (U, 0, 0.0, "left farfield boundary at x=0 at the face x=0 between the left "
+            (U, 0, 0.0, "left farfield boundary at the face x=0 between the left "
                         "boundary and element 0"),
-            (mirrored, 2, 1.0, "right farfield boundary at x=1 at the face x=1 between "
+            (mirrored, 2, 1.0, "right farfield boundary at the face x=1 between "
                                "element 2 and the right boundary")):
         with pytest.raises(SolverAbort, match=f"{where}$") as err:
             disc.residual(state, 0.0)
